@@ -153,14 +153,6 @@ class Tape:
             np.hstack([a.value, b.value]), (a, b), lambda g: (g[:, :split], g[:, split:])
         )
 
-    def concat_rows(self, a: Node, b: Node) -> Node:
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[1]:
-            raise ValueError(f"concat_rows shape mismatch {a.shape} vs {b.shape}")
-        split = a.shape[0]
-        return self._push(
-            np.vstack([a.value, b.value]), (a, b), lambda g: (g[:split], g[split:])
-        )
-
     def tile_rows(self, v: Node, r: int) -> Node:
         """Repeat a width-C vector as the rows of an (r, C) matrix."""
         if v.value.ndim != 1:

@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages: gen-data, train-sampler,
 train-ranker, eval, report. A run directory (--out) accumulates data/,
 artifacts/, and eval outputs, so the whole pipeline chains through one
-path. MICAS_THREADS caps evaluation parallelism (default 1).
+path.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ def _cmd_train_sampler(args) -> int:
     result = pipeline.train_sampler(cfg, train_pairs, Path(args.out) / "artifacts")
     final = result.history[-1]["mean_loss"] if result.history else float("nan")
     print(f"wrote {result.sampler_path} (final mean loss {final:.6f})")
-    print(f"wrote {result.surrogate_path}")
     return 0
 
 

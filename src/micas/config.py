@@ -54,12 +54,15 @@ class RunConfig:
             raise ConfigurationError("seed must fit in u64")
         positives = (
             "s_points", "n_centers", "m_neighbors", "d1", "d2", "sampler_width",
-            "surrogate_width", "ranker_width", "sampler_epochs", "sampler_batch",
-            "ranker_epochs", "ranker_batch", "k_candidates", "train_per_cell", "test_per_cell",
+            "surrogate_width", "ranker_width", "sampler_batch", "ranker_batch",
+            "k_candidates", "train_per_cell", "test_per_cell",
         )
         for name in positives:
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
+        for name in ("sampler_epochs", "ranker_epochs"):
+            if getattr(self, name) < 2:  # the cosine learning-rate schedule needs two steps
+                raise ConfigurationError(f"{name} must be at least 2")
         if self.n_centers > self.s_points or self.m_neighbors > self.s_points:
             raise ConfigurationError("n_centers and m_neighbors cannot exceed s_points")
         if not (self.tau_start >= self.tau_end > 0.0):
@@ -136,9 +139,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     for key, value in values.items():
         current = merged[key]
         try:
-            if isinstance(current, bool):
-                merged[key] = value in ("1", "true", "True")
-            elif isinstance(current, int):
+            if isinstance(current, int):
                 merged[key] = int(str(value))
             elif isinstance(current, float):
                 merged[key] = float(str(value))

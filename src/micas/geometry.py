@@ -1,4 +1,4 @@
-"""Point-cloud primitives: containers, distances, sampling, and file I/O.
+"""Point-cloud primitives: containers, distances, sampling, and binary records.
 
 Coordinates are float64 arrays of shape (S, 3) throughout. Whenever a
 nearest/farthest query ties, the lowest point index wins, so identical
@@ -173,33 +173,6 @@ def knn_patches(cloud, centers, m: int) -> PatchSet:
     return PatchSet(centers=ctr, patches=pts[order], source_indices=order)
 
 
-def joint_sample_hard(target, indices) -> np.ndarray:
-    """Read target-cloud points at the given source indices."""
-    pts = as_points(target)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or len(idx) < 1:
-        raise ValueError("indices must be a non-empty 1-D array")
-    if (idx < 0).any() or (idx >= len(pts)).any():
-        raise ValueError("index out of range for target cloud")
-    return pts[idx].copy()
-
-
-def joint_sample_soft(target, weights) -> np.ndarray:
-    """Project a target cloud through column-stochastic selection weights.
-
-    `weights` has shape (S, N) with each column summing to 1; the result
-    row j is the weighted average of target points under column j.
-    """
-    pts = as_points(target)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != len(pts):
-        raise ValueError(f"weights must have shape ({len(pts)}, N), got {w.shape}")
-    col_sums = w.sum(axis=0)
-    if np.abs(col_sums - 1.0).max() > 1e-6:
-        raise ValueError("weight columns must each sum to 1 within 1e-6")
-    return w.T @ pts
-
-
 def minmax_normalize(value: float, lo: float, hi: float) -> float:
     """Map value into [0, 1] given bounds, clamping out-of-range inputs."""
     if not hi > lo:
@@ -280,12 +253,6 @@ def corrupt(cloud: PointCloud, outlier_fraction: float, sigma: float, rng) -> Po
     return PointCloud(pts, cloud.labels, mask)
 
 
-def bbox(cloud) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned (min, max) corners of a point set."""
-    pts = as_points(cloud)
-    return pts.min(axis=0), pts.max(axis=0)
-
-
 def cloud_to_bytes(cloud: PointCloud) -> bytes:
     """Encode a cloud in the binary MICASPC1 layout (little-endian)."""
     parts = [
@@ -298,11 +265,6 @@ def cloud_to_bytes(cloud: PointCloud) -> bytes:
     if cloud.noise_mask is not None:
         parts.append(cloud.noise_mask.astype("u1").tobytes())
     return b"".join(parts)
-
-
-def save_cloud(cloud: PointCloud, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(cloud_to_bytes(cloud))
 
 
 def cloud_from_buffer(buf: bytes, offset: int = 0) -> tuple[PointCloud, int]:
@@ -334,48 +296,3 @@ def cloud_from_buffer(buf: bytes, offset: int = 0) -> tuple[PointCloud, int]:
     if not np.isfinite(pts).all():
         raise FormatError("point-cloud record contains non-finite coordinates")
     return PointCloud(pts, labels, mask), offset
-
-
-def load_cloud(path) -> PointCloud:
-    """Read one MICASPC1 file; trailing bytes or truncation raise FormatError."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    cloud, end = cloud_from_buffer(buf, 0)
-    if end != len(buf):
-        raise FormatError(f"{len(buf) - end} unexpected trailing bytes")
-    return cloud
-
-
-def load_xyz(path) -> PointCloud:
-    """Read a plain-text cloud, one "x y z" or "x y z label" row per line.
-
-    Blank lines and lines starting with '#' are skipped. Every data row
-    must carry the same column count.
-    """
-    coords: list[list[float]] = []
-    labels: list[int] = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) not in (3, 4):
-                raise FormatError(f"line {lineno}: expected 3 or 4 columns, got {len(fields)}")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise FormatError(f"line {lineno}: inconsistent column count")
-            try:
-                coords.append([float(fields[0]), float(fields[1]), float(fields[2])])
-                if width == 4:
-                    labels.append(int(fields[3]))
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-    if not coords:
-        raise FormatError("no data rows in XYZ file")
-    pts = np.asarray(coords, dtype=np.float64)
-    if not np.isfinite(pts).all():
-        raise FormatError("XYZ file contains non-finite coordinates")
-    return PointCloud(pts, np.asarray(labels, dtype=np.int64) if width == 4 else None)

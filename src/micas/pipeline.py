@@ -4,8 +4,7 @@ Training is strictly staged. The sampler (plus its surrogate) trains
 first; ranker training refuses to start without the sampler checkpoint,
 reads it, and proves on exit that the file bytes never changed. Every
 random decision derives from the run seed and stable identifiers, never
-from global or wall-clock state, so equal seeds reproduce equal results
-regardless of thread count.
+from global or wall-clock state, so equal seeds reproduce equal results.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +55,6 @@ from .surrogate import (
     init_surrogate_params,
     mask_patches,
     oracle_predict,
-    save_surrogate,
     surrogate_predict,
     visible_context,
 )
@@ -78,7 +74,6 @@ LABEL_DRAWS = 16
 TRAIN_DATASET = "train.micasds"
 TEST_DATASET = "test.micasds"
 SAMPLER_CHECKPOINT = "sampler.micasnn"
-SURROGATE_CHECKPOINT = "surrogate.micasnn"
 RANKER_CHECKPOINT = "ranker.micasnn"
 LABEL_CACHE = "labels.micaslc"
 
@@ -173,7 +168,6 @@ def item_loss(sampler_store, surrogate_store, s_cfg: SamplerConfig, sur_cfg: Sur
 @dataclass
 class SamplerTraining:
     sampler_path: Path
-    surrogate_path: Path
     history: list
 
 
@@ -184,11 +178,11 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir, on_step=None) -> Sampler
     live soft weights, centers, and clouds; it must consume them
     synchronously because buffers are reused.
     """
+    if int(np.rint(cfg.mask_ratio * cfg.n_centers)) < 1:
+        raise ConfigurationError("mask_ratio * n_centers rounds to zero patches")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     s_cfg, sur_cfg = sampler_config(cfg), surrogate_config(cfg)
-    if int(np.rint(cfg.mask_ratio * cfg.n_centers)) < 1:
-        raise ConfigurationError("mask_ratio * n_centers rounds to zero patches")
     sampler_store = init_sampler_params(s_cfg, np.random.default_rng(derive_seed(cfg.seed, "sampler-init")))
     surrogate_store = init_surrogate_params(sur_cfg, np.random.default_rng(derive_seed(cfg.seed, "surrogate-init")))
     bank = PromptBank.from_pairs(train_pairs)
@@ -233,13 +227,12 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir, on_step=None) -> Sampler
             autodiff.sgd_cosine_step(surrogate_store, epoch, cfg.sampler_epochs,
                                      cfg.sampler_lr0, cfg.sampler_lr_min)
         history.append({"epoch": epoch, "lr": lr, "tau": tau, "mean_loss": float(np.mean(losses))})
-    sampler_path, surrogate_path = out / SAMPLER_CHECKPOINT, out / SURROGATE_CHECKPOINT
+    sampler_path = out / SAMPLER_CHECKPOINT
     save_sampler(sampler_store, s_cfg, sampler_path)
-    save_surrogate(surrogate_store, sur_cfg, surrogate_path)
     with open(out / "sampler_train.json", "w", encoding="utf-8") as fh:
         json.dump({"config_sha256": config_hash(cfg), "history": history}, fh, indent=2)
         fh.write("\n")
-    return SamplerTraining(sampler_path, surrogate_path, history)
+    return SamplerTraining(sampler_path, history)
 
 
 # ---- ranker training ----
@@ -268,7 +261,17 @@ class RankerTraining:
     sampler_sha256: str
 
 
-def _global_candidate_ids(train_pairs, bank):
+def _pairs_sha256(pairs) -> str:
+    """Digest of the serialized pairs a label cache was computed on."""
+    digest = hashlib.sha256()
+    for pair in pairs:
+        digest.update(pair.task.encode("utf-8"))
+        digest.update(geometry.cloud_to_bytes(pair.input))
+        digest.update(geometry.cloud_to_bytes(pair.target))
+    return digest.hexdigest()
+
+
+def _global_candidate_ids(train_pairs):
     """Map (task, bank position) back to the pair's index in the split."""
     by_task: dict[str, list[int]] = {}
     for i, pair in enumerate(train_pairs):
@@ -292,7 +295,7 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     sampler_store, s_cfg = load_sampler(sampler_path)
     r_cfg = ranker_config(cfg)
     bank = PromptBank.from_pairs(train_pairs)
-    task_globals = _global_candidate_ids(train_pairs, bank)
+    task_globals = _global_candidate_ids(train_pairs)
     oracle = OracleModel(adaptive_centers_fn(sampler_store, s_cfg))
 
     # Frozen candidate sets, one per query, then oracle raw performances.
@@ -303,7 +306,16 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
         candidates[qid] = build_candidate_pool(bank, query.task, cfg.k_candidates, rng,
                                                exclude=position[query.task][qid])
     labels_path = out / LABEL_CACHE
-    raw_cache = load_label_cache(labels_path) if labels_path.exists() else {}
+    provenance_path = Path(str(labels_path) + ".json")
+    provenance = {"sampler_sha256": sha_before, "seed": cfg.seed, "label_draws": LABEL_DRAWS,
+                  "train_sha256": _pairs_sha256(train_pairs)}
+    # Cached labels are reused only if they were computed from this exact
+    # sampler, seed, draw count and train split; otherwise all are redone.
+    try:
+        stale = json.loads(provenance_path.read_text(encoding="utf-8")) != provenance
+    except (OSError, ValueError):
+        stale = True
+    raw_cache = {} if stale or not labels_path.exists() else load_label_cache(labels_path)
     computed = False
     raws: dict[tuple[int, int], float] = {}
     for qid, query in enumerate(train_pairs):
@@ -317,6 +329,9 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
             raws[key] = raw_cache[key]
     if computed:
         save_label_cache(raw_cache, labels_path)
+        with open(provenance_path, "w", encoding="utf-8") as fh:
+            json.dump(provenance, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     normalizer = TaskNormalizer()
     for task in bank.prompts:
@@ -372,30 +387,15 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
 # ---- evaluation ----
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        value = threads
-    else:
-        raw = os.environ.get("MICAS_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"MICAS_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigurationError("thread count must be >= 1")
-    return value
-
-
 def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_art=None,
-             sampler_variant: str = "adaptive", prompt_variant: str = "ranked",
-             threads: int | None = None) -> dict:
+             sampler_variant: str = "adaptive", prompt_variant: str = "ranked") -> dict:
     """Score a test split under one (sampling, prompting) ablation cell.
 
     sampler_art is (store, SamplerConfig) and ranker_art is
     (store, RankerConfig, TaskNormalizer); each may be None when the
     corresponding baseline variant is requested. Results are bitwise
     reproducible for a fixed seed: each query owns an rng seeded by
-    run_seed XOR query_id, so the thread count cannot reorder randomness.
+    run_seed XOR query_id.
     """
     if sampler_variant not in SAMPLER_VARIANTS:
         raise ConfigurationError(f"sampler_variant must be one of {SAMPLER_VARIANTS}")
@@ -408,8 +408,7 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
     bank = PromptBank.from_pairs(train_pairs)
     started = time.time()
 
-    def eval_one(args):
-        query_id, query = args
+    def eval_one(query_id, query):
         rng = np.random.default_rng(np.uint64(cfg.seed) ^ np.uint64(query_id))
         cands = build_candidate_pool(bank, query.task, cfg.k_candidates, rng)
         if prompt_variant == "ranked":
@@ -450,13 +449,7 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
                 row["outlier_total"] = int(len(picked_indices))
         return row
 
-    jobs = list(enumerate(test_pairs))
-    workers = _thread_count(threads)
-    if workers == 1:
-        rows = [eval_one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(eval_one, jobs))
+    rows = [eval_one(query_id, query) for query_id, query in enumerate(test_pairs)]
 
     cells: dict[str, dict[str, dict]] = {}
     for task in sorted({r["task"] for r in rows}):
@@ -545,7 +538,7 @@ def report_equal(a, b, tol: float = 1e-12) -> bool:
 
 
 def full_run(cfg: RunConfig, workdir, sampler_variant: str = "adaptive",
-             prompt_variant: str = "ranked", threads: int | None = None) -> dict:
+             prompt_variant: str = "ranked") -> dict:
     """gen-data, train-sampler, train-ranker, eval, in one working directory."""
     work = Path(workdir)
     train_path, test_path = write_datasets(cfg, work / "data")
@@ -555,6 +548,6 @@ def full_run(cfg: RunConfig, workdir, sampler_variant: str = "adaptive",
     sampler_art = load_sampler(trained.sampler_path)
     ranker_art = load_ranker(ranked.ranker_path)
     report = evaluate(cfg, test_pairs, train_pairs, sampler_art, ranker_art,
-                      sampler_variant, prompt_variant, threads)
+                      sampler_variant, prompt_variant)
     write_report(report, work / "eval")
     return report

@@ -175,12 +175,6 @@ class TaskNormalizer:
         return cls({task: (entry["lo"], entry["hi"]) for task, entry in data.items()})
 
 
-def pseudo_label(model, query: TaskPair, prompt: TaskPair, normalizer: TaskNormalizer, rng) -> float:
-    """Oracle-backed supervision in [0, 1], 1 meaning the best prompt."""
-    predicted = model.predict_cloud(query.input.points, query.target.points, prompt, rng)
-    return normalizer.to_label(query.task, raw_performance(query.task, predicted, query))
-
-
 @dataclass
 class CandidateSet:
     """K prompts drawn for one query, with optional labels and scores."""

@@ -1,29 +1,24 @@
 """Stand-in in-context models that consume sampled centers.
 
-Two implementations of the same contract:
-
-* SurrogateModel, a small differentiable network that reconstructs masked
-  patches from their centers, the task feature, and a visible-context
-  summary. It provides the training signal for the sampler.
-* OracleModel, a non-differentiable reference whose output is the ground
-  truth corrupted by noise that grows with how badly the centers cover
-  the query and how unrelated the prompt is. It supplies pseudo-labels
-  for ranking and the final evaluation scores.
-
-Both expose a `differentiable` flag so callers can't mix them up.
+* surrogate_predict, a small differentiable network that reconstructs
+  masked patches from their centers, the task feature, and a
+  visible-context summary. It provides the training signal for the sampler.
+* oracle_predict, a non-differentiable reference whose output is the
+  ground truth corrupted by noise that grows with how badly the centers
+  cover the query and how unrelated the prompt is. It supplies
+  pseudo-labels for ranking and the final evaluation scores.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff, geometry
 from .autodiff import Node, ParamStore, Tape
 from .geometry import PatchSet
-from .sampler import SamplerConfig, encode_task, sample_inference
+from .sampler import SamplerConfig, sample_inference
 
 # Noise model of the oracle: sigma scales with center coverage error and
 # prompt mismatch, both measured by Chamfer divergence against the query.
@@ -131,49 +126,6 @@ def surrogate_predict(tape: Tape, store: ParamStore, cfg: SurrogateConfig,
     return patches
 
 
-class SurrogateModel:
-    """Differentiable patch-level in-context model."""
-
-    differentiable = True
-
-    def __init__(self, store: ParamStore, sampler_cfg: SamplerConfig, cfg: SurrogateConfig):
-        if cfg.d1 != sampler_cfg.d1:
-            raise ValueError("surrogate and sampler disagree on the task feature width")
-        self.store = store
-        self.sampler_cfg = sampler_cfg
-        self.cfg = cfg
-
-    def predict(self, prompt_in_pts, prompt_out_pts, masked_target: PatchSet,
-                pattern: MaskPattern, query_centers) -> np.ndarray:
-        """Reconstruct the hidden patches; returns (len(mask), M, 3) values."""
-        if pattern.total != masked_target.n_patches:
-            raise ValueError("mask pattern does not match the patch set")
-        tape = Tape()
-        task = encode_task(tape, self.store, prompt_in_pts, prompt_out_pts)
-        centers = tape.gather_rows(tape.const(np.asarray(query_centers, dtype=np.float64)),
-                                   pattern.indices)
-        ctx = visible_context(masked_target, pattern)
-        nodes = surrogate_predict(tape, self.store, self.cfg, task, centers, ctx)
-        return np.stack([n.value for n in nodes]) if nodes else np.empty((0, self.cfg.m_neighbors, 3))
-
-
-def save_surrogate(store: ParamStore, cfg: SurrogateConfig, path) -> None:
-    autodiff.save_params(store, path)
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"kind": "surrogate", **asdict(cfg)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_surrogate(path) -> tuple[ParamStore, SurrogateConfig]:
-    store = autodiff.load_params(path)
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != "surrogate":
-        raise ValueError(f"checkpoint sidecar is not a surrogate description: {meta.get('kind')!r}")
-    meta.pop("kind")
-    return store, SurrogateConfig(**meta)
-
-
 def oracle_sigma(query_in_pts, prompt_in_pts, centers) -> float:
     """Noise scale: grows with poor center coverage and prompt mismatch."""
     coverage = geometry.chamfer_distance(centers, query_in_pts)
@@ -189,31 +141,14 @@ def oracle_predict(query_in_pts, query_target_pts, prompt_in_pts, centers, rng) 
 
 
 class OracleModel:
-    """Cloud-level reference model; not differentiable by construction.
+    """Holder of the centers an oracle call runs with.
 
     centers_fn(query_in_pts, prompt) must return the (N, 3) centers the
-    downstream task would run with, e.g. farthest-point picks or a frozen
-    sampler's projection.
+    downstream task would run with, e.g. a frozen sampler's projection.
     """
-
-    differentiable = False
 
     def __init__(self, centers_fn):
         self.centers_fn = centers_fn
-
-    def predict_cloud(self, query_in_pts, query_target_pts, prompt, rng) -> np.ndarray:
-        centers = self.centers_fn(query_in_pts, prompt)
-        return oracle_predict(query_in_pts, query_target_pts, prompt.input.points, centers, rng)
-
-
-def fps_centers_fn(n_centers: int):
-    """centers_fn baseline: plain farthest-point picks on the query cloud."""
-
-    def fn(query_in_pts, prompt):
-        idx = geometry.fps_select(query_in_pts, n_centers)
-        return np.asarray(query_in_pts, dtype=np.float64)[idx]
-
-    return fn
 
 
 def adaptive_centers_fn(store: ParamStore, cfg: SamplerConfig):

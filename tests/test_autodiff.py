@@ -64,9 +64,9 @@ def test_grad_concat_tile_gather():
     def loss(s):
         t = Tape()
         x = t.concat_cols(t.param(s, "a"), t.param(s, "b"))
-        x = t.concat_rows(x, t.tile_rows(t.param(s, "v"), 2))
-        x = t.gather_rows(x, [0, 3, 3, 5])  # duplicate rows must accumulate
-        t.mean_all(x)
+        x = t.gather_rows(x, [0, 3, 3, 1])  # duplicate rows must accumulate
+        x = t.add(x, t.tile_rows(t.param(s, "v"), 4))
+        t.mean_all(t.tanh(x))
         return t
 
     check(loss, store)

@@ -7,23 +7,17 @@ from micas.errors import FormatError
 from micas.geometry import (
     PatchSet,
     PointCloud,
-    bbox,
     chamfer_distance,
     chamfer_nearest,
     cloud_from_buffer,
     cloud_to_bytes,
     corrupt,
     fps_select,
-    joint_sample_hard,
-    joint_sample_soft,
     knn_patches,
-    load_cloud,
-    load_xyz,
     minmax_normalize,
     miou,
     rigid_transform,
     rotation_about_axis,
-    save_cloud,
 )
 
 
@@ -137,43 +131,6 @@ def test_knn_patches_m_bounds():
         knn_patches(pts, pts[:2], 6)
 
 
-def test_joint_sample_hard_reads_rows():
-    pts = np.arange(30, dtype=np.float64).reshape(10, 3)
-    picked = joint_sample_hard(pts, [2, 2, 7])
-    assert np.array_equal(picked, pts[[2, 2, 7]])
-    with pytest.raises(ValueError):
-        joint_sample_hard(pts, [10])
-    with pytest.raises(ValueError):
-        joint_sample_hard(pts, [])
-
-
-def test_joint_sample_soft_one_hot_recovers_points():
-    rng = np.random.default_rng(9)
-    pts = rng.uniform(size=(6, 3))
-    w = np.zeros((6, 2))
-    w[4, 0] = 1.0
-    w[1, 1] = 1.0
-    assert np.array_equal(joint_sample_soft(pts, w), pts[[4, 1]])
-
-
-def test_joint_sample_soft_requires_stochastic_columns():
-    pts = np.random.default_rng(10).uniform(size=(4, 3))
-    w = np.full((4, 3), 0.25)
-    w[0, 1] += 1e-3
-    with pytest.raises(ValueError):
-        joint_sample_soft(pts, w)
-
-
-def test_joint_sample_soft_stays_in_hull_bbox():
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(size=(30, 3))
-    w = rng.random((30, 8))
-    w /= w.sum(axis=0)
-    centers = joint_sample_soft(pts, w)
-    lo, hi = bbox(pts)
-    assert (centers >= lo - 1e-12).all() and (centers <= hi + 1e-12).all()
-
-
 def test_minmax_normalize_clamps_and_validates():
     assert minmax_normalize(0.5, 0.0, 1.0) == 0.5
     assert minmax_normalize(-3.0, 0.0, 1.0) == 0.0
@@ -275,50 +232,30 @@ def test_patchset_validation():
         PatchSet(np.zeros((2, 3)), np.zeros((2, 4, 3)), source_indices=np.zeros((2, 3), dtype=np.int64))
 
 
-def test_cloud_bytes_round_trip(tmp_path):
+def test_cloud_bytes_round_trip():
     rng = np.random.default_rng(16)
     cloud = PointCloud(
         rng.uniform(size=(9, 3)),
         labels=rng.integers(0, 4, size=9),
         noise_mask=rng.random(9) < 0.3,
     )
-    path = tmp_path / "cloud.micaspc"
-    save_cloud(cloud, path)
-    back = load_cloud(path)
+    blob = b"prefix" + cloud_to_bytes(cloud)
+    back, end = cloud_from_buffer(blob, 6)
+    assert end == len(blob)
     assert np.array_equal(back.points, cloud.points)
     assert np.array_equal(back.labels, cloud.labels)
     assert np.array_equal(back.noise_mask, cloud.noise_mask)
     assert cloud_to_bytes(back) == cloud_to_bytes(cloud)
 
 
-def test_cloud_decode_errors(tmp_path):
+def test_cloud_decode_errors():
     cloud = PointCloud(np.random.default_rng(17).uniform(size=(5, 3)))
     blob = cloud_to_bytes(cloud)
     with pytest.raises(FormatError):
         cloud_from_buffer(b"WRONGMAG" + blob[8:])
     with pytest.raises(FormatError):
         cloud_from_buffer(blob[:-4])
-    path = tmp_path / "trail.micaspc"
-    path.write_bytes(blob + b"\x00")
     with pytest.raises(FormatError):
-        load_cloud(path)
-
-
-def test_load_xyz(tmp_path):
-    path = tmp_path / "cloud.xyz"
-    path.write_text("# header\n\n0 0 0 1\n1.5 2 3 0\n")
-    cloud = load_xyz(path)
-    assert cloud.size == 2
-    assert np.array_equal(cloud.labels, [1, 0])
-    path.write_text("0 0 0\n1 2\n")
-    with pytest.raises(FormatError):
-        load_xyz(path)
-    path.write_text("0 0 0\n1 2 3 4\n")
-    with pytest.raises(FormatError):
-        load_xyz(path)
-    path.write_text("# nothing\n")
-    with pytest.raises(FormatError):
-        load_xyz(path)
-    path.write_text("0 0 nan\n")
-    with pytest.raises(FormatError):
-        load_xyz(path)
+        cloud_from_buffer(blob[:10])
+    _, end = cloud_from_buffer(blob + b"\x00")
+    assert end == len(blob)  # trailing bytes are left for the next record

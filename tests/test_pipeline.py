@@ -3,6 +3,7 @@
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,11 +105,12 @@ def test_item_loss_frozen_rebuild_is_bitwise():
     assert float(again.value) == float(loss.value)
 
 
-def test_train_sampler_rejects_empty_mask():
+def test_train_sampler_rejects_empty_mask(tmp_path):
     cfg = replace(TINY, mask_ratio=0.1)  # rint(0.1 * 4) == 0 hidden patches
     train, _ = pipeline.generate_pairs(cfg)
     with pytest.raises(ConfigurationError):
-        pipeline.train_sampler(cfg, train, "unused-dir")
+        pipeline.train_sampler(cfg, train, tmp_path / "never-written")
+    assert not (tmp_path / "never-written").exists()
 
 
 # ---- stage contracts ----
@@ -117,7 +119,6 @@ def test_sampler_training_artifacts(tiny_run):
     art = tiny_run.work / "artifacts"
     assert tiny_run.trained.sampler_path == art / "sampler.micasnn"
     assert (art / "sampler.micasnn.json").exists()
-    assert (art / "surrogate.micasnn").exists()
     meta = json.loads((art / "sampler_train.json").read_text())
     assert meta["config_sha256"] == config_hash(TINY)
     assert len(meta["history"]) == TINY.sampler_epochs
@@ -165,6 +166,28 @@ def test_label_cache_reused_and_load_bearing(tiny_run, tmp_path):
     assert (art / "ranker.micasnn").read_bytes() != ranker_blob
 
 
+def test_label_cache_recomputed_after_sampler_retrain(tiny_run, tmp_path):
+    # A sampler retrained into the run directory of an older one must not
+    # inherit the labels computed with the older sampler.
+    cfg = replace(TINY, sampler_epochs=3)
+    reused = tmp_path / "reused"
+    shutil.copytree(tiny_run.work / "artifacts", reused)
+    old = load_label_cache(reused / "labels.micaslc")
+    pipeline.train_sampler(cfg, tiny_run.train, reused)
+    pipeline.train_ranker(cfg, tiny_run.train, reused / "sampler.micasnn", reused)
+    fresh = tmp_path / "fresh"
+    pipeline.train_sampler(cfg, tiny_run.train, fresh)
+    pipeline.train_ranker(cfg, tiny_run.train, fresh / "sampler.micasnn", fresh)
+
+    labels = load_label_cache(reused / "labels.micaslc")
+    assert labels != old  # the retrained sampler moves the labels
+    assert labels == load_label_cache(fresh / "labels.micaslc")
+    provenance = json.loads((reused / "labels.micaslc.json").read_text())
+    meta = json.loads((reused / "ranker_train.json").read_text())
+    assert provenance["sampler_sha256"] == meta["sampler_sha256"]
+    assert provenance == json.loads((fresh / "labels.micaslc.json").read_text())
+
+
 # ---- evaluation ----
 
 def test_evaluate_variant_validation(tiny_run):
@@ -178,9 +201,6 @@ def test_evaluate_variant_validation(tiny_run):
     with pytest.raises(ConfigurationError):
         pipeline.evaluate(TINY, tiny_run.test, tiny_run.train,
                           sampler_variant="fps", prompt_variant="ranked")
-    with pytest.raises(ConfigurationError):
-        pipeline.evaluate(TINY, tiny_run.test, tiny_run.train, sampler_variant="fps",
-                          prompt_variant="random", threads=0)
 
 
 def test_evaluate_report_structure_and_baselines(tiny_run):
@@ -200,27 +220,6 @@ def test_evaluate_report_structure_and_baselines(tiny_run):
     again = pipeline.evaluate(TINY, tiny_run.test, tiny_run.train,
                               sampler_variant="fps", prompt_variant="random")
     assert pipeline.report_equal(report, again)
-
-
-def test_evaluate_thread_count_cannot_change_results(tiny_run):
-    sampler_art = load_sampler(tiny_run.trained.sampler_path)
-    ranker_art = load_ranker(tiny_run.ranked.ranker_path)
-    one = pipeline.evaluate(TINY, tiny_run.test, tiny_run.train, sampler_art, ranker_art,
-                            threads=1)
-    four = pipeline.evaluate(TINY, tiny_run.test, tiny_run.train, sampler_art, ranker_art,
-                             threads=4)
-    assert pipeline.report_equal(one, four, tol=0.0)
-
-
-def test_thread_count_env_parsing(tiny_run, monkeypatch):
-    monkeypatch.setenv("MICAS_THREADS", "not-a-number")
-    with pytest.raises(ConfigurationError):
-        pipeline.evaluate(TINY, tiny_run.test, tiny_run.train,
-                          sampler_variant="fps", prompt_variant="random")
-    monkeypatch.setenv("MICAS_THREADS", "2")
-    report = pipeline.evaluate(TINY, tiny_run.test[:4], tiny_run.train,
-                               sampler_variant="fps", prompt_variant="random")
-    assert report["schema"] == pipeline.REPORT_SCHEMA
 
 
 def test_write_and_reload_report(tiny_run, tmp_path):
@@ -281,6 +280,18 @@ def test_config_validation_errors():
         RunConfig(sampler_lr0=0.01, sampler_lr_min=0.1)
     with pytest.raises(ConfigurationError):
         RunConfig(profile="laptop")
+    for name in ("sampler_epochs", "ranker_epochs"):
+        with pytest.raises(ConfigurationError, match=name):
+            RunConfig(**{name: 1})
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("`--config FILE`", 1)[1].split("```\n", 2)[1]
+    cfg = parse_config_text(example)
+    for line in example.splitlines():
+        key, _, value = (part.strip() for part in line.partition("="))
+        assert str(getattr(cfg, key)) == value
 
 
 def test_config_hash_sensitivity(tmp_path):

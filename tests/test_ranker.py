@@ -19,7 +19,6 @@ from micas.ranker import (
     load_label_cache,
     load_ranker,
     predict_score,
-    pseudo_label,
     rank_weight_matrix,
     raw_performance,
     save_label_cache,
@@ -222,20 +221,6 @@ def test_normalizer_degenerate_split_and_round_trip():
     assert back.bounds == norm.bounds
     with pytest.raises(ValueError):
         norm.fit("denoising", [])
-
-
-def test_pseudo_label_with_perfect_model():
-    class PerfectModel:
-        differentiable = False
-
-        def predict_cloud(self, query_in, query_target, prompt, rng):
-            return np.asarray(query_target, dtype=np.float64)
-
-    query = gen_pair("denoising", 2, 16, 15)
-    prompt = gen_pair("denoising", 2, 16, 16)
-    norm = TaskNormalizer({"denoising": (0.0, 2.0)})
-    label = pseudo_label(PerfectModel(), query, prompt, norm, np.random.default_rng(0))
-    assert label == pytest.approx(1.0, abs=0.0)  # zero Chamfer, lower is better
 
 
 # ---- candidate pools ----

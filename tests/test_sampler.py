@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from micas.autodiff import ParamStore, Tape
-from micas.geometry import bbox
 from micas.sampler import (
     WEIGHT_FLOOR,
     SamplerConfig,
@@ -23,7 +22,7 @@ from micas.sampler import (
     save_sampler,
     tau_for_epoch,
 )
-from micas.surrogate import save_surrogate, SurrogateConfig
+from micas.ranker import RankerConfig, TaskNormalizer, save_ranker
 
 CFG = SamplerConfig(d1=8, d2=8, n_centers=4, width=8)
 
@@ -160,7 +159,7 @@ def test_project_centers_one_hot_and_bbox():
     soft /= soft.sum(axis=0)
     tape = Tape()
     centers = project_centers(tape, tape.const(soft), pts).value
-    lo, hi = bbox(pts)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
     assert (centers >= lo - 1e-12).all() and (centers <= hi + 1e-12).all()
 
 
@@ -273,6 +272,6 @@ def test_sampler_checkpoint_round_trip(tmp_path):
 
 def test_sampler_rejects_foreign_sidecar(tmp_path):
     path = tmp_path / "model.micasnn"
-    save_surrogate(ParamStore(), SurrogateConfig(d1=8, m_neighbors=4, width=8), path)
+    save_ranker(ParamStore(), RankerConfig(width=8, k_candidates=3), TaskNormalizer(), path)
     with pytest.raises(ValueError):
         load_sampler(path)

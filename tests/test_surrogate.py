@@ -5,8 +5,8 @@ import pytest
 
 from micas import surrogate as sur_mod
 from micas.autodiff import ParamStore, Tape, finite_diff_check
-from micas.geometry import PatchSet, chamfer_distance, knn_patches
-from micas.sampler import SamplerConfig, init_sampler_params, encode_task, load_sampler, save_sampler
+from micas.geometry import PatchSet, chamfer_distance
+from micas.sampler import SamplerConfig, init_sampler_params, sample_inference
 from micas.surrogate import (
     OFFSET_SPAN,
     ORACLE_CENTER_GAIN,
@@ -15,15 +15,11 @@ from micas.surrogate import (
     MaskPattern,
     OracleModel,
     SurrogateConfig,
-    SurrogateModel,
     adaptive_centers_fn,
-    fps_centers_fn,
     init_surrogate_params,
-    load_surrogate,
     mask_patches,
     oracle_predict,
     oracle_sigma,
-    save_surrogate,
     surrogate_predict,
     visible_context,
 )
@@ -142,23 +138,6 @@ def test_surrogate_task_feature_width_checked():
                           tape.const(np.zeros((2, 3))), np.zeros(3))
 
 
-def test_surrogate_model_end_to_end_shapes():
-    rng = np.random.default_rng(12)
-    sampler_store = init_sampler_params(S_CFG, rng)
-    sur_store = init_surrogate_params(CFG, rng)
-    for name in sampler_store.names():
-        if name.startswith("task_enc"):
-            sur_store.add(name, sampler_store[name].value)
-    model = SurrogateModel(sur_store, S_CFG, CFG)
-    cloud = rng.uniform(size=(20, 3))
-    patches = knn_patches(cloud, cloud[:6], CFG.m_neighbors)
-    masked, pattern = mask_patches(patches, 0.5, rng)
-    out = model.predict(cloud, cloud, masked, pattern, patches.centers)
-    assert out.shape == (len(pattern.indices), CFG.m_neighbors, 3)
-    with pytest.raises(ValueError):
-        SurrogateModel(sur_store, SamplerConfig(d1=16, d2=8, n_centers=4, width=8), CFG)
-
-
 def test_oracle_sigma_formula_exact():
     rng = np.random.default_rng(13)
     q = rng.uniform(size=(30, 3))
@@ -220,32 +199,10 @@ def test_centers_fn_helpers():
     rng = np.random.default_rng(18)
     prompt = gen_pair("denoising", 1, 16, 5)
     q = rng.uniform(size=(16, 3))
-    fps_fn = fps_centers_fn(4)
-    centers = fps_fn(q, prompt)
-    assert centers.shape == (4, 3)
     sampler_store = init_sampler_params(S_CFG, rng)
     ada_fn = adaptive_centers_fn(sampler_store, S_CFG)
     centers = ada_fn(q, prompt)
     assert centers.shape == (S_CFG.n_centers, 3)
-    model = OracleModel(ada_fn)
-    assert model.differentiable is False
-    out = model.predict_cloud(prompt.input.points, prompt.target.points, prompt,
-                              np.random.default_rng(1))
-    assert out.shape == prompt.target.points.shape
-
-
-def test_surrogate_checkpoint_round_trip(tmp_path):
-    store = init_surrogate_params(CFG, np.random.default_rng(19))
-    path = tmp_path / "surrogate.micasnn"
-    save_surrogate(store, CFG, path)
-    back, cfg = load_surrogate(path)
-    assert cfg == CFG
-    for name in store.names():
-        assert np.array_equal(back[name].value, store[name].value)
-
-
-def test_surrogate_rejects_foreign_sidecar(tmp_path):
-    path = tmp_path / "model.micasnn"
-    save_sampler(ParamStore(), S_CFG, path)
-    with pytest.raises(ValueError):
-        load_surrogate(path)
+    expect = sample_inference(sampler_store, S_CFG, q, prompt.input.points, prompt.target.points)
+    assert np.array_equal(centers, expect.centers_query.value)
+    assert OracleModel(ada_fn).centers_fn is ada_fn
