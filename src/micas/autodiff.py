@@ -2,10 +2,11 @@
 
 A Tape records every primitive in creation order, which is already a
 topological order of the computation graph. backward() seeds the final
-scalar node and walks the list in reverse, applying each node's
-vector-Jacobian product. Leaf gradients are added into their Param
-accumulators, so two backward passes without zero_grads() in between
-accumulate twice.
+scalar node and walks the list in reverse, applying the vector-Jacobian
+products of the nodes that lie on a path to a Param. Leaf gradients are
+added into their Param accumulators, so two backward passes without
+zero_grads() in between accumulate twice. A tape made with record=False
+keeps no graph: it computes values only, for inference.
 """
 
 from __future__ import annotations
@@ -72,14 +73,16 @@ class ParamStore:
 class Node:
     """One recorded value in the computation graph."""
 
-    __slots__ = ("value", "grad", "parents", "vjp", "param")
+    __slots__ = ("value", "grad", "parents", "vjps", "param", "needs_grad")
 
-    def __init__(self, value, parents=(), vjp=None, param=None):
+    def __init__(self, value, parents=(), vjps=(), param=None):
         self.value = value
         self.grad = None
         self.parents = parents
-        self.vjp = vjp  # fn(out_grad) -> per-parent gradient contributions
+        self.vjps = vjps  # one fn(out_grad) -> gradient contribution per parent
         self.param = param
+        # true iff some Param is reachable through the parents
+        self.needs_grad = param is not None or any(p.needs_grad for p in parents)
 
     @property
     def shape(self):
@@ -87,13 +90,22 @@ class Node:
 
 
 class Tape:
-    """Records primitives eagerly; replay in reverse drives backward()."""
+    """Records primitives eagerly; replay in reverse drives backward().
 
-    def __init__(self):
+    With record=False the tape keeps no nodes and no links between them,
+    so every intermediate is freed as soon as the caller drops it; such a
+    tape computes values only and cannot run backward().
+    """
+
+    def __init__(self, record: bool = True):
+        self.record = record
         self.nodes: list[Node] = []
 
-    def _push(self, value, parents=(), vjp=None, param=None) -> Node:
-        node = Node(np.asarray(value, dtype=np.float64), parents, vjp, param)
+    def _push(self, value, parents=(), vjps=(), param=None) -> Node:
+        value = np.asarray(value, dtype=np.float64)
+        if not self.record:
+            return Node(value)
+        node = Node(value, parents, vjps, param)
         self.nodes.append(node)
         return node
 
@@ -111,37 +123,37 @@ class Tape:
     def add(self, a: Node, b: Node) -> Node:
         if a.shape != b.shape:
             raise ValueError(f"add shape mismatch {a.shape} vs {b.shape}")
-        return self._push(a.value + b.value, (a, b), lambda g: (g, g))
+        return self._push(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
 
     def add_row(self, a: Node, v: Node) -> Node:
         """Add a width-C row vector to every row of an (R, C) matrix."""
         if a.value.ndim != 2 or v.shape != (a.value.shape[1],):
             raise ValueError(f"add_row needs (R, C) and (C,), got {a.shape} and {v.shape}")
-        return self._push(a.value + v.value, (a, v), lambda g: (g, g.sum(axis=0)))
+        return self._push(a.value + v.value, (a, v), (lambda g: g, lambda g: g.sum(axis=0)))
 
     def add_const(self, a: Node, c) -> Node:
         c = np.asarray(c, dtype=np.float64)
         if c.shape != () and c.shape != a.shape:
             raise ValueError("add_const offset must be scalar or same-shaped")
-        return self._push(a.value + c, (a,), lambda g: (g,))
+        return self._push(a.value + c, (a,), (lambda g: g,))
 
     def scale(self, a: Node, c: float) -> Node:
         c = float(c)
-        return self._push(a.value * c, (a,), lambda g: (g * c,))
+        return self._push(a.value * c, (a,), (lambda g: g * c,))
 
     def matmul(self, a: Node, b: Node) -> Node:
         if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-        return self._push(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
+        return self._push(a.value @ b.value, (a, b), (lambda g: g @ b.value.T, lambda g: a.value.T @ g))
 
     def transpose(self, a: Node) -> Node:
         if a.value.ndim != 2:
             raise ValueError("transpose expects a matrix")
-        return self._push(a.value.T, (a,), lambda g: (g.T,))
+        return self._push(a.value.T, (a,), (lambda g: g.T,))
 
     def reshape(self, a: Node, shape) -> Node:
         old = a.shape
-        return self._push(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
+        return self._push(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
 
     # ---- structure ----
 
@@ -150,14 +162,14 @@ class Tape:
             raise ValueError(f"concat_cols shape mismatch {a.shape} vs {b.shape}")
         split = a.shape[1]
         return self._push(
-            np.hstack([a.value, b.value]), (a, b), lambda g: (g[:, :split], g[:, split:])
+            np.hstack([a.value, b.value]), (a, b), (lambda g: g[:, :split], lambda g: g[:, split:])
         )
 
     def tile_rows(self, v: Node, r: int) -> Node:
         """Repeat a width-C vector as the rows of an (r, C) matrix."""
         if v.value.ndim != 1:
             raise ValueError("tile_rows expects a vector")
-        return self._push(np.tile(v.value, (r, 1)), (v,), lambda g: (g.sum(axis=0),))
+        return self._push(np.tile(v.value, (r, 1)), (v,), (lambda g: g.sum(axis=0),))
 
     def gather_rows(self, a: Node, indices) -> Node:
         idx = np.asarray(indices, dtype=np.int64)
@@ -169,38 +181,37 @@ class Tape:
         def vjp(g):
             z = np.zeros_like(a.value)
             np.add.at(z, idx, g)  # duplicate indices accumulate
-            return (z,)
+            return z
 
-        return self._push(a.value[idx], (a,), vjp)
+        return self._push(a.value[idx], (a,), (vjp,))
 
     def stack_scalars(self, nodes) -> Node:
         nodes = list(nodes)
         if not nodes or any(n.shape != () for n in nodes):
             raise ValueError("stack_scalars expects a non-empty list of scalar nodes")
         value = np.array([n.value for n in nodes])
-        return self._push(
-            value, tuple(nodes), lambda g: tuple(np.asarray(g[i]) for i in range(len(nodes)))
-        )
+        vjps = tuple((lambda g, i=i: np.asarray(g[i])) for i in range(len(nodes)))
+        return self._push(value, tuple(nodes), vjps)
 
     # ---- nonlinearities ----
 
     def relu(self, a: Node) -> Node:
-        return self._push(np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),))
+        return self._push(np.maximum(a.value, 0.0), (a,), (lambda g: g * (a.value > 0.0),))
 
     def tanh(self, a: Node) -> Node:
         t = np.tanh(a.value)
-        return self._push(t, (a,), lambda g: (g * (1.0 - t * t),))
+        return self._push(t, (a,), (lambda g: g * (1.0 - t * t),))
 
     def sin(self, a: Node) -> Node:
-        return self._push(np.sin(a.value), (a,), lambda g: (g * np.cos(a.value),))
+        return self._push(np.sin(a.value), (a,), (lambda g: g * np.cos(a.value),))
 
     def softplus(self, a: Node) -> Node:
-        return self._push(np.logaddexp(0.0, a.value), (a,), lambda g: (g * expit(a.value),))
+        return self._push(np.logaddexp(0.0, a.value), (a,), (lambda g: g * expit(a.value),))
 
     def log(self, a: Node) -> Node:
         if (a.value <= 0.0).any():
             raise ValueError("log requires strictly positive input")
-        return self._push(np.log(a.value), (a,), lambda g: (g / a.value,))
+        return self._push(np.log(a.value), (a,), (lambda g: g / a.value,))
 
     def softmax_cols(self, a: Node) -> Node:
         """Softmax down each column of an (R, C) matrix."""
@@ -212,9 +223,9 @@ class Tape:
 
         def vjp(g):
             s = (g * y).sum(axis=0, keepdims=True)
-            return (y * (g - s),)
+            return y * (g - s)
 
-        return self._push(y, (a,), vjp)
+        return self._push(y, (a,), (vjp,))
 
     def maxpool_rows(self, a: Node) -> Node:
         """Column-wise max over rows of an (R, C) matrix, yielding (C,)."""
@@ -225,9 +236,19 @@ class Tape:
         def vjp(g):
             z = np.zeros_like(a.value)
             z[idx, np.arange(a.value.shape[1])] = g
-            return (z,)
+            return z
 
-        return self._push(a.value.max(axis=0), (a,), vjp)
+        return self._push(a.value.max(axis=0), (a,), (vjp,))
+
+    def maximum(self, nodes) -> Node:
+        """Elementwise max of same-shaped nodes; on exact ties the earliest wins."""
+        nodes = list(nodes)
+        if not nodes or any(n.shape != nodes[0].shape for n in nodes):
+            raise ValueError("maximum expects a non-empty list of same-shaped nodes")
+        stacked = np.stack([n.value for n in nodes])
+        winner = np.argmax(stacked, axis=0)  # first maximizer = earliest node on ties
+        vjps = tuple((lambda g, i=i: g * (winner == i)) for i in range(len(nodes)))
+        return self._push(stacked.max(axis=0), tuple(nodes), vjps)
 
     # ---- reductions ----
 
@@ -235,63 +256,75 @@ class Tape:
         size = a.value.size
 
         def vjp(g):
-            return (np.full(a.value.shape, float(g) / size),)
+            return np.full(a.value.shape, float(g) / size)
 
-        return self._push(a.value.mean(), (a,), vjp)
+        return self._push(a.value.mean(), (a,), (vjp,))
 
     def weighted_sum(self, a: Node, weights) -> Node:
         """Scalar dot product of a node with a constant weight array."""
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != a.shape:
             raise ValueError(f"weighted_sum shape mismatch {a.shape} vs {w.shape}")
-        return self._push((a.value * w).sum(), (a,), lambda g: (g * w,))
+        return self._push((a.value * w).sum(), (a,), (lambda g: g * w,))
 
     def chamfer(self, a: Node, b: Node) -> Node:
         """Symmetric squared-distance Chamfer divergence as a scalar node.
 
         Gradients flow to both point sets through the nearest-neighbor
-        matches found in the forward pass (lowest index on ties); the
-        matches themselves are treated as constant.
+        matches found in the forward pass (on exact ties, the index
+        geometry.chamfer_nearest returns); the matches themselves are
+        treated as constant.
         """
         pa, pb = a.value, b.value
         d2_ab, idx_ab, d2_ba, idx_ba = geometry.chamfer_nearest(pa, pb)
         value = d2_ab.mean() + d2_ba.mean()
         inv_a, inv_b = 2.0 / len(pa), 2.0 / len(pb)
 
-        def vjp(g):
-            g = float(g)
+        def vjp_a(g):
             ga = inv_a * (pa - pb[idx_ab])
             np.add.at(ga, idx_ba, inv_b * (pa[idx_ba] - pb))
+            return float(g) * ga
+
+        def vjp_b(g):
             gb = inv_b * (pb - pa[idx_ba])
             np.add.at(gb, idx_ab, inv_a * (pb[idx_ab] - pa))
-            return (g * ga, g * gb)
+            return float(g) * gb
 
-        return self._push(value, (a, b), vjp)
+        return self._push(value, (a, b), (vjp_a, vjp_b))
 
     # ---- reverse pass ----
 
     def backward(self, loss_grad: float = 1.0) -> None:
-        """Propagate d(loss)/d(node) from the final scalar to every leaf.
+        """Propagate d(loss)/d(node) from the final scalar to the Params.
 
-        Interior node gradients are reset on entry; Param gradients are
-        accumulated, not reset, so callers control zeroing.
+        Gradients are allocated lazily. Only nodes on a path to a Param
+        get one: const nodes and nodes that no Param feeds keep grad None,
+        and no vector-Jacobian product into them is ever evaluated. A
+        node's first contribution is assigned and later ones are added in
+        reverse record order, which rounds exactly as summing them into
+        zeros would. Interior gradients are cleared on entry; Param
+        gradients are accumulated, not reset, so callers control zeroing.
         """
+        if not self.record:
+            raise ValueError("backward on a tape that records no graph")
         if not self.nodes:
             raise ValueError("backward on an empty tape")
         out = self.nodes[-1]
         if out.value.shape != ():
             raise ValueError(f"tape must end in a scalar node, got shape {out.value.shape}")
         for n in self.nodes:
-            n.grad = np.zeros_like(n.value)
-        out.grad += float(loss_grad)
+            n.grad = None
+        out.grad = np.asarray(float(loss_grad))
         for n in reversed(self.nodes):
-            if n.vjp is None:
+            if n.grad is None:
                 continue
-            for parent, g in zip(n.parents, n.vjp(n.grad)):
-                if g is not None:
-                    parent.grad += g
+            for parent, vjp in zip(n.parents, n.vjps):
+                if parent.needs_grad:
+                    g = vjp(n.grad)
+                    # never in place: a contribution may share memory with another node's gradient
+                    parent.grad = g if parent.grad is None else parent.grad + g
         for n in self.nodes:
-            if n.param is not None:
+            if n.param is not None and n.grad is not None:
                 n.param.grad += n.grad
 
 

@@ -1,8 +1,10 @@
 """Point-cloud primitives: containers, distances, sampling, and binary records.
 
-Coordinates are float64 arrays of shape (S, 3) throughout. Whenever a
-nearest/farthest query ties, the lowest point index wins, so identical
-inputs always produce identical outputs.
+Coordinates are float64 arrays of shape (S, 3) throughout. Identical
+inputs always produce identical outputs. Farthest-point and k-nearest
+queries break exact ties toward the lowest point index; a Chamfer
+nearest-neighbor query returns an index attaining the minimum distance,
+not necessarily the lowest one.
 """
 
 from __future__ import annotations
@@ -114,8 +116,9 @@ def chamfer_nearest(a, b):
     Returns:
         (d2_ab, idx_ab, d2_ba, idx_ba) where d2_ab[i] is the squared
         distance from a[i] to its nearest point in b and idx_ab[i] is that
-        point's index (lowest index on exact ties), and symmetrically for
-        the b-to-a direction.
+        point's index (on exact ties, an index attaining the minimum,
+        identical for identical inputs), and symmetrically for the b-to-a
+        direction.
     """
     pa, pb = as_points(a), as_points(b)
     d_ab, idx_ab = cKDTree(pb).query(pa)

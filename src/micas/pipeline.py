@@ -26,15 +26,14 @@ from .ranker import (
     RankerConfig,
     TaskNormalizer,
     build_candidate_pool,
-    fuse,
     init_ranker_params,
     listwise_rank_loss,
     load_label_cache,
     load_ranker,
-    predict_score,
     raw_performance,
     save_label_cache,
     save_ranker,
+    score_prompts,
     select_prompt,
 )
 from .sampler import (
@@ -346,6 +345,8 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
         labels[qid] = np.asarray(row)
         candidates[qid].labels = labels[qid]
 
+    prompt_clouds = {qid: [(p.input.points, p.target.points) for p in cands.prompts]
+                     for qid, cands in candidates.items()}
     ranker_store = init_ranker_params(r_cfg, np.random.default_rng(derive_seed(cfg.seed, "ranker-init")))
     history = []
     for epoch in range(cfg.ranker_epochs):
@@ -357,8 +358,8 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
             for qid in batch:
                 query = train_pairs[qid]
                 tape = autodiff.Tape()
-                scores = [predict_score(tape, ranker_store, r_cfg, fuse(query.input.points, prompt))
-                          for prompt in candidates[qid].prompts]
+                scores = score_prompts(tape, ranker_store, r_cfg, query.input.points,
+                                       prompt_clouds[qid])
                 loss = listwise_rank_loss(tape, scores, labels[qid])
                 if not np.isfinite(loss.value):
                     raise TrainingDiverged(f"non-finite rank loss at epoch {epoch}, query {qid}")

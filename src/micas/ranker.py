@@ -1,7 +1,7 @@
 """Query-specific prompt ranking.
 
 Candidates are scored by a small permutation-invariant network over the
-fused (query, prompt input, prompt output) cloud and trained list-wise
+(query, prompt input, prompt output) clouds and trained list-wise
 against pseudo-labels: oracle performances min-max normalized per task and
 oriented so that 1 is always best. Rank weighting follows reciprocal
 competition ranks, so confusing the top of the list costs more than
@@ -80,22 +80,43 @@ def init_ranker_params(cfg: RankerConfig, rng) -> ParamStore:
     return store
 
 
-def predict_score(tape: Tape, store: ParamStore, cfg: RankerConfig, fused: FusedCloud) -> Node:
-    """Scalar affinity of one prompt for one query.
+def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, query_pts, prompts) -> list[Node]:
+    """Scalar affinity of each (prompt input, prompt output) pair for one query.
 
     Points pass through a shared per-point stack with an additive learned
     embedding per segment tag, a row max-pool collapses them, and a small
-    head maps the pooled descriptor to one score. Permuting points within
-    a segment cannot change the result. All-zero parameters score 0.
+    head maps the pooled descriptor to one score. Each of the three
+    clouds runs through the point stack on its own, and the query's
+    pooled features are computed once and shared by every prompt. Pooling
+    over the three clouds equals a max-pool over their fused rows, with
+    ties going to the query, then the prompt input, then the prompt
+    output. The head runs per prompt, so a prompt's score does not depend
+    on the others. Permuting points within a cloud cannot change a score;
+    all-zero parameters score 0.
     """
-    x = tape.const(fused.points)
-    h = autodiff.affine(tape, store, "score.l0", x)
-    h = tape.add(h, tape.gather_rows(tape.param(store, "score.tags"), fused.segments))
-    h = tape.relu(h)
-    h = tape.relu(autodiff.affine(tape, store, "score.l1", h))
-    pooled = tape.reshape(tape.maxpool_rows(h), (1, cfg.width))
-    head = tape.relu(autodiff.affine(tape, store, "score.h0", pooled))
-    return tape.reshape(autodiff.affine(tape, store, "score.h1", head), ())
+    tags = tape.param(store, "score.tags")
+
+    def pooled(pts, segment) -> Node:
+        tag = tape.reshape(tape.gather_rows(tags, [segment]), (cfg.width,))
+        h = tape.add_row(autodiff.affine(tape, store, "score.l0", tape.const(pts)), tag)
+        h = tape.relu(autodiff.affine(tape, store, "score.l1", tape.relu(h)))
+        return tape.maxpool_rows(h)
+
+    query = pooled(query_pts, SEGMENT_QUERY)
+    scores = []
+    for prompt_in_pts, prompt_out_pts in prompts:
+        joint = tape.maximum([query, pooled(prompt_in_pts, SEGMENT_PROMPT_IN),
+                              pooled(prompt_out_pts, SEGMENT_PROMPT_OUT)])
+        head = tape.relu(autodiff.affine(tape, store, "score.h0", tape.reshape(joint, (1, cfg.width))))
+        scores.append(tape.reshape(autodiff.affine(tape, store, "score.h1", head), ()))
+    return scores
+
+
+def predict_score(tape: Tape, store: ParamStore, cfg: RankerConfig, fused: FusedCloud) -> Node:
+    """Scalar affinity of one prompt for one query: score_prompts with one prompt."""
+    query, prompt_in, prompt_out = (fused.points[fused.segments == s]
+                                    for s in (SEGMENT_QUERY, SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT))
+    return score_prompts(tape, store, cfg, query, [(prompt_in, prompt_out)])[0]
 
 
 def competition_ranks(labels) -> np.ndarray:
@@ -200,11 +221,10 @@ def build_candidate_pool(bank: PromptBank, task: str, k: int, rng, exclude: int 
 
 
 def score_candidates(store: ParamStore, cfg: RankerConfig, query_in_pts, candidates: CandidateSet) -> np.ndarray:
-    scores = np.empty(len(candidates.prompts))
-    for i, prompt in enumerate(candidates.prompts):
-        tape = Tape()
-        scores[i] = float(predict_score(tape, store, cfg, fuse(query_in_pts, prompt)).value)
-    return scores
+    """Scores of every candidate for one query, computed without a graph."""
+    prompts = [(p.input.points, p.target.points) for p in candidates.prompts]
+    nodes = score_prompts(Tape(record=False), store, cfg, geometry.as_points(query_in_pts), prompts)
+    return np.array([float(n.value) for n in nodes])
 
 
 def select_prompt(store: ParamStore, cfg: RankerConfig, query_in_pts, candidates: CandidateSet) -> int:

@@ -174,8 +174,12 @@ def sample(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in_pts, prom
 
 
 def sample_inference(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in_pts, prompt_out_pts) -> SampleResult:
-    """Deterministic sampling at the final temperature with zero noise."""
-    return sample(store, cfg, query_pts, prompt_in_pts, prompt_out_pts, cfg.tau_end, rng=None)
+    """Deterministic sampling at the final temperature with zero noise.
+
+    The pass records no graph, so its result cannot be differentiated.
+    """
+    return sample(store, cfg, query_pts, prompt_in_pts, prompt_out_pts, cfg.tau_end, rng=None,
+                  tape=Tape(record=False))
 
 
 def sampling_loss(tape: Tape, predicted_patches, target_patches, centers: Node, cloud_pts, alpha: float) -> Node:

@@ -45,6 +45,21 @@ def test_grad_arithmetic_chain():
     check(loss, store)
 
 
+def test_grad_fan_out_keeps_contributions_apart():
+    # add() hands one gradient array to both parents; u receives a second
+    # contribution while v's gradient still shares that array
+    store = fd_store({"u": (3,), "v": (3,)}, 10)
+
+    def loss(s):
+        t = Tape()
+        u, v = t.tanh(t.param(s, "u")), t.sin(t.param(s, "v"))
+        w = t.tanh(u)
+        t.mean_all(t.add(t.add(u, v), w))
+        return t
+
+    check(loss, store)
+
+
 def test_grad_matmul_transpose_reshape():
     store = fd_store({"a": (4, 3), "b": (3, 5)}, 1)
 
@@ -109,6 +124,14 @@ def test_grad_softmax_and_maxpool():
 
     check(loss_pool, store)
 
+    def loss_max(s):
+        t = Tape()
+        x = t.param(s, "x")
+        t.mean_all(t.tanh(t.maximum([x, t.param(s, "w"), t.scale(x, 0.5)])))
+        return t
+
+    check(loss_max, store)
+
 
 def test_grad_stack_scalars():
     store = fd_store({"x": (3, 3)}, 5)
@@ -168,6 +191,76 @@ def test_param_grads_accumulate_until_zeroed():
     assert store["x"].grad[0] == pytest.approx(6.0)
     store.zero_grads()
     assert store["x"].grad[0] == 0.0
+
+
+def test_backward_reaches_only_nodes_with_a_path_to_a_param():
+    store = ParamStore()
+    store.add("w", np.array([[0.5, -1.0], [2.0, 0.25]]))
+    t = Tape()
+    c = t.const(np.array([[1.0, 2.0], [3.0, -4.0]]))
+    side = t.tanh(c)  # no Param feeds this branch
+    w = t.param(store, "w")
+    y = t.matmul(side, w)
+    t.mean_all(t.add(y, t.tanh(c)))
+    t.backward()
+    assert c.grad is None and side.grad is None
+    assert all(n.grad is None for n in t.nodes if not n.needs_grad)
+    assert w.grad is not None and y.grad is not None
+    assert np.array_equal(store["w"].grad, side.value.T @ np.full((2, 2), 0.25))
+
+
+def test_param_read_twice_accumulates_both_contributions():
+    store = ParamStore()
+    store.add("x", np.array([1.0, -2.0, 3.0]))
+    t = Tape()
+    t.mean_all(t.add(t.param(store, "x"), t.scale(t.param(store, "x"), 2.0)))
+    t.backward()
+    assert np.array_equal(store["x"].grad, np.full(3, 1.0 / 3.0 + 2.0 / 3.0))
+
+
+def test_repeated_backward_on_one_tape_accumulates_twice():
+    store = ParamStore()
+    store.add("x", np.array([0.3, -0.7]))
+    t = Tape()
+    h = t.tanh(t.param(store, "x"))
+    t.mean_all(h)
+    t.backward()
+    first, first_h = store["x"].grad.copy(), h.grad
+    t.backward()
+    assert np.array_equal(store["x"].grad, 2.0 * first)
+    assert np.array_equal(h.grad, first_h)  # interior gradients restart, they do not pile up
+
+
+def test_maximum_routes_ties_to_the_earliest_node():
+    store = ParamStore()
+    store.add("a", np.array([1.0, 5.0, 2.0]))
+    store.add("b", np.array([1.0, 3.0, 4.0]))
+    t = Tape()
+    t.weighted_sum(t.maximum([t.param(store, "a"), t.param(store, "b")]), [1.0, 2.0, 3.0])
+    t.backward()
+    assert np.array_equal(t.nodes[2].value, [1.0, 5.0, 4.0])
+    assert np.array_equal(store["a"].grad, [1.0, 2.0, 0.0])
+    assert np.array_equal(store["b"].grad, [0.0, 0.0, 3.0])
+    with pytest.raises(ValueError):
+        t.maximum([t.param(store, "a"), t.const(np.zeros(2))])
+
+
+def test_non_recording_tape_keeps_no_graph():
+    store = ParamStore()
+    store.add("w", np.array([[1.5, -0.5], [0.25, 2.0]]))
+    x = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6]])
+
+    def run(t):
+        return t.mean_all(t.tanh(t.matmul(t.const(x), t.param(store, "w"))))
+
+    recorded = run(Tape())
+    t = Tape(record=False)
+    out = run(t)
+    assert t.nodes == [] and out.parents == ()
+    assert out.value == recorded.value
+    with pytest.raises(ValueError):
+        t.backward()
+    assert np.array_equal(store["w"].grad, np.zeros((2, 2)))
 
 
 def test_param_store_contract():

@@ -11,6 +11,8 @@ ALLOWED = {
     "finite_diff_check": "the end-to-end gradient criterion (5) checks the sampler with it",
     "full_run": "the ranking and determinism criteria (7, 10) run the whole pipeline through it",
     "report_equal": "criterion 10 and the benchmark's repeat check compare reports with it",
+    "fuse": "the benchmark's predict_score timing builds its input with it",
+    "predict_score": "the benchmark times one-prompt scoring through it",
 }
 
 

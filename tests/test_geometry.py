@@ -53,11 +53,19 @@ def test_chamfer_scales_quadratically():
     assert chamfer_distance(3.0 * a, 3.0 * b) == pytest.approx(9.0 * chamfer_distance(a, b), rel=1e-12)
 
 
-def test_chamfer_nearest_reports_lowest_tie_index():
-    a = np.array([[0.0, 0.0, 0.0]])
-    b = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    _, idx_ab, _, _ = chamfer_nearest(a, b)
-    assert idx_ab[0] == 0
+def test_chamfer_nearest_tie_index_attains_the_minimum_and_repeats():
+    # every point three times over, shuffled: most queries tie among three indices
+    rng = np.random.default_rng(4)
+    base = rng.uniform(size=(40, 3))
+    cloud = np.tile(base, (3, 1))[rng.permutation(120)]
+    queries = np.vstack([base, rng.uniform(size=(160, 3))])
+    d2_ab, idx_ab, d2_ba, idx_ba = chamfer_nearest(queries, cloud)
+    brute = ((queries[:, None, :] - cloud[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(brute[np.arange(200), idx_ab], brute.min(axis=1))
+    assert np.allclose(d2_ab, brute.min(axis=1), rtol=0.0, atol=1e-12)
+    assert np.array_equal(brute[idx_ba, np.arange(120)], brute.min(axis=0))
+    again = chamfer_nearest(queries, cloud)
+    assert np.array_equal(again[1], idx_ab) and np.array_equal(again[3], idx_ba)
 
 
 def test_chamfer_rejects_bad_shapes():

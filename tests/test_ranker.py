@@ -24,6 +24,7 @@ from micas.ranker import (
     save_label_cache,
     save_ranker,
     score_candidates,
+    score_prompts,
     select_prompt,
 )
 from micas.sampler import SamplerConfig, save_sampler
@@ -104,6 +105,64 @@ def test_score_gradient_matches_finite_differences():
         return tape
 
     assert finite_diff_check(loss_fn, store) <= 1e-3
+
+
+def tie_case(seed, s=4, k=3):
+    """A query with a duplicated point, and k prompts the first of which has the query as input.
+
+    The duplicate ties the query's max-pool, the shared input runs the
+    query's points through the per-point stack twice, and relu-dead
+    columns tie across all three clouds.
+    """
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(size=(s, 3))
+    q[1] = q[0]
+    prompts = [(q.copy(), rng.uniform(size=(s, 3)))]
+    prompts += [(rng.uniform(size=(s, 3)), rng.uniform(size=(s, 3))) for _ in range(k - 1)]
+    return q, prompts
+
+
+def test_shared_query_scoring_gradient_matches_finite_differences():
+    cfg = RankerConfig(width=4, k_candidates=3)
+    store = init_ranker_params(cfg, np.random.default_rng(31))
+    q, prompts = tie_case(32)
+    labels = [0.2, 0.9, 0.5]
+
+    def loss_fn(p):
+        tape = Tape()
+        listwise_rank_loss(tape, score_prompts(tape, p, cfg, q, prompts), labels)
+        return tape
+
+    assert finite_diff_check(loss_fn, store) <= 1e-5
+
+
+def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
+    cfg = RankerConfig(width=8, k_candidates=4)
+    store = init_ranker_params(cfg, np.random.default_rng(33))
+    q, prompts = tie_case(34, s=12, k=4)
+    labels = [0.1, 0.7, 0.7, 0.3]
+    tape = Tape()
+    scores = score_prompts(tape, store, cfg, q, prompts)
+    listwise_rank_loss(tape, scores, labels)
+    tape.backward()
+    joint = {name: p.grad.copy() for name, p in store.items()}
+    store.zero_grads()
+    # d(loss)/d(score_k) from the loss alone, then one single-prompt tape per candidate
+    s_store = ParamStore()
+    s_store.add("s", np.array([float(n.value) for n in scores]))
+    t = Tape()
+    s_node = t.param(s_store, "s")
+    listwise_rank_loss(t, [t.reshape(t.gather_rows(t.reshape(s_node, (4, 1)), [i]), ()) for i in range(4)],
+                       labels)
+    t.backward()
+    for k, (p_in, p_out) in enumerate(prompts):
+        fused = FusedCloud(np.vstack([q, p_in, p_out]), np.repeat([0, 1, 2], len(q)))
+        single = Tape()
+        predict_score(single, store, cfg, fused)
+        single.backward(s_store["s"].grad[k])
+    for name, p in store.items():
+        scale = max(np.abs(joint[name]).max(), 1e-300)
+        assert np.abs(p.grad - joint[name]).max() <= 1e-12 * scale, name
 
 
 # ---- ranking loss ----
