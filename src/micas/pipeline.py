@@ -174,8 +174,8 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir, on_step=None) -> Sampler
     """Stage one: fit the sampler and surrogate jointly on the train split.
 
     on_step, when given, is called after every example with a dict of the
-    live soft weights, centers, and clouds; it must consume them
-    synchronously because buffers are reused.
+    soft weights, centers, and clouds. Every item builds fresh arrays, but
+    the clouds are the train pairs' own, so on_step must not modify them.
     """
     if int(np.rint(cfg.mask_ratio * cfg.n_centers)) < 1:
         raise ConfigurationError("mask_ratio * n_centers rounds to zero patches")
@@ -239,17 +239,16 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir, on_step=None) -> Sampler
 
 def pseudo_label_raw(oracle: OracleModel, query: TaskPair, prompt: TaskPair, rng,
                      draws: int = LABEL_DRAWS) -> float:
-    """Mean raw performance of `prompt` on `query` over `draws` oracle calls.
+    """Mean raw performance of `prompt` on `query` over `draws` oracle draws.
 
-    Centers depend on (query, prompt) but not on the draw, so they are
-    computed once; only the oracle noise is redrawn.
+    Centers and the oracle's sigma depend on (query, prompt) but not on
+    the draw, so both are computed once per label: one oracle_predict call
+    returns all `draws` noisy predictions.
     """
     centers = oracle.centers_fn(query.input.points, prompt)
-    vals = [raw_performance(query.task,
-                            oracle_predict(query.input.points, query.target.points,
-                                           prompt.input.points, centers, rng),
-                            query) for _ in range(draws)]
-    return float(np.mean(vals))
+    preds = oracle_predict(query.input.points, query.target.points, prompt.input.points,
+                           centers, rng, draws)
+    return float(np.mean([raw_performance(query.task, pred, query) for pred in preds]))
 
 
 @dataclass
@@ -430,7 +429,7 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
             picked_indices = geometry.fps_select(query.input.points, cfg.n_centers)
             centers = query.input.points[picked_indices]
         predicted = oracle_predict(query.input.points, query.target.points,
-                                   prompt.input.points, centers, rng)
+                                   prompt.input.points, centers, rng)[0]
         raw = raw_performance(query.task, predicted, query)
         row = {
             "task": query.task,

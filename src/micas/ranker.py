@@ -93,14 +93,31 @@ def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, query_pts, p
     output. The head runs per prompt, so a prompt's score does not depend
     on the others. Permuting points within a cloud cannot change a score;
     all-zero parameters score 0.
+
+    A max-pool's gradient reaches only each column's argmax row, so a
+    recording tape records only those rows. Each cloud first runs through
+    the point stack on a values-only tape; the rows that are the first
+    maximizer of some column are kept in ascending order and run again on
+    the recording tape. The pooled values are the same maxima and ties go
+    to the same rows as in a full-cloud pass, but backward touches a few
+    dozen rows instead of all of them. A non-recording tape runs each
+    cloud once.
     """
+
+    def point_features(t: Tape, tags: Node, pts, segment) -> Node:
+        tag = t.reshape(t.gather_rows(tags, [segment]), (cfg.width,))
+        h = t.add_row(autodiff.affine(t, store, "score.l0", t.const(pts)), tag)
+        return t.relu(autodiff.affine(t, store, "score.l1", t.relu(h)))
+
     tags = tape.param(store, "score.tags")
+    values_only = Tape(record=False)
+    values_tags = values_only.param(store, "score.tags")
 
     def pooled(pts, segment) -> Node:
-        tag = tape.reshape(tape.gather_rows(tags, [segment]), (cfg.width,))
-        h = tape.add_row(autodiff.affine(tape, store, "score.l0", tape.const(pts)), tag)
-        h = tape.relu(autodiff.affine(tape, store, "score.l1", tape.relu(h)))
-        return tape.maxpool_rows(h)
+        if tape.record:
+            full = point_features(values_only, values_tags, pts, segment).value
+            pts = pts[np.unique(np.argmax(full, axis=0))]
+        return tape.maxpool_rows(point_features(tape, tags, pts, segment))
 
     query = pooled(query_pts, SEGMENT_QUERY)
     scores = []

@@ -133,11 +133,18 @@ def oracle_sigma(query_in_pts, prompt_in_pts, centers) -> float:
     return ORACLE_SIGMA0 * (1.0 + ORACLE_CENTER_GAIN * coverage + ORACLE_PROMPT_GAIN * mismatch)
 
 
-def oracle_predict(query_in_pts, query_target_pts, prompt_in_pts, centers, rng) -> np.ndarray:
-    """Ground truth plus iid Gaussian noise at the effective sigma."""
+def oracle_predict(query_in_pts, query_target_pts, prompt_in_pts, centers, rng,
+                   draws: int = 1) -> np.ndarray:
+    """`draws` predictions: ground truth plus iid Gaussian noise at the effective sigma.
+
+    Returns a (draws, S, 3) stack. Sigma depends only on the clouds and
+    centers, so it is computed once, and all the noise comes from one
+    rng.normal call, which yields the same numbers and leaves `rng` in the
+    same state as `draws` successive (S, 3) calls.
+    """
     target = np.asarray(query_target_pts, dtype=np.float64)
     sigma = oracle_sigma(query_in_pts, prompt_in_pts, centers)
-    return target + rng.normal(0.0, sigma, size=target.shape)
+    return target + rng.normal(0.0, sigma, size=(draws, *target.shape))
 
 
 class OracleModel:

@@ -1,7 +1,10 @@
 """Staged pipeline: data splits, training contracts, evaluation, CLI."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,7 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import micas
 from micas import cli, pipeline
+from micas import surrogate as sur_mod
 from micas.config import (
     RunConfig,
     config_hash,
@@ -20,9 +25,9 @@ from micas.config import (
     parse_config_text,
 )
 from micas.errors import ConfigurationError, FormatError
-from micas.ranker import load_label_cache, load_ranker, save_label_cache
+from micas.ranker import load_label_cache, load_ranker, raw_performance, save_label_cache
 from micas.sampler import gumbel_noise, init_sampler_params, load_sampler
-from micas.surrogate import init_surrogate_params
+from micas.surrogate import OracleModel, init_surrogate_params, oracle_predict
 from micas.tasks import TASKS, gen_pair
 
 TINY = desk_profile(
@@ -188,6 +193,48 @@ def test_label_cache_recomputed_after_sampler_retrain(tiny_run, tmp_path):
     assert provenance == json.loads((fresh / "labels.micaslc.json").read_text())
 
 
+# ---- pseudo-labels ----
+
+def label_cases():
+    """One (query, prompt) pair per task."""
+    for i, task in enumerate(TASKS):
+        query, prompt = gen_pair(task, 1 + i, 64, 200 + i), gen_pair(task, 2 + i, 64, 300 + i)
+        yield query, prompt
+
+
+def fixed_oracle():
+    return OracleModel(lambda query_in_pts, prompt: query_in_pts[::8])
+
+
+def test_pseudo_label_equals_loop_of_single_draws():
+    oracle = fixed_oracle()
+    for seed, (query, prompt) in enumerate(label_cases()):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        centers = oracle.centers_fn(query.input.points, prompt)
+        vals = [raw_performance(query.task,
+                                oracle_predict(query.input.points, query.target.points,
+                                               prompt.input.points, centers, ref_rng)[0],
+                                query) for _ in range(pipeline.LABEL_DRAWS)]
+        assert pipeline.pseudo_label_raw(oracle, query, prompt, rng) == float(np.mean(vals))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_pseudo_label_computes_one_oracle_sigma(monkeypatch):
+    calls = []
+    real = sur_mod.oracle_sigma
+
+    def counting_sigma(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sur_mod, "oracle_sigma", counting_sigma)
+    oracle = fixed_oracle()
+    for query, prompt in label_cases():
+        before = len(calls)
+        pipeline.pseudo_label_raw(oracle, query, prompt, np.random.default_rng(0))
+        assert len(calls) - before == 1, query.task
+
+
 # ---- evaluation ----
 
 def test_evaluate_variant_validation(tiny_run):
@@ -346,6 +393,19 @@ def test_cli_seed_override_changes_data(tmp_path):
     blob_a = (tmp_path / "a" / "data" / "train.micasds").read_bytes()
     blob_b = (tmp_path / "b" / "data" / "train.micasds").read_bytes()
     assert blob_a != blob_b
+
+
+def test_cli_pins_blas_threads_unless_set():
+    src = str(Path(micas.__file__).resolve().parents[1])
+    probe = "import os, micas.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    for preset, expect in ((None, "1"), ("2", "2")):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == expect
 
 
 def test_cli_rejects_bad_config_value(tmp_path):

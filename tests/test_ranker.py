@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from micas.autodiff import ParamStore, Tape, finite_diff_check
+from micas.autodiff import ParamStore, Tape, affine, finite_diff_check
 from micas.errors import FormatError
 from micas.geometry import chamfer_distance, miou
 from micas.ranker import (
@@ -163,6 +163,112 @@ def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
     for name, p in store.items():
         scale = max(np.abs(joint[name]).max(), 1e-300)
         assert np.abs(p.grad - joint[name]).max() <= 1e-12 * scale, name
+
+
+def dense_scores(tape, store, cfg, q, prompts):
+    """Reference scorer: the per-point stack and max-pool over every row of every cloud."""
+    tags = tape.param(store, "score.tags")
+
+    def pooled(pts, segment):
+        tag = tape.reshape(tape.gather_rows(tags, [segment]), (cfg.width,))
+        h = tape.add_row(affine(tape, store, "score.l0", tape.const(pts)), tag)
+        return tape.maxpool_rows(tape.relu(affine(tape, store, "score.l1", tape.relu(h))))
+
+    query = pooled(q, 0)
+    scores = []
+    for p_in, p_out in prompts:
+        joint = tape.maximum([query, pooled(p_in, 1), pooled(p_out, 2)])
+        head = tape.relu(affine(tape, store, "score.h0", tape.reshape(joint, (1, cfg.width))))
+        scores.append(tape.reshape(affine(tape, store, "score.h1", head), ()))
+    return scores
+
+
+def spy_maxpools(tape):
+    """Record (rows in, pooled value) of every maxpool_rows call on `tape`."""
+    pools = []
+    real = tape.maxpool_rows
+
+    def spy(a):
+        out = real(a)
+        pools.append((a.shape[0], out.value))
+        return out
+
+    tape.maxpool_rows = spy
+    return pools
+
+
+def sparse_cases():
+    """Random clouds, a prompt input equal to the query, and clouds of repeated rows."""
+    q, prompts = tie_case(40, s=64, k=3)
+    yield q, prompts
+    rng = np.random.default_rng(41)
+    base = rng.uniform(size=(16, 3))
+    dup = np.repeat(base, 4, axis=0)[rng.permutation(64)]  # every row four times, shuffled
+    yield dup, [(dup.copy(), dup[::-1].copy()), (rng.uniform(size=(64, 3)), dup)]
+    yield rng.uniform(size=(256, 3)), [(rng.uniform(size=(256, 3)), rng.uniform(size=(256, 3)))
+                                       for _ in range(2)]
+
+
+def test_row_sparse_pooling_equals_full_block_maxpool():
+    cfg = RankerConfig(width=16, k_candidates=3)
+    for seed, (q, prompts) in enumerate(sparse_cases()):
+        store = init_ranker_params(cfg, np.random.default_rng(50 + seed))
+        sparse_tape, dense_tape = Tape(), Tape()
+        sparse_pools, dense_pools = spy_maxpools(sparse_tape), spy_maxpools(dense_tape)
+        sparse = score_prompts(sparse_tape, store, cfg, q, prompts)
+        dense = dense_scores(dense_tape, store, cfg, q, prompts)
+        assert len(sparse_pools) == len(dense_pools) == 1 + 2 * len(prompts)
+        for (rows, pooled), (full_rows, full) in zip(sparse_pools, dense_pools):
+            assert rows < full_rows
+            assert np.array_equal(pooled, full)
+        assert [float(n.value) for n in sparse] == [float(n.value) for n in dense]
+
+
+def test_row_sparse_train_step_gradient_matches_dense_reference():
+    cfg = RankerConfig(width=16, k_candidates=3)
+    for seed, (q, prompts) in enumerate(sparse_cases()):
+        store = init_ranker_params(cfg, np.random.default_rng(60 + seed))
+        labels = np.linspace(0.9, 0.1, len(prompts))
+        grads = []
+        for scorer in (score_prompts, dense_scores):
+            store.zero_grads()
+            tape = Tape()
+            listwise_rank_loss(tape, scorer(tape, store, cfg, q, prompts), labels)
+            tape.backward()
+            grads.append({name: p.grad.copy() for name, p in store.items()})
+        for name in store.names():
+            scale = max(np.abs(grads[1][name]).max(), 1e-300)
+            assert np.abs(grads[0][name] - grads[1][name]).max() <= 1e-12 * scale, name
+
+
+def test_recording_pass_feeds_only_argmax_rows_to_first_layer():
+    cfg = RankerConfig(width=16, k_candidates=3)
+    store = init_ranker_params(cfg, np.random.default_rng(70))
+    w0 = store["score.l0.w"].value
+    for q, prompts in sparse_cases():
+        clouds = [(q, 0)] + [(pts, seg) for pair in prompts for pts, seg in zip(pair, (1, 2))]
+        distinct = []
+        for pts, segment in clouds:
+            h = np.maximum(pts @ w0 + store["score.l0.b"].value + store["score.tags"].value[segment], 0.0)
+            h = np.maximum(h @ store["score.l1.w"].value + store["score.l1.b"].value, 0.0)
+            distinct.append(len(np.unique(np.argmax(h, axis=0))))
+        for record in (True, False):
+            tape = Tape(record=record)
+            fed = []
+            matmul = tape.matmul
+
+            def spy(a, b):
+                if b.value is w0:
+                    fed.append(a.shape[0])
+                return matmul(a, b)
+
+            tape.matmul = spy
+            score_prompts(tape, store, cfg, q, prompts)
+            assert len(fed) == len(clouds)
+            if record:
+                assert all(n <= d for n, d in zip(fed, distinct)), (fed, distinct)
+            else:  # inference keeps the full-cloud pass
+                assert fed == [len(pts) for pts, _ in clouds]
 
 
 # ---- ranking loss ----

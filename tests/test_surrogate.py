@@ -165,7 +165,8 @@ def test_oracle_zero_sigma_returns_ground_truth(monkeypatch):
     q = rng.uniform(size=(10, 3))
     y = rng.uniform(size=(10, 3))
     out = oracle_predict(q, y, rng.uniform(size=(10, 3)), q[:3], np.random.default_rng(0))
-    assert np.array_equal(out, y)
+    assert out.shape == (1, 10, 3)
+    assert np.array_equal(out[0], y)
 
 
 def test_oracle_predict_is_pure():
@@ -188,11 +189,27 @@ def test_oracle_expected_error_ordering_follows_sigma():
     near = q + 0.01 * rng.normal(size=q.shape)
     far = rng.uniform(size=(24, 3)) + 1.0
     assert oracle_sigma(q, near, centers) < oracle_sigma(q, far, centers)
-    errs_near = [chamfer_distance(oracle_predict(q, y, near, centers, np.random.default_rng(s)), y)
+    errs_near = [chamfer_distance(oracle_predict(q, y, near, centers, np.random.default_rng(s))[0], y)
                  for s in range(100)]
-    errs_far = [chamfer_distance(oracle_predict(q, y, far, centers, np.random.default_rng(s)), y)
+    errs_far = [chamfer_distance(oracle_predict(q, y, far, centers, np.random.default_rng(s))[0], y)
                 for s in range(100)]
     assert np.mean(errs_near) < np.mean(errs_far)
+
+
+def test_oracle_stacked_draws_equal_sequential_single_draws():
+    # one (D, S, 3) rng.normal call must reproduce D successive (S, 3) calls
+    # bit for bit and leave the rng where they leave it
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        s = (7, 24, 256)[seed % 3]
+        q, y, p = (rng.uniform(size=(s, 3)) for _ in range(3))
+        stacked_rng, single_rng = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
+        stacked = oracle_predict(q, y, p, q[:4], stacked_rng, draws=16)
+        singles = [oracle_predict(q, y, p, q[:4], single_rng) for _ in range(16)]
+        assert stacked.shape == (16, s, 3)
+        assert all(one.shape == (1, s, 3) for one in singles)
+        assert np.array_equal(stacked, np.concatenate(singles))
+        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 def test_centers_fn_helpers():
