@@ -292,6 +292,27 @@ class Tape:
 
         return self._push(value, (a, b), (vjp_a, vjp_b))
 
+    def chamfer_patches(self, a: Node, targets) -> Node:
+        """Per-patch Chamfer divergences of a patch stack node, as a (P,) node.
+
+        Entry p is chamfer's value for the sets a[p] (M, 3) and the
+        constant targets[p] (L, 3), with matches from
+        geometry.chamfer_nearest_patches (on exact ties, the lowest
+        index); the gradient into a is chamfer's, patch by patch, with the
+        matches treated as constant.
+        """
+        pa, pb = a.value, np.asarray(targets, dtype=np.float64)
+        d2_ab, idx_ab, d2_ba, idx_ba = geometry.chamfer_nearest_patches(pa, pb)
+        inv_a, inv_b = 2.0 / pa.shape[1], 2.0 / pb.shape[1]
+        rows = np.arange(len(pa))[:, None]
+
+        def vjp(g):
+            ga = inv_a * (pa - pb[rows, idx_ab])
+            np.add.at(ga, (rows, idx_ba), inv_b * (pa[rows, idx_ba] - pb))
+            return g[:, None, None] * ga
+
+        return self._push(d2_ab.mean(axis=1) + d2_ba.mean(axis=1), (a,), (vjp,))
+
     # ---- reverse pass ----
 
     def backward(self, loss_grad: float = 1.0) -> None:

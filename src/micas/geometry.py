@@ -2,9 +2,23 @@
 
 Coordinates are float64 arrays of shape (S, 3) throughout. Identical
 inputs always produce identical outputs. Farthest-point and k-nearest
-queries break exact ties toward the lowest point index; a Chamfer
-nearest-neighbor query returns an index attaining the minimum distance,
-not necessarily the lowest one.
+queries break exact ties toward the lowest point index.
+
+Chamfer nearest-neighbor queries follow one kernel policy, chosen by
+what is being matched:
+
+* patch sets, a (P, M, 3) stack against a (P, L, 3) stack of small
+  sets (chamfer_nearest_patches): brute force over every pair of one
+  patch, all patches in one array pass; exact ties go to the lowest
+  index;
+* clouds, one (n, 3) set against another (chamfer_nearest): a cKDTree
+  per direction; exact ties go to an index attaining the minimum, not
+  necessarily the lowest one.
+
+The two trees of a cloud query cost about as much as brute force at
+16 x 256 points and three to four times more at 16 x 16, while brute
+force is about seven times slower at 256 x 256. So only patch stacks
+are brute-forced: a whole stack of them costs one array pass.
 """
 
 from __future__ import annotations
@@ -124,6 +138,37 @@ def chamfer_nearest(a, b):
     d_ab, idx_ab = cKDTree(pb).query(pa)
     d_ba, idx_ba = cKDTree(pa).query(pb)
     return d_ab**2, idx_ab, d_ba**2, idx_ba
+
+
+def _as_patch_stack(obj) -> np.ndarray:
+    pts = np.asarray(obj, dtype=np.float64)
+    if pts.ndim != 3 or pts.shape[2] != 3 or pts.shape[0] < 1 or pts.shape[1] < 1:
+        raise ValueError(f"expected a (P, M, 3) patch stack with P, M >= 1, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("patch stack contains non-finite values")
+    return pts
+
+
+def chamfer_nearest_patches(a, b):
+    """chamfer_nearest for each patch of two equally long patch stacks.
+
+    a is (P, M, 3) and b is (P, L, 3); patch p of a is matched only
+    against patch p of b. Brute force: all (P, M, L) squared distances
+    are formed at once, and exact ties go to the lowest index.
+
+    Returns:
+        (d2_ab, idx_ab, d2_ba, idx_ba) of shapes (P, M), (P, M), (P, L)
+        and (P, L), where d2_ab[p, i] is the squared distance from
+        a[p, i] to its nearest point in b[p] and idx_ab[p, i] that
+        point's index in b[p], and symmetrically for b into a.
+    """
+    pa, pb = _as_patch_stack(a), _as_patch_stack(b)
+    if pa.shape[0] != pb.shape[0]:
+        raise ValueError(f"patch counts differ: {pa.shape[0]} vs {pb.shape[0]}")
+    d2 = np.sum((pa[:, :, None, :] - pb[:, None, :, :]) ** 2, axis=3)
+    idx_ab = np.argmin(d2, axis=2)  # argmin returns the first (lowest) minimizer
+    idx_ba = np.argmin(d2, axis=1)
+    return d2.min(axis=2), idx_ab, d2.min(axis=1), idx_ba
 
 
 def chamfer_distance(a, b) -> float:

@@ -136,10 +136,11 @@ def item_loss(sampler_store, surrogate_store, s_cfg: SamplerConfig, sur_cfg: Sur
               noise, mask_rng=None, frozen=None):
     """Build the full per-example training tape and return (result, loss, frozen).
 
-    The forward pass samples centers for the query and prompt inputs,
-    projects the query's soft weights through the target cloud to place
-    ground-truth patches, hides a mask of them, reconstructs the hidden
-    ones with the surrogate, and scores reconstruction plus coverage.
+    The forward pass samples centers for the query input conditioned on
+    the prompt pair, projects the query's soft weights through the target
+    cloud to place ground-truth patches, hides a mask of them,
+    reconstructs the hidden ones with the surrogate, and scores
+    reconstruction plus coverage.
 
     `frozen` carries (pattern, gt_masked, context) to pin the
     non-differentiable choices; pass the previous return value to rebuild
@@ -174,8 +175,9 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir, on_step=None) -> Sampler
     """Stage one: fit the sampler and surrogate jointly on the train split.
 
     on_step, when given, is called after every example with a dict of the
-    soft weights, centers, and clouds. Every item builds fresh arrays, but
-    the clouds are the train pairs' own, so on_step must not modify them.
+    query's soft weights, centers and input cloud. Every item builds fresh
+    arrays, but the cloud is the train pair's own, so on_step must not
+    modify it.
     """
     if int(np.rint(cfg.mask_ratio * cfg.n_centers)) < 1:
         raise ConfigurationError("mask_ratio * n_centers rounds to zero patches")
@@ -198,8 +200,12 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir, on_step=None) -> Sampler
                 query = train_pairs[item]
                 peers = [i for i in by_task[query.task] if i != item] or [item]
                 prompt = train_pairs[peers[int(rng.integers(len(peers)))]]
-                noise = (gumbel_noise(rng, (query.input.size, cfg.n_centers)),
-                         gumbel_noise(rng, (prompt.input.size, cfg.n_centers)))
+                noise = gumbel_noise(rng, (query.input.size, cfg.n_centers))
+                # Only the query is sampled. The prompt-sized draw is discarded
+                # but still made, so the epoch's rng stream, and with it every
+                # later mask and prompt choice, stays the one that earlier
+                # checkpoints were trained on.
+                gumbel_noise(rng, (prompt.input.size, cfg.n_centers))
                 res, loss, _ = item_loss(sampler_store, surrogate_store, s_cfg, sur_cfg,
                                          cfg.mask_ratio, query, prompt, tau, noise, mask_rng=rng)
                 if not np.isfinite(loss.value):
@@ -215,11 +221,8 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir, on_step=None) -> Sampler
                         "tau": tau,
                         "loss": float(loss.value),
                         "soft_query": res.soft_query.value,
-                        "soft_prompt": res.soft_prompt.value,
                         "centers_query": res.centers_query.value,
-                        "centers_prompt": res.centers_prompt.value,
                         "query_points": query.input.points,
-                        "prompt_points": prompt.input.points,
                     })
             lr = autodiff.sgd_cosine_step(sampler_store, epoch, cfg.sampler_epochs,
                                           cfg.sampler_lr0, cfg.sampler_lr_min)

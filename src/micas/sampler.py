@@ -134,14 +134,17 @@ def tau_for_epoch(epoch: int, total_epochs: int, cfg: SamplerConfig) -> float:
 
 @dataclass
 class SampleResult:
-    """Everything one sampling pass produces, all on one shared tape."""
+    """One sampling pass over a query cloud, all on one shared tape.
+
+    Only the query cloud is sampled; the prompt pair enters through the
+    task feature alone, since no loss, label or evaluation reads a
+    sampling of the prompt's own points.
+    """
 
     tape: Tape
-    task_feature: Node
+    task_feature: Node  # (d1,) summary of the prompt pair
     soft_query: Node  # (S, N) column-stochastic weights for the query cloud
-    soft_prompt: Node
     centers_query: Node  # (N, 3)
-    centers_prompt: Node
     tau: float
 
 
@@ -149,28 +152,23 @@ def sample(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in_pts, prom
            tau: float, rng=None, noise=None, tape: Tape | None = None) -> SampleResult:
     """Run the sampler on a query cloud conditioned on one prompt pair.
 
-    rng drives the Gumbel perturbation; passing `noise` (a pair of arrays
-    for the query and prompt sides) freezes it instead, and passing
-    neither zeroes it, which is the inference mode. All intermediate nodes
-    share one tape so a downstream loss can differentiate the whole pass.
+    rng drives the Gumbel perturbation; passing `noise`, the query's
+    (S, N) array, freezes it instead, and passing neither zeroes it,
+    which is the inference mode. All intermediate nodes share one tape
+    so a downstream loss can differentiate the whole pass.
     """
     tape = tape if tape is not None else Tape()
     task = encode_task(tape, store, prompt_in_pts, prompt_out_pts)
-    outputs = []
-    for side, pts in enumerate((query_pts, prompt_in_pts)):
-        pts = np.asarray(pts, dtype=np.float64)
-        feats = encode_points(tape, store, pts)
-        weights = sampling_weights(tape, store, enhance(tape, task, feats))
-        if noise is not None:
-            g = np.asarray(noise[side], dtype=np.float64)
-        elif rng is not None:
-            g = gumbel_noise(rng, weights.shape)
-        else:
-            g = np.zeros(weights.shape)
-        soft = gumbel_softmax(tape, weights, g, tau)
-        outputs.append((soft, project_centers(tape, soft, pts)))
-    (soft_q, centers_q), (soft_p, centers_p) = outputs
-    return SampleResult(tape, task, soft_q, soft_p, centers_q, centers_p, tau)
+    pts = np.asarray(query_pts, dtype=np.float64)
+    weights = sampling_weights(tape, store, enhance(tape, task, encode_points(tape, store, pts)))
+    if noise is not None:
+        g = np.asarray(noise, dtype=np.float64)
+    elif rng is not None:
+        g = gumbel_noise(rng, weights.shape)
+    else:
+        g = np.zeros(weights.shape)
+    soft = gumbel_softmax(tape, weights, g, tau)
+    return SampleResult(tape, task, soft, project_centers(tape, soft, pts), tau)
 
 
 def sample_inference(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in_pts, prompt_out_pts) -> SampleResult:
@@ -182,21 +180,18 @@ def sample_inference(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in
                   tape=Tape(record=False))
 
 
-def sampling_loss(tape: Tape, predicted_patches, target_patches, centers: Node, cloud_pts, alpha: float) -> Node:
+def sampling_loss(tape: Tape, predicted_patches: Node, target_patches, centers: Node, cloud_pts,
+                  alpha: float) -> Node:
     """Patch reconstruction error plus alpha times center coverage.
 
-    The first term averages the Chamfer divergence between each predicted
-    patch node and its target patch; the second is the Chamfer divergence
-    between the centers and the full input cloud.
+    The first term averages the Chamfer divergence between each patch of
+    the (P, M, 3) predicted node and its target patch in the (P, M, 3)
+    targets; the second is the Chamfer divergence between the centers
+    and the full input cloud.
     """
-    predicted = list(predicted_patches)
-    targets = np.asarray(target_patches, dtype=np.float64)
-    if len(predicted) == 0 or targets.shape[0] != len(predicted):
-        raise ValueError("need one target patch per predicted patch")
     if alpha < 0.0:
         raise ValueError("alpha must be non-negative")
-    per_patch = [tape.chamfer(p, tape.const(targets[i])) for i, p in enumerate(predicted)]
-    recon = tape.mean_all(tape.stack_scalars(per_patch))
+    recon = tape.mean_all(tape.chamfer_patches(predicted_patches, target_patches))
     coverage = tape.chamfer(centers, tape.const(np.asarray(cloud_pts, dtype=np.float64)))
     return tape.add(recon, tape.scale(coverage, alpha))
 

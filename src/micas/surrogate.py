@@ -101,8 +101,8 @@ def init_surrogate_params(cfg: SurrogateConfig, rng) -> ParamStore:
 
 
 def surrogate_predict(tape: Tape, store: ParamStore, cfg: SurrogateConfig,
-                      task_feature: Node, centers: Node, context) -> list[Node]:
-    """Predict one (M, 3) patch node per center row.
+                      task_feature: Node, centers: Node, context) -> Node:
+    """Predict a (P, M, 3) node of patches, patch p anchored at center row p.
 
     Each patch is its center plus an MLP offset field conditioned on the
     task feature and the visible-context summary, so with all-zero
@@ -113,17 +113,15 @@ def surrogate_predict(tape: Tape, store: ParamStore, cfg: SurrogateConfig,
     """
     if task_feature.shape != (cfg.d1,):
         raise ValueError(f"task feature must have width {cfg.d1}")
-    k = centers.shape[0]
+    k, m = centers.shape[0], cfg.m_neighbors
     ctx = np.asarray(context, dtype=np.float64).reshape(3)
     rows = tape.concat_cols(centers, tape.tile_rows(task_feature, k))
     rows = tape.concat_cols(rows, tape.tile_rows(tape.const(ctx), k))
     offsets = tape.scale(tape.tanh(autodiff.forward_mlp(tape, store, "sur", rows)), OFFSET_SPAN)
-    patches = []
-    for i in range(k):
-        offset = tape.reshape(tape.gather_rows(offsets, [i]), (cfg.m_neighbors, 3))
-        anchor = tape.reshape(tape.gather_rows(centers, [i]), (3,))
-        patches.append(tape.add_row(offset, anchor))
-    return patches
+    # centers @ [I I ... I] repeats each center once per patch point; the
+    # products by exact ones and zeros leave the anchors bit-exact.
+    anchors = tape.matmul(centers, tape.const(np.tile(np.eye(3), m)))
+    return tape.reshape(tape.add(offsets, anchors), (k, m, 3))
 
 
 def oracle_sigma(query_in_pts, prompt_in_pts, centers) -> float:

@@ -266,7 +266,7 @@ def save_dataset(pairs, path) -> None:
 
 
 def load_dataset(path) -> list[TaskPair]:
-    """Read a MICASDS1 file; truncation raises FormatError with no partial result."""
+    """Read a MICASDS1 file; a truncated or corrupt file raises FormatError with no partial result."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 12 or buf[:8] != DATASET_MAGIC:
@@ -274,7 +274,7 @@ def load_dataset(path) -> list[TaskPair]:
     (count,) = struct.unpack_from("<I", buf, 8)
     offset = 12
     pairs = []
-    for _ in range(count):
+    for record in range(count):
         if len(buf) - offset < 10:
             raise FormatError("truncated dataset record")
         task_id, level, seed = struct.unpack_from("<BBQ", buf, offset)
@@ -283,7 +283,10 @@ def load_dataset(path) -> list[TaskPair]:
             raise FormatError(f"unknown task id {task_id}")
         cloud_in, offset = cloud_from_buffer(buf, offset)
         cloud_out, offset = cloud_from_buffer(buf, offset)
-        pairs.append(TaskPair(cloud_in, cloud_out, TASKS[task_id], level, seed))
+        try:
+            pairs.append(TaskPair(cloud_in, cloud_out, TASKS[task_id], level, seed))
+        except ValueError as err:  # a level out of range or unequal point counts
+            raise FormatError(f"dataset record {record}: {err}") from err
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} unexpected trailing bytes")
     return pairs

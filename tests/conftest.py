@@ -1,4 +1,10 @@
-import sys
+import os
+
+# One BLAS thread, set before anything imports numpy: the suite's matrices
+# are small, and extra OpenBLAS threads only burn CPU beside it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import sys  # noqa: E402
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

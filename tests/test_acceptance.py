@@ -153,13 +153,11 @@ def test_criterion_4_stochasticity_invariant(tmp_path):
     worst = {"sum_dev": 0.0, "bbox_gap": 0.0, "steps": 0}
 
     def on_step(info):
-        for key in ("soft_query", "soft_prompt"):
-            worst["sum_dev"] = max(worst["sum_dev"], float(np.abs(info[key].sum(axis=0) - 1.0).max()))
-        for centers, points in ((info["centers_query"], info["query_points"]),
-                                (info["centers_prompt"], info["prompt_points"])):
-            lo, hi = points.min(axis=0), points.max(axis=0)
-            gap = max(float((lo - centers).max()), float((centers - hi).max()))
-            worst["bbox_gap"] = max(worst["bbox_gap"], gap)
+        worst["sum_dev"] = max(worst["sum_dev"], float(np.abs(info["soft_query"].sum(axis=0) - 1.0).max()))
+        centers, points = info["centers_query"], info["query_points"]
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        gap = max(float((lo - centers).max()), float((centers - hi).max()))
+        worst["bbox_gap"] = max(worst["bbox_gap"], gap)
         worst["steps"] += 1
 
     pipeline.train_sampler(cfg, train_pairs, tmp_path, on_step=on_step)
@@ -182,7 +180,7 @@ def test_criterion_5_end_to_end_gradient():
     surrogate = init_surrogate_params(sur_cfg, rng)
     query = gen_pair("denoising", 2, 16, 101)
     prompt = gen_pair("denoising", 2, 16, 202)
-    noise = (gumbel_noise(rng, (16, 4)), gumbel_noise(rng, (16, 4)))
+    noise = gumbel_noise(rng, (16, 4))
     _, _, frozen = pipeline.item_loss(sampler, surrogate, s_cfg, sur_cfg, 0.6, query, prompt,
                                       0.5, noise, mask_rng=np.random.default_rng(7))
 

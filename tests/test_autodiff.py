@@ -167,6 +167,31 @@ def test_chamfer_value_matches_geometry():
     assert node.value == pytest.approx(chamfer_distance(a, b), abs=0.0)
 
 
+def test_grad_chamfer_patches():
+    store = fd_store({"a": (3, 5, 3)}, 9, scale=1.0)
+    targets = np.random.default_rng(9).normal(size=(3, 4, 3))
+
+    def loss(s):
+        t = Tape()
+        per_patch = t.chamfer_patches(t.param(s, "a"), targets)
+        t.weighted_sum(per_patch, [0.5, -1.0, 2.0])  # unequal upstream gradient per patch
+        return t
+
+    assert finite_diff_check(loss, store) <= 1e-6
+
+
+def test_chamfer_patches_value_matches_geometry():
+    from micas.geometry import chamfer_distance
+
+    rng = np.random.default_rng(10)
+    a, b = rng.uniform(size=(4, 7, 3)), rng.uniform(size=(4, 5, 3))
+    t = Tape()
+    node = t.chamfer_patches(t.const(a), b)
+    assert node.shape == (4,)
+    expect = [chamfer_distance(a[p], b[p]) for p in range(4)]
+    assert np.abs(node.value - expect).max() <= 1e-15
+
+
 def test_backward_requires_scalar_tail():
     t = Tape()
     with pytest.raises(ValueError):

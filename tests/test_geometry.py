@@ -9,6 +9,7 @@ from micas.geometry import (
     PointCloud,
     chamfer_distance,
     chamfer_nearest,
+    chamfer_nearest_patches,
     cloud_from_buffer,
     cloud_to_bytes,
     corrupt,
@@ -75,6 +76,49 @@ def test_chamfer_rejects_bad_shapes():
         chamfer_distance(np.zeros((0, 3)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         chamfer_distance(np.array([[np.nan, 0.0, 0.0]]), np.zeros((3, 3)))
+
+
+def test_chamfer_nearest_patches_matches_per_patch_trees():
+    rng = np.random.default_rng(5)
+    for p, m, l in ((1, 1, 1), (10, 16, 16), (3, 5, 9), (4, 16, 2)):
+        a, b = rng.uniform(-0.2, 1.2, size=(p, m, 3)), rng.uniform(-0.2, 1.2, size=(p, l, 3))
+        d2_ab, idx_ab, d2_ba, idx_ba = chamfer_nearest_patches(a, b)
+        assert d2_ab.shape == idx_ab.shape == (p, m) and d2_ba.shape == idx_ba.shape == (p, l)
+        for i in range(p):
+            ref_ab, ref_idx_ab, ref_ba, ref_idx_ba = chamfer_nearest(a[i], b[i])
+            assert np.abs(d2_ab[i] - ref_ab).max() <= 1e-15
+            assert np.abs(d2_ba[i] - ref_ba).max() <= 1e-15
+            assert np.array_equal(idx_ab[i], ref_idx_ab) and np.array_equal(idx_ba[i], ref_idx_ba)
+
+
+def test_chamfer_nearest_patches_ties_go_to_the_lowest_index():
+    # each patch holds every point three times over, shuffled: every query ties
+    rng = np.random.default_rng(6)
+    base = rng.uniform(size=(4, 6, 3))
+    tripled = np.stack([np.tile(patch, (3, 1))[rng.permutation(18)] for patch in base])
+    d2_ab, idx_ab, d2_ba, idx_ba = chamfer_nearest_patches(base, tripled)
+    d2_self, idx_self, _, _ = chamfer_nearest_patches(tripled, tripled)
+    assert (d2_ab == 0.0).all() and (d2_self == 0.0).all()
+    for p in range(4):
+        brute = ((base[p][:, None, :] - tripled[p][None, :, :]) ** 2).sum(axis=2)
+        lowest = np.array([np.flatnonzero(row == row.min())[0] for row in brute])
+        assert np.array_equal(idx_ab[p], lowest)
+        assert np.array_equal(idx_ba[p], [np.flatnonzero(col == col.min())[0] for col in brute.T])
+        same = (tripled[p][:, None, :] == tripled[p][None, :, :]).all(axis=2)
+        assert np.array_equal(idx_self[p], same.argmax(axis=1))
+        assert ((brute == brute.min(axis=1, keepdims=True)).sum(axis=1) == 3).all()
+
+
+def test_chamfer_nearest_patches_rejects_bad_shapes():
+    good = np.zeros((2, 4, 3))
+    for a, b in ((np.zeros((0, 4, 3)), np.zeros((0, 4, 3))),  # no patches
+                 (np.zeros((2, 0, 3)), good),  # empty patches
+                 (good, np.zeros((2, 0, 3))),
+                 (good, np.zeros((3, 4, 3))),  # patch counts differ
+                 (np.zeros((4, 3)), np.zeros((4, 3))),  # clouds, not stacks
+                 (good, np.full((2, 4, 3), np.nan))):
+        with pytest.raises(ValueError):
+            chamfer_nearest_patches(a, b)
 
 
 def test_fps_each_pick_maximizes_min_distance():

@@ -15,6 +15,7 @@ import pytest
 import micas
 from micas import cli, pipeline
 from micas import surrogate as sur_mod
+from micas.autodiff import forward_mlp
 from micas.config import (
     RunConfig,
     config_hash,
@@ -26,7 +27,7 @@ from micas.config import (
 )
 from micas.errors import ConfigurationError, FormatError
 from micas.ranker import load_label_cache, load_ranker, raw_performance, save_label_cache
-from micas.sampler import gumbel_noise, init_sampler_params, load_sampler
+from micas.sampler import gumbel_noise, init_sampler_params, load_sampler, sample
 from micas.surrogate import OracleModel, init_surrogate_params, oracle_predict
 from micas.tasks import TASKS, gen_pair
 
@@ -98,9 +99,7 @@ def test_item_loss_frozen_rebuild_is_bitwise():
     surrogate_store = init_surrogate_params(sur_cfg, np.random.default_rng(1))
     query = gen_pair("reconstruction", 2, TINY.s_points, 10)
     prompt = gen_pair("reconstruction", 2, TINY.s_points, 11)
-    rng = np.random.default_rng(2)
-    noise = (gumbel_noise(rng, (TINY.s_points, TINY.n_centers)),
-             gumbel_noise(rng, (TINY.s_points, TINY.n_centers)))
+    noise = gumbel_noise(np.random.default_rng(2), (TINY.s_points, TINY.n_centers))
     res, loss, frozen = pipeline.item_loss(sampler_store, surrogate_store, s_cfg, sur_cfg,
                                            TINY.mask_ratio, query, prompt, 0.5, noise,
                                            mask_rng=np.random.default_rng(3))
@@ -108,6 +107,75 @@ def test_item_loss_frozen_rebuild_is_bitwise():
     _, again, _ = pipeline.item_loss(sampler_store, surrogate_store, s_cfg, sur_cfg,
                                      TINY.mask_ratio, query, prompt, 0.5, noise, frozen=frozen)
     assert float(again.value) == float(loss.value)
+
+
+def per_patch_item_loss(sampler_store, surrogate_store, s_cfg, sur_cfg, query, prompt, tau,
+                        noise, frozen):
+    """item_loss built patch by patch: a gather/reshape/add_row chain and a
+    Tape.chamfer node for every masked patch, the reference for the batched
+    patch node."""
+    pattern, gt_masked, context = frozen
+    res = sample(sampler_store, s_cfg, query.input.points, prompt.input.points,
+                 prompt.target.points, tau, noise=noise)
+    tape = res.tape
+    centers = tape.gather_rows(res.centers_query, pattern.indices)
+    k = centers.shape[0]
+    rows = tape.concat_cols(centers, tape.tile_rows(res.task_feature, k))
+    rows = tape.concat_cols(rows, tape.tile_rows(tape.const(context), k))
+    offsets = tape.scale(tape.tanh(forward_mlp(tape, surrogate_store, "sur", rows)),
+                         sur_mod.OFFSET_SPAN)
+    per_patch = []
+    for i in range(k):
+        offset = tape.reshape(tape.gather_rows(offsets, [i]), (sur_cfg.m_neighbors, 3))
+        anchor = tape.reshape(tape.gather_rows(centers, [i]), (3,))
+        per_patch.append(tape.chamfer(tape.add_row(offset, anchor), tape.const(gt_masked[i])))
+    recon = tape.mean_all(tape.stack_scalars(per_patch))
+    coverage = tape.chamfer(res.centers_query, tape.const(query.input.points))
+    return tape, tape.add(recon, tape.scale(coverage, s_cfg.alpha))
+
+
+def test_item_loss_matches_per_patch_reference():
+    s_cfg, sur_cfg = pipeline.sampler_config(TINY), pipeline.surrogate_config(TINY)
+    stores = (init_sampler_params(s_cfg, np.random.default_rng(4)),
+              init_surrogate_params(sur_cfg, np.random.default_rng(5)))
+
+    def gradients(tape):
+        for store in stores:
+            store.zero_grads()
+        tape.backward()
+        return {name: p.grad.copy() for store in stores for name, p in store.items()}
+
+    rng = np.random.default_rng(6)
+    for i, task in enumerate(TASKS * 2):
+        query = gen_pair(task, 1 + i % 5, TINY.s_points, 20 + i)
+        prompt = gen_pair(task, 1 + i % 5, TINY.s_points, 40 + i)
+        noise = gumbel_noise(rng, (TINY.s_points, TINY.n_centers))
+        tau = (1.0, 0.3)[i % 2]
+        res, loss, frozen = pipeline.item_loss(*stores, s_cfg, sur_cfg, TINY.mask_ratio, query,
+                                               prompt, tau, noise, mask_rng=rng)
+        got = gradients(res.tape)
+        ref_tape, ref = per_patch_item_loss(*stores, s_cfg, sur_cfg, query, prompt, tau, noise, frozen)
+        want = gradients(ref_tape)
+        assert abs(float(loss.value) - float(ref.value)) <= 1e-14 * abs(float(ref.value))
+        for name, grad in want.items():
+            assert np.abs(got[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
+
+
+def test_train_sampler_draws_query_and_prompt_noise_per_item(tmp_path, monkeypatch):
+    # the prompt-sized draw is discarded, but it keeps the epoch's rng stream
+    # (and so every later mask and prompt choice) where checkpoints expect it
+    train, _ = pipeline.generate_pairs(TINY)
+    draws = []
+
+    def spy(rng, shape):
+        draws.append(shape)
+        return gumbel_noise(rng, shape)
+
+    monkeypatch.setattr(pipeline, "gumbel_noise", spy)
+    pipeline.train_sampler(TINY, train, tmp_path)
+    items = TINY.sampler_epochs * len(train)
+    assert len(draws) == 2 * items
+    assert set(draws) == {(TINY.s_points, TINY.n_centers)}
 
 
 def test_train_sampler_rejects_empty_mask(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from micas import sampler as sampler_mod
 from micas.autodiff import ParamStore, Tape
 from micas.sampler import (
     WEIGHT_FLOOR,
@@ -181,12 +182,29 @@ def test_sample_shapes_and_joint_projection():
     p_out = rng.uniform(size=(16, 3))
     res = sample(store, CFG, q, p_in, p_out, tau=0.5, rng=rng)
     assert res.soft_query.shape == (20, CFG.n_centers)
-    assert res.soft_prompt.shape == (16, CFG.n_centers)
     assert res.centers_query.shape == (CFG.n_centers, 3)
+    assert res.task_feature.shape == (CFG.d1,)
     assert np.abs(res.soft_query.value.sum(axis=0) - 1.0).max() < 1e-12
-    assert np.abs(res.soft_prompt.value.sum(axis=0) - 1.0).max() < 1e-12
     # the reported centers are exactly the soft projection of the inputs
     assert np.abs(res.centers_query.value - res.soft_query.value.T @ q).max() < 1e-15
+
+
+def test_sample_encodes_only_the_query_cloud(monkeypatch):
+    # the prompt enters through the task feature alone; its points are never sampled
+    encoded = []
+
+    def spy(tape, store, pts):
+        encoded.append(np.array(pts))
+        return encode_points(tape, store, pts)
+
+    monkeypatch.setattr(sampler_mod, "encode_points", spy)
+    rng = np.random.default_rng(14)
+    store = small_store(6)
+    q, p_in, p_out = (rng.uniform(size=(s, 3)) for s in (20, 16, 16))
+    sample(store, CFG, q, p_in, p_out, tau=0.5, rng=rng)
+    sample_inference(store, CFG, q, p_in, p_out)
+    assert len(encoded) == 2
+    assert all(np.array_equal(pts, q) for pts in encoded)
 
 
 def test_sample_inference_is_deterministic():
@@ -199,8 +217,7 @@ def test_sample_inference_is_deterministic():
     b = sample_inference(store, CFG, q, p_in, p_out)
     assert np.array_equal(a.soft_query.value, b.soft_query.value)
     assert a.tau == CFG.tau_end
-    frozen = sample(store, CFG, q, p_in, p_out, CFG.tau_end,
-                    noise=(np.zeros((12, CFG.n_centers)), np.zeros((12, CFG.n_centers))))
+    frozen = sample(store, CFG, q, p_in, p_out, CFG.tau_end, noise=np.zeros((12, CFG.n_centers)))
     assert np.array_equal(a.soft_query.value, frozen.soft_query.value)
 
 
@@ -224,10 +241,9 @@ def test_point_permutation_permutes_soft_rows():
     p_in = rng.uniform(size=(14, 3))
     p_out = rng.uniform(size=(14, 3))
     noise_q = gumbel_noise(rng, (14, CFG.n_centers))
-    noise_p = np.zeros((14, CFG.n_centers))
-    res = sample(store, CFG, q, p_in, p_out, 0.4, noise=(noise_q, noise_p))
+    res = sample(store, CFG, q, p_in, p_out, 0.4, noise=noise_q)
     perm = rng.permutation(14)
-    res_perm = sample(store, CFG, q[perm], p_in, p_out, 0.4, noise=(noise_q[perm], noise_p))
+    res_perm = sample(store, CFG, q[perm], p_in, p_out, 0.4, noise=noise_q[perm])
     assert np.abs(res.soft_query.value[perm] - res_perm.soft_query.value).max() < 1e-9
     assert np.abs(res.centers_query.value - res_perm.centers_query.value).max() < 1e-9
 
@@ -235,14 +251,14 @@ def test_point_permutation_permutes_soft_rows():
 def test_sampling_loss_composition():
     rng = np.random.default_rng(13)
     tape = Tape()
-    preds = [tape.const(rng.uniform(size=(5, 3))) for _ in range(3)]
+    preds = tape.const(rng.uniform(size=(3, 5, 3)))
     targets = rng.uniform(size=(3, 5, 3))
     centers = tape.const(rng.uniform(size=(4, 3)))
     cloud = rng.uniform(size=(20, 3))
     from micas.geometry import chamfer_distance
 
     loss = sampling_loss(tape, preds, targets, centers, cloud, alpha=0.5)
-    manual = np.mean([chamfer_distance(preds[i].value, targets[i]) for i in range(3)])
+    manual = np.mean([chamfer_distance(preds.value[i], targets[i]) for i in range(3)])
     manual += 0.5 * chamfer_distance(centers.value, cloud)
     assert loss.value == pytest.approx(manual, rel=1e-12)
     with pytest.raises(ValueError):

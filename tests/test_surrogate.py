@@ -75,10 +75,9 @@ def test_zero_parameters_predict_center_copies():
     centers = tape.const(np.random.default_rng(4).uniform(size=(3, 3)))
     task = tape.const(np.zeros(CFG.d1))
     preds = surrogate_predict(tape, store, CFG, task, centers, np.zeros(3))
-    assert len(preds) == 3
-    for i, node in enumerate(preds):
-        assert node.shape == (CFG.m_neighbors, 3)
-        assert np.abs(node.value - centers.value[i]).max() == 0.0
+    assert preds.shape == (3, CFG.m_neighbors, 3)
+    for i in range(3):
+        assert np.abs(preds.value[i] - centers.value[i]).max() == 0.0
 
 
 def test_zero_parameter_translation_equivariance():
@@ -93,8 +92,8 @@ def test_zero_parameter_translation_equivariance():
     a = surrogate_predict(tape, store, CFG, tape.const(task), tape.const(base), np.zeros(3))
     tape = Tape()
     b = surrogate_predict(tape, store, CFG, tape.const(task), tape.const(base + shift), np.zeros(3))
-    for pa, pb in zip(a, b):
-        assert np.abs((pa.value + shift) - pb.value).max() < 1e-15
+    assert a.shape == b.shape == (4, CFG.m_neighbors, 3)
+    assert np.abs((a.value + shift) - b.value).max() < 1e-15
 
 
 def test_predictions_stay_within_offset_span():
@@ -106,8 +105,9 @@ def test_predictions_stay_within_offset_span():
     centers = tape.const(rng.uniform(size=(5, 3)))
     task = tape.const(rng.normal(size=CFG.d1))
     preds = surrogate_predict(tape, store, CFG, task, centers, rng.uniform(size=3))
-    for i, node in enumerate(preds):
-        assert np.abs(node.value - centers.value[i]).max() <= OFFSET_SPAN + 1e-12
+    assert preds.shape == (5, CFG.m_neighbors, 3)
+    for i in range(5):
+        assert np.abs(preds.value[i] - centers.value[i]).max() <= OFFSET_SPAN + 1e-12
 
 
 def test_surrogate_gradient_reaches_centers():
@@ -123,8 +123,7 @@ def test_surrogate_gradient_reaches_centers():
         tape = Tape()
         preds = surrogate_predict(tape, store, CFG, tape.const(task_vec),
                                   tape.param(p, "centers"), ctx)
-        per = [tape.chamfer(node, tape.const(target[i])) for i, node in enumerate(preds)]
-        tape.mean_all(tape.stack_scalars(per))
+        tape.mean_all(tape.chamfer_patches(preds, target))
         return tape
 
     assert finite_diff_check(loss_fn, probe) <= 1e-3

@@ -261,6 +261,24 @@ def test_dataset_format_errors(tmp_path):
     (tmp_path / "task").write_bytes(bytes(bad_task))
     with pytest.raises(FormatError):
         load_dataset(tmp_path / "task")
+    # corrupt second record: a level byte out of [1, 5], or an input and a
+    # target of different point counts
+    second = len(blob)  # the one-record file ends where a second record would start
+    save_dataset([gen_pair("denoising", 2, 16, 3), gen_pair("partseg", 1, 16, 4)], path)
+    blob = path.read_bytes()
+    assert blob[second + 1] == 1
+    for level in (0, 9):
+        bad_level = bytearray(blob)
+        bad_level[second + 1] = level
+        (tmp_path / "level").write_bytes(bytes(bad_level))
+        with pytest.raises(FormatError, match="record 1"):
+            load_dataset(tmp_path / "level")
+    short_target = gen_pair("partseg", 1, 16, 4)
+    short_target.target.points = short_target.target.points[:15]
+    short_target.target.labels = short_target.target.labels[:15]
+    save_dataset([gen_pair("denoising", 2, 16, 3), short_target], tmp_path / "counts")
+    with pytest.raises(FormatError, match="record 1"):
+        load_dataset(tmp_path / "counts")
 
 
 def test_prompt_bank_grouping_and_errors():
