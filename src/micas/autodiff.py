@@ -228,17 +228,29 @@ class Tape:
         return self._push(y, (a,), (vjp,))
 
     def maxpool_rows(self, a: Node) -> Node:
-        """Column-wise max over rows of an (R, C) matrix, yielding (C,)."""
+        """Column-wise max over rows of an (R, C) matrix, yielding (C,).
+
+        The one-block case of maxpool_segments, with the same gradient.
+        """
         if a.value.ndim != 2:
             raise ValueError("maxpool_rows expects a matrix")
-        idx = np.argmax(a.value, axis=0)  # first maximizer = lowest row on ties
+        return self._push(a.value.max(axis=0), (a,), (_block_max_vjp(a, np.zeros(1, dtype=np.int64)),))
 
-        def vjp(g):
-            z = np.zeros_like(a.value)
-            z[idx, np.arange(a.value.shape[1])] = g
-            return z
+    def maxpool_segments(self, a: Node, starts) -> Node:
+        """Column-wise max over each block of consecutive rows, yielding (B, C).
 
-        return self._push(a.value.max(axis=0), (a,), (vjp,))
+        starts holds the B block offsets into the rows of an (R, C)
+        matrix: block b spans rows starts[b] up to starts[b + 1], the last
+        one up to R. The blocks must cover every row, so starts begins at
+        0, strictly increases and stays below R. The gradient of each
+        block's column goes to its first maximizer, the lowest row on ties.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        if a.value.ndim != 2 or starts.ndim != 1:
+            raise ValueError("maxpool_segments expects a matrix and 1-D block starts")
+        if not len(starts) or starts[0] != 0 or (np.diff(starts) <= 0).any() or starts[-1] >= a.shape[0]:
+            raise ValueError("block starts must begin at 0, strictly increase and lie below the row count")
+        return self._push(np.maximum.reduceat(a.value, starts, axis=0), (a,), (_block_max_vjp(a, starts),))
 
     def maximum(self, nodes) -> Node:
         """Elementwise max of same-shaped nodes; on exact ties the earliest wins."""
@@ -347,6 +359,23 @@ class Tape:
         for n in self.nodes:
             if n.param is not None and n.grad is not None:
                 n.param.grad += n.grad
+
+
+def _block_max_vjp(a: Node, starts: np.ndarray):
+    """Gradient of a column-wise max over the row blocks of `a` that begin at `starts`.
+
+    Each block's column gets its output gradient at its first maximizer,
+    the lowest row of the block on ties; every other entry gets zero.
+    """
+
+    def vjp(g):
+        ends = np.append(starts[1:], a.shape[0])
+        rows = np.stack([s + np.argmax(a.value[s:e], axis=0) for s, e in zip(starts, ends)])
+        z = np.zeros_like(a.value)
+        z[rows, np.arange(a.value.shape[1])] = g.reshape(rows.shape)
+        return z
+
+    return vjp
 
 
 # ---- layers ----

@@ -72,8 +72,11 @@ class RunConfig:
         for lr0, lr_min in ((self.sampler_lr0, self.sampler_lr_min), (self.ranker_lr0, self.ranker_lr_min)):
             if not (lr0 >= lr_min > 0.0):
                 raise ConfigurationError("learning rates must satisfy lr0 >= lr_min > 0")
-        if self.k_candidates > self.train_per_cell * 5:
-            raise ConfigurationError("k_candidates exceeds the per-task prompt pool")
+        # a training query's pool is its task's 5 * train_per_cell pairs less the query itself
+        if self.k_candidates > self.train_per_cell * 5 - 1:
+            raise ConfigurationError(
+                f"k_candidates must be at most train_per_cell * 5 - 1 = {self.train_per_cell * 5 - 1}, "
+                f"the prompts a training query can draw from; got {self.k_candidates}")
 
 
 def desk_profile(**overrides) -> RunConfig:

@@ -13,7 +13,12 @@ what is being matched:
   index;
 * clouds, one (n, 3) set against another (chamfer_nearest): a cKDTree
   per direction; exact ties go to an index attaining the minimum, not
-  necessarily the lowest one.
+  necessarily the lowest one;
+* a stack of clouds against one shared cloud, a (D, S, 3) stack against
+  an (n, 3) set (chamfer_distance_stack): one cKDTree for the shared
+  side, queried with the points of every set in one call, and one tree
+  per set for the reverse direction, so each value equals
+  chamfer_distance's bit for bit.
 
 The two trees of a cloud query cost about as much as brute force at
 16 x 256 points and three to four times more at 16 x 16, while brute
@@ -181,6 +186,20 @@ def chamfer_distance(a, b) -> float:
     """
     d2_ab, _, d2_ba, _ = chamfer_nearest(a, b)
     return float(d2_ab.mean() + d2_ba.mean())
+
+
+def chamfer_distance_stack(stack, b) -> np.ndarray:
+    """chamfer_distance of every set of a (D, S, 3) stack against one set b.
+
+    Returns the D divergences. The tree over b is built once and queried
+    with all D * S points in one call; the b-to-set direction keeps one
+    tree per set. Entry d equals chamfer_distance(stack[d], b) bit for bit.
+    """
+    pa, pb = _as_patch_stack(stack), as_points(b)
+    d_ab, _ = cKDTree(pb).query(pa.reshape(-1, 3))
+    d2_ab = (d_ab**2).reshape(pa.shape[:2])
+    d2_ba = np.stack([cKDTree(pts).query(pb)[0] ** 2 for pts in pa])
+    return d2_ab.mean(axis=1) + d2_ba.mean(axis=1)
 
 
 def fps_select(cloud, n: int, seed_index: int = 0) -> np.ndarray:

@@ -246,12 +246,14 @@ def pseudo_label_raw(oracle: OracleModel, query: TaskPair, prompt: TaskPair, rng
 
     Centers and the oracle's sigma depend on (query, prompt) but not on
     the draw, so both are computed once per label: one oracle_predict call
-    returns all `draws` noisy predictions.
+    returns all `draws` noisy predictions as one stack, and one
+    raw_performance call scores it. Every draw is scored against the same
+    query target, so a Chamfer task builds that target's tree once.
     """
     centers = oracle.centers_fn(query.input.points, prompt)
     preds = oracle_predict(query.input.points, query.target.points, prompt.input.points,
                            centers, rng, draws)
-    return float(np.mean([raw_performance(query.task, pred, query) for pred in preds]))
+    return float(np.mean(raw_performance(query.task, preds, query)))
 
 
 @dataclass
@@ -432,8 +434,8 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
             picked_indices = geometry.fps_select(query.input.points, cfg.n_centers)
             centers = query.input.points[picked_indices]
         predicted = oracle_predict(query.input.points, query.target.points,
-                                   prompt.input.points, centers, rng)[0]
-        raw = raw_performance(query.task, predicted, query)
+                                   prompt.input.points, centers, rng)
+        raw = float(raw_performance(query.task, predicted, query)[0])
         row = {
             "task": query.task,
             "level": query.level,

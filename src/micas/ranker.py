@@ -84,47 +84,58 @@ def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, query_pts, p
     """Scalar affinity of each (prompt input, prompt output) pair for one query.
 
     Points pass through a shared per-point stack with an additive learned
-    embedding per segment tag, a row max-pool collapses them, and a small
-    head maps the pooled descriptor to one score. Each of the three
-    clouds runs through the point stack on its own, and the query's
-    pooled features are computed once and shared by every prompt. Pooling
-    over the three clouds equals a max-pool over their fused rows, with
-    ties going to the query, then the prompt input, then the prompt
-    output. The head runs per prompt, so a prompt's score does not depend
-    on the others. Permuting points within a cloud cannot change a score;
-    all-zero parameters score 0.
+    embedding per segment tag, a row max-pool collapses each cloud, and a
+    small head maps the pooled descriptor to one score. Each of the
+    2K + 1 clouds (the query, then every prompt's input and output) runs
+    through the point stack on its own, so the query's pooled features
+    are computed once and shared by every prompt. One elementwise maximum
+    over the query's, the inputs' and the outputs' pooled rows gives all
+    K joint descriptors; that equals a max-pool over each prompt's fused
+    rows, with ties going to the query, then the prompt input, then the
+    prompt output. The head runs on each joint row alone, so a prompt's
+    score does not depend on the others. Permuting points within a cloud
+    cannot change a score; all-zero parameters score 0.
 
     A max-pool's gradient reaches only each column's argmax row, so a
-    recording tape records only those rows. Each cloud first runs through
-    the point stack on a values-only tape; the rows that are the first
-    maximizer of some column are kept in ascending order and run again on
-    the recording tape. The pooled values are the same maxima and ties go
-    to the same rows as in a full-cloud pass, but backward touches a few
-    dozen rows instead of all of them. A non-recording tape runs each
-    cloud once.
+    recording tape records only those rows. Every cloud first runs
+    through the point stack on a values-only tape, one block at a time;
+    the rows that are the first maximizer of some column are kept in
+    ascending order and the block is dropped. The kept rows of all clouds
+    then run through the point stack as one recorded chain, each row
+    tagged with its cloud's segment, and one segment max-pool gives the
+    (2K + 1, width) pooled rows. They are the same maxima, and ties go
+    to the same rows, as in a full-cloud pass, but backward touches a
+    few hundred rows instead of every point. A non-recording tape pools
+    each block straight from its one pass.
     """
 
-    def point_features(t: Tape, tags: Node, pts, segment) -> Node:
-        tag = t.reshape(t.gather_rows(tags, [segment]), (cfg.width,))
-        h = t.add_row(autodiff.affine(t, store, "score.l0", t.const(pts)), tag)
+    def point_stack(t: Tape, pts, tag_rows: Node) -> Node:
+        h = t.add(autodiff.affine(t, store, "score.l0", t.const(pts)), tag_rows)
         return t.relu(autodiff.affine(t, store, "score.l1", t.relu(h)))
 
-    tags = tape.param(store, "score.tags")
-    values_only = Tape(record=False)
-    values_tags = values_only.param(store, "score.tags")
-
-    def pooled(pts, segment) -> Node:
-        if tape.record:
-            full = point_features(values_only, values_tags, pts, segment).value
-            pts = pts[np.unique(np.argmax(full, axis=0))]
-        return tape.maxpool_rows(point_features(tape, tags, pts, segment))
-
-    query = pooled(query_pts, SEGMENT_QUERY)
+    clouds = [query_pts] + [pts for pair in prompts for pts in pair]
+    segments = np.array([SEGMENT_QUERY] + [SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT] * len(prompts))
+    values_only = Tape(record=False) if tape.record else tape
+    tags = store["score.tags"].value
+    kept = []  # per cloud: its argmax rows on a recording tape, else its pooled row
+    for pts, segment in zip(clouds, segments):
+        tag_rows = values_only.const(np.broadcast_to(tags[segment], (len(pts), cfg.width)))
+        block = point_stack(values_only, pts, tag_rows)
+        kept.append(np.unique(np.argmax(block.value, axis=0)) if tape.record else block.value.max(axis=0))
+    if tape.record:
+        counts = [len(rows) for rows in kept]
+        row_segments = np.repeat(segments, counts)
+        chain = point_stack(tape, np.vstack([pts[rows] for pts, rows in zip(clouds, kept)]),
+                            tape.gather_rows(tape.param(store, "score.tags"), row_segments))
+        pooled = tape.maxpool_segments(chain, np.cumsum([0] + counts[:-1]))
+    else:
+        pooled = tape.const(np.stack(kept))
+    k = np.arange(len(prompts))
+    joint = tape.maximum([tape.gather_rows(pooled, np.zeros_like(k)), tape.gather_rows(pooled, 1 + 2 * k),
+                          tape.gather_rows(pooled, 2 + 2 * k)])
     scores = []
-    for prompt_in_pts, prompt_out_pts in prompts:
-        joint = tape.maximum([query, pooled(prompt_in_pts, SEGMENT_PROMPT_IN),
-                              pooled(prompt_out_pts, SEGMENT_PROMPT_OUT)])
-        head = tape.relu(autodiff.affine(tape, store, "score.h0", tape.reshape(joint, (1, cfg.width))))
+    for i in k:
+        head = tape.relu(autodiff.affine(tape, store, "score.h0", tape.gather_rows(joint, [i])))
         scores.append(tape.reshape(autodiff.affine(tape, store, "score.h1", head), ()))
     return scores
 
@@ -169,15 +180,18 @@ def listwise_rank_loss(tape: Tape, score_nodes, labels) -> Node:
     return tape.weighted_sum(tape.softplus(diffs), coeff)
 
 
-def raw_performance(task: str, predicted_pts, query: TaskPair) -> float:
-    """Task-native quality of a predicted cloud against the ground truth."""
+def raw_performance(task: str, predicted_stack, query: TaskPair) -> np.ndarray:
+    """Task-native quality of each predicted cloud of a (D, S, 3) stack, as D values."""
+    stack = np.asarray(predicted_stack, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ValueError(f"expected a (D, S, 3) stack of predicted clouds, got shape {stack.shape}")
     if task == "partseg":
         if query.target.labels is None:
             raise ValueError("partseg query carries no part labels")
         num_parts = int(query.target.labels.max()) + 1
-        decoded = decode_part_labels(predicted_pts, num_parts)
-        return geometry.miou(decoded, query.target.labels, num_parts)
-    return geometry.chamfer_distance(predicted_pts, query.target.points)
+        return np.array([geometry.miou(decode_part_labels(pred, num_parts), query.target.labels, num_parts)
+                         for pred in stack])
+    return geometry.chamfer_distance_stack(stack, query.target.points)
 
 
 class TaskNormalizer:

@@ -133,6 +133,51 @@ def test_grad_softmax_and_maxpool():
     check(loss_max, store)
 
 
+def test_maxpool_segments_equals_per_block_maxpool_rows():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(11, 4))
+    x[5] = x[4]  # a tie inside block [3, 7)
+    starts = [0, 3, 7, 10]
+    t = Tape()
+    pooled = t.maxpool_segments(t.const(x), starts)
+    assert pooled.shape == (4, 4)
+    for b, (lo, hi) in enumerate(zip(starts, starts[1:] + [11])):
+        assert np.array_equal(pooled.value[b], t.maxpool_rows(t.const(x[lo:hi])).value)
+
+
+def test_maxpool_segments_ties_go_to_the_lowest_row_of_each_block():
+    store = ParamStore()
+    store.add("x", np.array([[1.0, 2.0], [3.0, 2.0], [3.0, 0.0],   # block 0: ties in both columns
+                             [5.0, 5.0], [5.0, 5.0]]))            # block 1: a duplicated row
+    t = Tape()
+    t.weighted_sum(t.maxpool_segments(t.param(store, "x"), [0, 3]), [[1.0, 2.0], [3.0, 4.0]])
+    t.backward()
+    assert np.array_equal(t.nodes[1].value, [[3.0, 2.0], [5.0, 5.0]])
+    assert np.array_equal(store["x"].grad, [[0.0, 2.0], [1.0, 0.0], [0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
+
+
+def test_grad_maxpool_segments():
+    store = fd_store({"x": (9, 3)}, 13)
+
+    def loss(s):
+        t = Tape()
+        pooled = t.maxpool_segments(t.param(s, "x"), [0, 2, 6])
+        t.weighted_sum(t.tanh(pooled), np.random.default_rng(14).normal(size=(3, 3)))
+        return t
+
+    check(loss, store)
+
+
+def test_maxpool_segments_rejects_bad_block_starts():
+    t = Tape()
+    a = t.const(np.zeros((5, 2)))
+    for starts in ([], [1, 3], [0, 3, 3], [0, 3, 2], [0, 5], [0, -1], [[0, 2]]):
+        with pytest.raises(ValueError):
+            t.maxpool_segments(a, starts)
+    with pytest.raises(ValueError):
+        t.maxpool_segments(t.const(np.zeros(5)), [0])
+
+
 def test_grad_stack_scalars():
     store = fd_store({"x": (3, 3)}, 5)
 

@@ -8,6 +8,7 @@ from micas.geometry import (
     PatchSet,
     PointCloud,
     chamfer_distance,
+    chamfer_distance_stack,
     chamfer_nearest,
     chamfer_nearest_patches,
     cloud_from_buffer,
@@ -119,6 +120,35 @@ def test_chamfer_nearest_patches_rejects_bad_shapes():
                  (good, np.full((2, 4, 3), np.nan))):
         with pytest.raises(ValueError):
             chamfer_nearest_patches(a, b)
+
+
+def test_chamfer_distance_stack_equals_chamfer_distance_per_set():
+    rng = np.random.default_rng(6)
+    target = rng.uniform(size=(40, 3))
+    doubled = np.tile(target[:20], (2, 1))  # every point twice
+    stacks = [
+        (rng.uniform(size=(5, 30, 3)), target),
+        (np.stack([doubled, doubled[::-1], target + 0.01]), target),  # duplicated points
+        (np.stack([target, target[rng.permutation(40)]]), doubled),
+        (rng.uniform(size=(4, 1, 3)), target),  # single-point sets
+        (rng.uniform(size=(3, 25, 3)), target[:1]),  # a single-point shared set
+        (np.full((2, 1, 3), 0.5), np.full((1, 3), 0.5)),
+    ]
+    for stack, b in stacks:
+        values = chamfer_distance_stack(stack, b)
+        assert values.shape == (len(stack),)
+        for d, pts in enumerate(stack):
+            assert values[d] == chamfer_distance(pts, b)
+
+
+def test_chamfer_distance_stack_rejects_bad_shapes():
+    for stack, b in ((np.zeros((0, 4, 3)), np.zeros((4, 3))),  # no sets
+                     (np.zeros((2, 0, 3)), np.zeros((4, 3))),  # empty sets
+                     (np.zeros((4, 3)), np.zeros((4, 3))),  # a cloud, not a stack
+                     (np.zeros((2, 4, 3)), np.zeros((0, 3))),
+                     (np.full((2, 4, 3), np.nan), np.zeros((4, 3)))):
+        with pytest.raises(ValueError):
+            chamfer_distance_stack(stack, b)
 
 
 def test_fps_each_pick_maximizes_min_distance():

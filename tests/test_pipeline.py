@@ -206,6 +206,16 @@ def test_ranker_requires_sampler_checkpoint(tmp_path):
         pipeline.train_ranker(TINY, train, tmp_path / "missing.micasnn", tmp_path)
 
 
+def test_k_candidates_bounded_by_a_training_querys_pool(tiny_run, tmp_path):
+    # a training query draws from its task's 5 * train_per_cell pairs less itself
+    pool = 5 * TINY.train_per_cell - 1
+    with pytest.raises(ConfigurationError, match="k_candidates"):
+        replace(TINY, k_candidates=pool + 1)
+    cfg = replace(TINY, k_candidates=pool)
+    ranked = pipeline.train_ranker(cfg, tiny_run.train, tiny_run.trained.sampler_path, tmp_path)
+    assert len(load_label_cache(ranked.labels_path)) == len(tiny_run.train) * pool
+
+
 def test_ranker_training_artifacts_and_hash_contract(tiny_run):
     art = tiny_run.work / "artifacts"
     assert tiny_run.ranked.ranker_path == art / "ranker.micasnn"
@@ -281,8 +291,8 @@ def test_pseudo_label_equals_loop_of_single_draws():
         centers = oracle.centers_fn(query.input.points, prompt)
         vals = [raw_performance(query.task,
                                 oracle_predict(query.input.points, query.target.points,
-                                               prompt.input.points, centers, ref_rng)[0],
-                                query) for _ in range(pipeline.LABEL_DRAWS)]
+                                               prompt.input.points, centers, ref_rng),
+                                query)[0] for _ in range(pipeline.LABEL_DRAWS)]
         assert pipeline.pseudo_label_raw(oracle, query, prompt, rng) == float(np.mean(vals))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 

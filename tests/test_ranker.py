@@ -28,7 +28,7 @@ from micas.ranker import (
     select_prompt,
 )
 from micas.sampler import SamplerConfig, save_sampler
-from micas.tasks import PromptBank, gen_pair
+from micas.tasks import TASKS, PromptBank, gen_pair
 
 CFG = RankerConfig(width=8, k_candidates=4)
 
@@ -183,17 +183,17 @@ def dense_scores(tape, store, cfg, q, prompts):
     return scores
 
 
-def spy_maxpools(tape):
-    """Record (rows in, pooled value) of every maxpool_rows call on `tape`."""
+def spy_pools(tape, method):
+    """Record (rows in, pooled value) of every call to the named max-pool method of `tape`."""
     pools = []
-    real = tape.maxpool_rows
+    real = getattr(tape, method)
 
-    def spy(a):
-        out = real(a)
+    def spy(a, *args):
+        out = real(a, *args)
         pools.append((a.shape[0], out.value))
         return out
 
-    tape.maxpool_rows = spy
+    setattr(tape, method, spy)
     return pools
 
 
@@ -214,13 +214,17 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
     for seed, (q, prompts) in enumerate(sparse_cases()):
         store = init_ranker_params(cfg, np.random.default_rng(50 + seed))
         sparse_tape, dense_tape = Tape(), Tape()
-        sparse_pools, dense_pools = spy_maxpools(sparse_tape), spy_maxpools(dense_tape)
+        sparse_pools = spy_pools(sparse_tape, "maxpool_segments")
+        dense_pools = spy_pools(dense_tape, "maxpool_rows")
         sparse = score_prompts(sparse_tape, store, cfg, q, prompts)
         dense = dense_scores(dense_tape, store, cfg, q, prompts)
-        assert len(sparse_pools) == len(dense_pools) == 1 + 2 * len(prompts)
-        for (rows, pooled), (full_rows, full) in zip(sparse_pools, dense_pools):
-            assert rows < full_rows
-            assert np.array_equal(pooled, full)
+        # one segment pool over the stacked chain, one full-block pool per cloud
+        assert len(sparse_pools) == 1 and len(dense_pools) == 1 + 2 * len(prompts)
+        rows, pooled = sparse_pools[0]
+        assert rows < sum(full_rows for full_rows, _ in dense_pools)
+        assert pooled.shape == (len(dense_pools), cfg.width)
+        for row, (_, full) in zip(pooled, dense_pools):
+            assert np.array_equal(row, full)
         assert [float(n.value) for n in sparse] == [float(n.value) for n in dense]
 
 
@@ -264,10 +268,10 @@ def test_recording_pass_feeds_only_argmax_rows_to_first_layer():
 
             tape.matmul = spy
             score_prompts(tape, store, cfg, q, prompts)
-            assert len(fed) == len(clouds)
-            if record:
-                assert all(n <= d for n, d in zip(fed, distinct)), (fed, distinct)
-            else:  # inference keeps the full-cloud pass
+            if record:  # one chain over the kept rows of every cloud
+                assert len(fed) == 1
+                assert len(clouds) <= fed[0] <= sum(distinct), (fed, distinct)
+            else:  # inference runs each full cloud exactly once
                 assert fed == [len(pts) for pts, _ in clouds]
 
 
@@ -354,13 +358,30 @@ def test_ranking_loss_gradient():
 def test_raw_performance_paths():
     query = gen_pair("denoising", 2, 20, 12)
     pred = query.target.points + 0.01
-    assert raw_performance("denoising", pred, query) == pytest.approx(
+    assert raw_performance("denoising", pred[None], query)[0] == pytest.approx(
         chamfer_distance(pred, query.target.points), rel=1e-15)
     seg = gen_pair("partseg", 3, 20, 13)
-    assert raw_performance("partseg", seg.target.points, seg) == pytest.approx(1.0, abs=1e-12)
+    assert raw_performance("partseg", seg.target.points[None], seg)[0] == pytest.approx(1.0, abs=1e-12)
     no_labels = gen_pair("denoising", 1, 8, 14)
     with pytest.raises(ValueError):
-        raw_performance("partseg", no_labels.target.points, no_labels)
+        raw_performance("partseg", no_labels.target.points[None], no_labels)
+    with pytest.raises(ValueError):  # one cloud, not a stack
+        raw_performance("denoising", pred, query)
+
+
+def test_raw_performance_of_a_stack_equals_its_per_draw_values():
+    rng = np.random.default_rng(15)
+    for i, task in enumerate(TASKS):
+        query = gen_pair(task, 1 + i, 32, 400 + i)
+        stack = query.target.points + rng.normal(0.0, 0.05, size=(5, 32, 3))
+        stack[3] = stack[2]  # a repeated draw
+        values = raw_performance(task, stack, query)
+        assert values.shape == (5,)
+        for d in range(5):
+            one = raw_performance(task, stack[d : d + 1], query)
+            assert one.shape == (1,) and values[d] == one[0], task
+            if task != "partseg":
+                assert values[d] == chamfer_distance(stack[d], query.target.points), task
 
 
 def test_normalizer_orientation_and_clamping():
