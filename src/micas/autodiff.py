@@ -536,7 +536,22 @@ def load_params(path) -> ParamStore:
             raise FormatError("truncated checkpoint payload")
         value = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
         offset += 8 * n
+        if not np.isfinite(value).all():
+            raise FormatError(f"checkpoint parameter {name!r} holds a non-finite value")
         store.add(name, value)
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} unexpected trailing bytes")
     return store
+
+
+def check_layout(store: ParamStore, reference: ParamStore) -> None:
+    """Raise FormatError at the first parameter whose name or shape differs from `reference`'s."""
+    for name, p in reference.items():
+        if name not in store:
+            raise FormatError(f"checkpoint lacks parameter {name!r}")
+        if store[name].value.shape != p.value.shape:
+            raise FormatError(f"checkpoint parameter {name!r} has shape {store[name].value.shape}, "
+                              f"expected {p.value.shape}")
+    extra = [name for name in store.names() if name not in reference]
+    if extra:
+        raise FormatError(f"checkpoint holds unexpected parameter {extra[0]!r}")

@@ -30,19 +30,21 @@ from .ranker import (
     listwise_rank_loss,
     load_label_cache,
     load_ranker,
+    pool_prompt,
     raw_performance,
     save_label_cache,
     save_ranker,
     score_prompts,
-    select_prompt,
+    select_pooled,
 )
 from .sampler import (
     SamplerConfig,
+    encode_task,
     gumbel_noise,
+    infer_from_task,
     init_sampler_params,
     load_sampler,
     sample,
-    sample_inference,
     sampling_loss,
     save_sampler,
     tau_for_epoch,
@@ -412,21 +414,33 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
         raise ConfigurationError("ranked prompting requested but no ranker checkpoint given")
     bank = PromptBank.from_pairs(train_pairs)
     started = time.time()
+    # The prompt side of ranking and sampling depends only on the frozen
+    # checkpoints and the prompt, so a bank prompt is pooled by the ranker
+    # when a query first draws it, encoded by the sampler when a query
+    # first picks it, and reused for every later query in this call.
+    prompt_rows: dict[tuple[str, int], np.ndarray] = {}
+    task_features: dict[tuple[str, int], np.ndarray] = {}
 
     def eval_one(query_id, query):
         rng = np.random.default_rng(np.uint64(cfg.seed) ^ np.uint64(query_id))
         cands = build_candidate_pool(bank, query.task, cfg.k_candidates, rng)
+        keys = [(query.task, int(i)) for i in cands.indices]
         if prompt_variant == "ranked":
             store, r_cfg, _ = ranker_art
-            pick = select_prompt(store, r_cfg, query.input.points, cands)
+            for key, prompt in zip(keys, cands.prompts):
+                if key not in prompt_rows:
+                    prompt_rows[key] = pool_prompt(store, r_cfg, prompt)
+            pick = select_pooled(store, r_cfg, query.input.points, [prompt_rows[key] for key in keys], cands)
         else:
             pick = int(rng.integers(len(cands.prompts)))
         prompt = cands.prompts[pick]
         soft = None
         if sampler_variant == "adaptive":
             store, s_cfg = sampler_art
-            res = sample_inference(store, s_cfg, query.input.points,
-                                   prompt.input.points, prompt.target.points)
+            if keys[pick] not in task_features:
+                task_features[keys[pick]] = encode_task(autodiff.Tape(record=False), store, prompt.input.points,
+                                                        prompt.target.points).value
+            res = infer_from_task(store, s_cfg, query.input.points, task_features[keys[pick]])
             centers = res.centers_query.value
             soft = res.soft_query.value
             picked_indices = None

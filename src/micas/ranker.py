@@ -80,21 +80,57 @@ def init_ranker_params(cfg: RankerConfig, rng) -> ParamStore:
     return store
 
 
+def _point_stack(t: Tape, store: ParamStore, pts, tag_rows: Node) -> Node:
+    h = t.add(autodiff.affine(t, store, "score.l0", t.const(pts)), tag_rows)
+    return t.relu(autodiff.affine(t, store, "score.l1", t.relu(h)))
+
+
+def _point_block(tape: Tape, store: ParamStore, cfg: RankerConfig, pts, segment: int) -> np.ndarray:
+    """The (S, width) point-stack output of one cloud under one segment tag."""
+    tag_rows = tape.const(np.broadcast_to(store["score.tags"].value[segment], (len(pts), cfg.width)))
+    return _point_stack(tape, store, pts, tag_rows).value
+
+
+def pool_cloud(tape: Tape, store: ParamStore, cfg: RankerConfig, pts, segment: int) -> np.ndarray:
+    """The pooled (width,) row of one cloud under one segment tag, on a tape that records no graph.
+
+    The row depends only on the parameters, the cloud and the tag, so a
+    prompt's input and output rows can be computed once and reused for
+    every query that ranks the prompt.
+    """
+    return _point_block(tape, store, cfg, pts, segment).max(axis=0)
+
+
+def score_head(tape: Tape, store: ParamStore, pooled: Node) -> list[Node]:
+    """Scores of K prompts from (2K + 1, width) pooled rows.
+
+    The rows are the query's, then each prompt's input and output in turn.
+    One elementwise maximum over the query's, the inputs' and the
+    outputs' rows gives all K joint descriptors; that equals a max-pool
+    over each prompt's fused rows, with ties going to the query, then the
+    prompt input, then the prompt output. The head runs on each joint row
+    alone, so a prompt's score does not depend on the others.
+    """
+    k = np.arange((pooled.shape[0] - 1) // 2)
+    joint = tape.maximum([tape.gather_rows(pooled, np.zeros_like(k)), tape.gather_rows(pooled, 1 + 2 * k),
+                          tape.gather_rows(pooled, 2 + 2 * k)])
+    scores = []
+    for i in k:
+        head = tape.relu(autodiff.affine(tape, store, "score.h0", tape.gather_rows(joint, [i])))
+        scores.append(tape.reshape(autodiff.affine(tape, store, "score.h1", head), ()))
+    return scores
+
+
 def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, query_pts, prompts) -> list[Node]:
     """Scalar affinity of each (prompt input, prompt output) pair for one query.
 
     Points pass through a shared per-point stack with an additive learned
-    embedding per segment tag, a row max-pool collapses each cloud, and a
-    small head maps the pooled descriptor to one score. Each of the
+    embedding per segment tag, a row max-pool collapses each cloud, and
+    `score_head` maps the pooled rows to one score per prompt. Each of the
     2K + 1 clouds (the query, then every prompt's input and output) runs
     through the point stack on its own, so the query's pooled features
-    are computed once and shared by every prompt. One elementwise maximum
-    over the query's, the inputs' and the outputs' pooled rows gives all
-    K joint descriptors; that equals a max-pool over each prompt's fused
-    rows, with ties going to the query, then the prompt input, then the
-    prompt output. The head runs on each joint row alone, so a prompt's
-    score does not depend on the others. Permuting points within a cloud
-    cannot change a score; all-zero parameters score 0.
+    are computed once and shared by every prompt. Permuting points within
+    a cloud cannot change a score; all-zero parameters score 0.
 
     A max-pool's gradient reaches only each column's argmax row, so a
     recording tape records only those rows. Every cloud first runs
@@ -106,38 +142,22 @@ def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, query_pts, p
     (2K + 1, width) pooled rows. They are the same maxima, and ties go
     to the same rows, as in a full-cloud pass, but backward touches a
     few hundred rows instead of every point. A non-recording tape pools
-    each block straight from its one pass.
+    each cloud with `pool_cloud`.
     """
-
-    def point_stack(t: Tape, pts, tag_rows: Node) -> Node:
-        h = t.add(autodiff.affine(t, store, "score.l0", t.const(pts)), tag_rows)
-        return t.relu(autodiff.affine(t, store, "score.l1", t.relu(h)))
-
     clouds = [query_pts] + [pts for pair in prompts for pts in pair]
     segments = np.array([SEGMENT_QUERY] + [SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT] * len(prompts))
-    values_only = Tape(record=False) if tape.record else tape
-    tags = store["score.tags"].value
-    kept = []  # per cloud: its argmax rows on a recording tape, else its pooled row
-    for pts, segment in zip(clouds, segments):
-        tag_rows = values_only.const(np.broadcast_to(tags[segment], (len(pts), cfg.width)))
-        block = point_stack(values_only, pts, tag_rows)
-        kept.append(np.unique(np.argmax(block.value, axis=0)) if tape.record else block.value.max(axis=0))
     if tape.record:
+        values_only = Tape(record=False)
+        kept = [np.unique(np.argmax(_point_block(values_only, store, cfg, pts, segment), axis=0))
+                for pts, segment in zip(clouds, segments)]
         counts = [len(rows) for rows in kept]
-        row_segments = np.repeat(segments, counts)
-        chain = point_stack(tape, np.vstack([pts[rows] for pts, rows in zip(clouds, kept)]),
-                            tape.gather_rows(tape.param(store, "score.tags"), row_segments))
+        chain = _point_stack(tape, store, np.vstack([pts[rows] for pts, rows in zip(clouds, kept)]),
+                             tape.gather_rows(tape.param(store, "score.tags"), np.repeat(segments, counts)))
         pooled = tape.maxpool_segments(chain, np.cumsum([0] + counts[:-1]))
     else:
-        pooled = tape.const(np.stack(kept))
-    k = np.arange(len(prompts))
-    joint = tape.maximum([tape.gather_rows(pooled, np.zeros_like(k)), tape.gather_rows(pooled, 1 + 2 * k),
-                          tape.gather_rows(pooled, 2 + 2 * k)])
-    scores = []
-    for i in k:
-        head = tape.relu(autodiff.affine(tape, store, "score.h0", tape.gather_rows(joint, [i])))
-        scores.append(tape.reshape(autodiff.affine(tape, store, "score.h1", head), ()))
-    return scores
+        pooled = tape.const(np.stack([pool_cloud(tape, store, cfg, pts, segment)
+                                      for pts, segment in zip(clouds, segments)]))
+    return score_head(tape, store, pooled)
 
 
 def predict_score(tape: Tape, store: ParamStore, cfg: RankerConfig, fused: FusedCloud) -> Node:
@@ -251,20 +271,28 @@ def build_candidate_pool(bank: PromptBank, task: str, k: int, rng, exclude: int 
     return CandidateSet([pool[i] for i in idx], idx)
 
 
-def score_candidates(store: ParamStore, cfg: RankerConfig, query_in_pts, candidates: CandidateSet) -> np.ndarray:
-    """Scores of every candidate for one query, computed without a graph."""
-    prompts = [(p.input.points, p.target.points) for p in candidates.prompts]
-    nodes = score_prompts(Tape(record=False), store, cfg, geometry.as_points(query_in_pts), prompts)
-    return np.array([float(n.value) for n in nodes])
+def pool_prompt(store: ParamStore, cfg: RankerConfig, prompt: TaskPair) -> np.ndarray:
+    """Pooled (2, width) input and output rows of one prompt pair, computed without a graph."""
+    tape = Tape(record=False)
+    return np.stack([pool_cloud(tape, store, cfg, prompt.input.points, SEGMENT_PROMPT_IN),
+                     pool_cloud(tape, store, cfg, prompt.target.points, SEGMENT_PROMPT_OUT)])
 
 
-def select_prompt(store: ParamStore, cfg: RankerConfig, query_in_pts, candidates: CandidateSet) -> int:
-    """Index of the highest-scoring candidate, lowest index on ties."""
+def select_pooled(store: ParamStore, cfg: RankerConfig, query_in_pts, prompt_rows, candidates: CandidateSet) -> int:
+    """Index of the highest-scoring candidate, lowest index on ties.
+
+    prompt_rows[i] is `pool_prompt` of the i-th candidate, so only the
+    query cloud runs through the point stack. The scores, stored on
+    `candidates`, equal those of `score_prompts` on a tape that records
+    no graph, bit for bit.
+    """
     if not candidates.prompts:
         raise ValueError("candidate set is empty")
-    scores = score_candidates(store, cfg, query_in_pts, candidates)
-    candidates.scores = scores
-    return int(np.argmax(scores))
+    tape = Tape(record=False)
+    query_row = pool_cloud(tape, store, cfg, geometry.as_points(query_in_pts), SEGMENT_QUERY)
+    pooled = np.vstack([query_row, np.reshape(prompt_rows, (-1, cfg.width))])
+    candidates.scores = np.array([float(n.value) for n in score_head(tape, store, tape.const(pooled))])
+    return int(np.argmax(candidates.scores))
 
 
 def save_label_cache(entries: dict[tuple[int, int], float], path) -> None:
@@ -305,10 +333,12 @@ def save_ranker(store: ParamStore, cfg: RankerConfig, normalizer: TaskNormalizer
 
 
 def load_ranker(path) -> tuple[ParamStore, RankerConfig, TaskNormalizer]:
+    """Read a ranker checkpoint; its parameters must match the sidecar's architecture."""
     store = autodiff.load_params(path)
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     if meta.get("kind") != "ranker":
         raise ValueError(f"checkpoint sidecar is not a ranker description: {meta.get('kind')!r}")
     cfg = RankerConfig(width=meta["width"], k_candidates=meta["k_candidates"])
+    autodiff.check_layout(store, init_ranker_params(cfg, np.random.default_rng(0)))
     return store, cfg, TaskNormalizer.from_dict(meta["normalizer"])

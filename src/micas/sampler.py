@@ -152,13 +152,23 @@ def sample(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in_pts, prom
            tau: float, rng=None, noise=None, tape: Tape | None = None) -> SampleResult:
     """Run the sampler on a query cloud conditioned on one prompt pair.
 
-    rng drives the Gumbel perturbation; passing `noise`, the query's
-    (S, N) array, freezes it instead, and passing neither zeroes it,
-    which is the inference mode. All intermediate nodes share one tape
-    so a downstream loss can differentiate the whole pass.
+    encode_task summarizes the pair, then `sample_from_task` samples the
+    query. All intermediate nodes share one tape so a downstream loss can
+    differentiate the whole pass.
     """
     tape = tape if tape is not None else Tape()
-    task = encode_task(tape, store, prompt_in_pts, prompt_out_pts)
+    return sample_from_task(tape, store, query_pts, encode_task(tape, store, prompt_in_pts, prompt_out_pts),
+                            tau, rng, noise)
+
+
+def sample_from_task(tape: Tape, store: ParamStore, query_pts, task: Node, tau: float, rng=None,
+                     noise=None) -> SampleResult:
+    """Sample a query cloud given its prompt pair's task feature, a (d1,) node on `tape`.
+
+    rng drives the Gumbel perturbation; passing `noise`, the query's
+    (S, N) array, freezes it instead, and passing neither zeroes it,
+    which is the inference mode.
+    """
     pts = np.asarray(query_pts, dtype=np.float64)
     weights = sampling_weights(tape, store, enhance(tape, task, encode_points(tape, store, pts)))
     if noise is not None:
@@ -171,13 +181,22 @@ def sample(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in_pts, prom
     return SampleResult(tape, task, soft, project_centers(tape, soft, pts), tau)
 
 
-def sample_inference(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in_pts, prompt_out_pts) -> SampleResult:
-    """Deterministic sampling at the final temperature with zero noise.
+def infer_from_task(store: ParamStore, cfg: SamplerConfig, query_pts, task_feature) -> SampleResult:
+    """Deterministic sampling at the final temperature with zero noise, from a (d1,) task feature.
 
-    The pass records no graph, so its result cannot be differentiated.
+    A prompt pair's feature depends only on the parameters and the pair,
+    so it can be encoded once and reused for every query sampled with
+    that pair. The pass records no graph, so its result cannot be
+    differentiated.
     """
-    return sample(store, cfg, query_pts, prompt_in_pts, prompt_out_pts, cfg.tau_end, rng=None,
-                  tape=Tape(record=False))
+    tape = Tape(record=False)
+    return sample_from_task(tape, store, query_pts, tape.const(task_feature), cfg.tau_end)
+
+
+def sample_inference(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in_pts, prompt_out_pts) -> SampleResult:
+    """`infer_from_task` on the prompt pair's encoded task feature."""
+    feature = encode_task(Tape(record=False), store, prompt_in_pts, prompt_out_pts).value
+    return infer_from_task(store, cfg, query_pts, feature)
 
 
 def sampling_loss(tape: Tape, predicted_patches: Node, target_patches, centers: Node, cloud_pts,
@@ -205,10 +224,13 @@ def save_sampler(store: ParamStore, cfg: SamplerConfig, path) -> None:
 
 
 def load_sampler(path) -> tuple[ParamStore, SamplerConfig]:
+    """Read a sampler checkpoint; its parameters must match the sidecar's architecture."""
     store = autodiff.load_params(path)
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     if meta.get("kind") != "sampler":
         raise ValueError(f"checkpoint sidecar is not a sampler description: {meta.get('kind')!r}")
     meta.pop("kind")
-    return store, SamplerConfig(**meta)
+    cfg = SamplerConfig(**meta)
+    autodiff.check_layout(store, init_sampler_params(cfg, np.random.default_rng(0)))
+    return store, cfg

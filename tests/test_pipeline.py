@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import micas
-from micas import cli, pipeline
+from micas import cli, geometry, pipeline
+from micas import ranker as ranker_mod
+from micas import sampler as sampler_mod
 from micas import surrogate as sur_mod
-from micas.autodiff import forward_mlp
+from micas.autodiff import Tape, forward_mlp
 from micas.config import (
     RunConfig,
     config_hash,
@@ -26,10 +28,20 @@ from micas.config import (
     parse_config_text,
 )
 from micas.errors import ConfigurationError, FormatError
-from micas.ranker import load_label_cache, load_ranker, raw_performance, save_label_cache
-from micas.sampler import gumbel_noise, init_sampler_params, load_sampler, sample
+from micas.ranker import (
+    SEGMENT_PROMPT_IN,
+    SEGMENT_PROMPT_OUT,
+    SEGMENT_QUERY,
+    build_candidate_pool,
+    load_label_cache,
+    load_ranker,
+    raw_performance,
+    save_label_cache,
+    score_prompts,
+)
+from micas.sampler import gumbel_noise, init_sampler_params, load_sampler, sample, sample_inference
 from micas.surrogate import OracleModel, init_surrogate_params, oracle_predict
-from micas.tasks import TASKS, gen_pair
+from micas.tasks import TASKS, PromptBank, gen_pair
 
 TINY = desk_profile(
     s_points=32, n_centers=4, m_neighbors=4,
@@ -345,6 +357,112 @@ def test_evaluate_report_structure_and_baselines(tiny_run):
     again = pipeline.evaluate(TINY, tiny_run.test, tiny_run.train,
                               sampler_variant="fps", prompt_variant="random")
     assert pipeline.report_equal(report, again)
+
+
+def reference_cells(cfg, test, train, sampler_art, ranker_art, sampler_variant, prompt_variant):
+    """Cells and outlier counts of a per-query loop that scores and samples every prompt afresh."""
+    bank = PromptBank.from_pairs(train)
+    rows, hits, total = [], 0, 0
+    for query_id, query in enumerate(test):
+        rng = np.random.default_rng(np.uint64(cfg.seed) ^ np.uint64(query_id))
+        cands = build_candidate_pool(bank, query.task, cfg.k_candidates, rng)
+        if prompt_variant == "ranked":
+            store, r_cfg, _ = ranker_art
+            scores = [float(n.value) for n in score_prompts(
+                Tape(record=False), store, r_cfg, query.input.points,
+                [(p.input.points, p.target.points) for p in cands.prompts])]
+            pick = int(np.argmax(scores))
+        else:
+            pick = int(rng.integers(len(cands.prompts)))
+        prompt = cands.prompts[pick]
+        if sampler_variant == "adaptive":
+            res = sample_inference(*sampler_art, query.input.points, prompt.input.points, prompt.target.points)
+            soft = res.soft_query.value
+            centers = res.centers_query.value
+            near = soft.max(axis=0) >= pipeline.NEAR_HARD_THRESHOLD
+            chosen = soft.argmax(axis=0)[near]
+        else:
+            chosen = geometry.fps_select(query.input.points, cfg.n_centers)
+            centers = query.input.points[chosen]
+        predicted = oracle_predict(query.input.points, query.target.points, prompt.input.points, centers, rng)
+        raw = float(raw_performance(query.task, predicted, query)[0])
+        rows.append((query.task, query.level, raw if query.task == "partseg" else raw * 1000.0))
+        if query.task == "denoising":
+            hits += int(query.input.noise_mask[chosen].sum())
+            total += len(chosen)
+    cells = {}
+    for task in sorted({task for task, _, _ in rows}):
+        cells[task] = {}
+        for level in range(1, 6):
+            values = [v for t, lvl, v in rows if t == task and lvl == level]
+            if values:
+                cells[task][str(level)] = {"metric": "miou" if task == "partseg" else "cd_x1000",
+                                           "mean": float(np.mean(values)), "count": len(values),
+                                           "values": values}
+    return cells, hits, total
+
+
+@pytest.mark.parametrize("sampler_variant", pipeline.SAMPLER_VARIANTS)
+@pytest.mark.parametrize("prompt_variant", pipeline.PROMPT_VARIANTS)
+def test_evaluate_equals_a_per_query_reference_loop(tiny_run, sampler_variant, prompt_variant):
+    sampler_art = load_sampler(tiny_run.trained.sampler_path)
+    ranker_art = load_ranker(tiny_run.ranked.ranker_path)
+    cfg = replace(TINY, k_candidates=4)  # four of a task's ten bank prompts per query
+    test = tiny_run.test + [gen_pair(task, 2, TINY.s_points, 900 + i) for i, task in enumerate(TASKS)]
+    report = pipeline.evaluate(cfg, test, tiny_run.train, sampler_art, ranker_art,
+                               sampler_variant, prompt_variant)
+    cells, hits, total = reference_cells(cfg, test, tiny_run.train, sampler_art, ranker_art,
+                                         sampler_variant, prompt_variant)
+    assert report["cells"] == cells
+    assert (report["denoising_outlier_centers"]["hits"], report["denoising_outlier_centers"]["total"]) \
+        == (hits, total)
+
+
+def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch):
+    pooled, encoded, drawn = [], [], []
+    pool_cloud, encode_task = ranker_mod.pool_cloud, sampler_mod.encode_task
+    build_candidate_pool = pipeline.build_candidate_pool
+
+    def pool_spy(tape, store, cfg, pts, segment):
+        pooled.append((pts, segment))
+        return pool_cloud(tape, store, cfg, pts, segment)
+
+    def encode_spy(tape, store, p_in, p_out):
+        encoded.append((p_in, p_out))
+        return encode_task(tape, store, p_in, p_out)
+
+    def draw_spy(*args, **kwargs):
+        drawn.append(build_candidate_pool(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(ranker_mod, "pool_cloud", pool_spy)
+    monkeypatch.setattr(sampler_mod, "encode_task", encode_spy)
+    monkeypatch.setattr(pipeline, "encode_task", encode_spy)
+    monkeypatch.setattr(pipeline, "build_candidate_pool", draw_spy)
+    sampler_art = load_sampler(tiny_run.trained.sampler_path)
+    ranker_art = load_ranker(tiny_run.ranked.ranker_path)
+    cfg = replace(TINY, k_candidates=2)
+    test = tiny_run.test
+    for _ in range(2):  # the counts hold per call, not per process
+        pooled.clear(), encoded.clear(), drawn.clear()
+        pipeline.evaluate(cfg, test, tiny_run.train, sampler_art, ranker_art, "adaptive", "ranked")
+        used = {id(p) for cands in drawn for p in cands.prompts}
+        picked = {id(cands.prompts[int(np.argmax(cands.scores))]) for cands in drawn}
+        # some bank prompt is never drawn, and some is drawn by more than one query
+        assert len(used) < len(tiny_run.train) and len(used) < cfg.k_candidates * len(test)
+        for pair in tiny_run.train:
+            times = int(id(pair) in used)
+            assert sum(pts is pair.input.points and seg == SEGMENT_PROMPT_IN for pts, seg in pooled) == times
+            assert sum(pts is pair.target.points and seg == SEGMENT_PROMPT_OUT for pts, seg in pooled) == times
+            assert sum(p_in is pair.input.points and p_out is pair.target.points
+                       for p_in, p_out in encoded) == int(id(pair) in picked)
+        # beyond the drawn prompts, only each query cloud runs through the point stack
+        assert [seg for _, seg in pooled].count(SEGMENT_QUERY) == len(test)
+        assert len(pooled) == 2 * len(used) + len(test)
+        assert len(encoded) == len(picked) < len(test)
+    pooled.clear(), encoded.clear()
+    pipeline.evaluate(TINY, tiny_run.test, tiny_run.train, None, None, "fps", "random")
+    assert pooled == [] and encoded == []
 
 
 def test_write_and_reload_report(tiny_run, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from micas.autodiff import ParamStore, Tape, affine, finite_diff_check
+from micas.autodiff import ParamStore, Tape, affine, finite_diff_check, save_params
 from micas.errors import FormatError
 from micas.geometry import chamfer_distance, miou
 from micas.ranker import (
@@ -18,14 +18,14 @@ from micas.ranker import (
     listwise_rank_loss,
     load_label_cache,
     load_ranker,
+    pool_prompt,
     predict_score,
     rank_weight_matrix,
     raw_performance,
     save_label_cache,
     save_ranker,
-    score_candidates,
     score_prompts,
-    select_prompt,
+    select_pooled,
 )
 from micas.sampler import SamplerConfig, save_sampler
 from micas.tasks import TASKS, PromptBank, gen_pair
@@ -431,28 +431,64 @@ def test_candidate_pool_k_bounds():
     build_candidate_pool(bank, "denoising", 6, np.random.default_rng(0))  # exact fit is fine
 
 
-def test_select_prompt_ties_and_empty():
+def test_select_pooled_ties_and_empty():
     bank = make_bank(5, s=12)
     store = init_ranker_params(CFG, np.random.default_rng(17))
     for name in store.names():
         store[name].value[...] = 0.0  # all candidates score exactly 0
     cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(18))
     q = np.random.default_rng(19).uniform(size=(12, 3))
-    assert select_prompt(store, CFG, q, cand) == 0
+    assert select_pooled(store, CFG, q, [pool_prompt(store, CFG, p) for p in cand.prompts], cand) == 0
     assert np.array_equal(cand.scores, np.zeros(3))
     with pytest.raises(ValueError):
-        select_prompt(store, CFG, q, CandidateSet([], np.empty(0, np.int64)))
+        select_pooled(store, CFG, q, [], CandidateSet([], np.empty(0, np.int64)))
 
 
-def test_score_candidates_matches_single_scores():
+def test_select_pooled_exact_tie_goes_to_lowest_index():
+    bank = make_bank(5, s=12)
+    pool = bank.for_task("denoising")
+    store = init_ranker_params(CFG, np.random.default_rng(24))
+    rows = np.array([pool_prompt(store, CFG, p) for p in pool])
+    q = np.random.default_rng(25).uniform(size=(12, 3))
+    every = CandidateSet(list(pool), np.arange(len(pool)))
+    best = select_pooled(store, CFG, q, rows, every)
+    worst = int(np.argmin(every.scores))
+    assert every.scores[best] > every.scores[worst]
+    # the best prompt drawn twice, behind a worse one: the first copy wins
+    idx = np.array([worst, best, best])
+    cand = CandidateSet([pool[i] for i in idx], idx)
+    assert select_pooled(store, CFG, q, rows[idx], cand) == 1
+    assert cand.scores[1] == cand.scores[2] == every.scores[best]
+
+
+def test_pooled_scores_match_single_scores():
     bank = make_bank(4, s=10)
     store = init_ranker_params(CFG, np.random.default_rng(20))
     cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(21))
     q = np.random.default_rng(22).uniform(size=(10, 3))
-    scores = score_candidates(store, CFG, q, cand)
+    select_pooled(store, CFG, q, [pool_prompt(store, CFG, p) for p in cand.prompts], cand)
+    graph_free = score_prompts(Tape(record=False), store, CFG, q,
+                               [(p.input.points, p.target.points) for p in cand.prompts])
     for i, prompt in enumerate(cand.prompts):
         one = float(predict_score(Tape(), store, CFG, fuse(q, prompt)).value)
-        assert scores[i] == one
+        assert cand.scores[i] == one == float(graph_free[i].value)
+
+
+def test_bank_pooled_scores_equal_graph_free_scoring_bit_for_bit():
+    cfg = RankerConfig(width=16, k_candidates=4)
+    for seed, task in enumerate(TASKS):
+        bank = PromptBank.from_pairs([gen_pair(task, 1 + i % 5, 32, 300 + 10 * seed + i) for i in range(7)])
+        store = init_ranker_params(cfg, np.random.default_rng(80 + seed))
+        rows = np.array([pool_prompt(store, cfg, p) for p in bank.for_task(task)])  # pooled once per bank
+        for draw in range(4):
+            rng = np.random.default_rng(90 + draw)
+            cand = build_candidate_pool(bank, task, cfg.k_candidates, rng)
+            q = gen_pair(task, 3, 32, 400 + draw).input.points
+            pick = select_pooled(store, cfg, q, rows[cand.indices], cand)
+            ref = np.array([float(n.value) for n in score_prompts(
+                Tape(record=False), store, cfg, q, [(p.input.points, p.target.points) for p in cand.prompts])])
+            assert np.array_equal(cand.scores, ref)
+            assert pick == int(np.argmax(ref))
 
 
 # ---- persistence ----
@@ -497,4 +533,39 @@ def test_ranker_rejects_foreign_sidecar(tmp_path):
     path = tmp_path / "model.micasnn"
     save_sampler(ParamStore(), SamplerConfig(d1=4, d2=4, n_centers=2, width=4), path)
     with pytest.raises(ValueError):
+        load_ranker(path)
+
+
+def test_ranker_refuses_parameters_that_disagree_with_the_sidecar(tmp_path):
+    norm = TaskNormalizer({"denoising": (0.1, 0.7)})
+    path = tmp_path / "ranker.micasnn"
+    narrow = RankerConfig(width=32, k_candidates=4)
+    save_ranker(init_ranker_params(narrow, np.random.default_rng(0)), RankerConfig(width=64), norm, path)
+    with pytest.raises(FormatError, match="score.l0.w"):
+        load_ranker(path)
+
+    store = init_ranker_params(CFG, np.random.default_rng(1))
+    missing = ParamStore()
+    for name, p in store.items():
+        if name != "score.h0.b":
+            missing.add(name, p.value)
+    save_ranker(missing, CFG, norm, path)
+    with pytest.raises(FormatError, match="score.h0.b"):
+        load_ranker(path)
+
+    save_ranker(store, CFG, norm, path)
+    store.add("score.extra", np.zeros(2))
+    save_params(store, path)
+    with pytest.raises(FormatError, match="score.extra"):
+        load_ranker(path)
+
+
+def test_ranker_refuses_a_non_finite_parameter(tmp_path):
+    store = init_ranker_params(CFG, np.random.default_rng(2))
+    path = tmp_path / "ranker.micasnn"
+    save_ranker(store, CFG, TaskNormalizer({"denoising": (0.1, 0.7)}), path)
+    assert store.names()[-1] == "score.h1.b" and store["score.h1.b"].value.shape == (1,)
+    blob = path.read_bytes()  # the last 8 bytes are score.h1.b's one value
+    path.write_bytes(blob[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    with pytest.raises(FormatError, match="score.h1.b"):
         load_ranker(path)

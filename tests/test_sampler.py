@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from micas import sampler as sampler_mod
-from micas.autodiff import ParamStore, Tape
+from micas.autodiff import ParamStore, Tape, save_params
+from micas.errors import FormatError
 from micas.sampler import (
     WEIGHT_FLOOR,
     SamplerConfig,
@@ -13,6 +14,7 @@ from micas.sampler import (
     enhance,
     gumbel_noise,
     gumbel_softmax,
+    infer_from_task,
     init_sampler_params,
     load_sampler,
     project_centers,
@@ -221,6 +223,24 @@ def test_sample_inference_is_deterministic():
     assert np.array_equal(a.soft_query.value, frozen.soft_query.value)
 
 
+def test_sampling_from_an_encoded_task_feature_equals_sample_inference():
+    rng = np.random.default_rng(15)
+    for seed in range(3):
+        store = small_store(7 + seed)
+        q, p_in, p_out = (rng.uniform(size=(s, 3)) for s in (24, 16, 16))
+        expect = sample_inference(store, CFG, q, p_in, p_out)
+        # one pass with the encoding on the sampling tape, as a single call makes it
+        whole = sample(store, CFG, q, p_in, p_out, CFG.tau_end, tape=Tape(record=False))
+        for feature in (encode_task(Tape(record=False), store, p_in, p_out).value,
+                        encode_task(Tape(), store, p_in, p_out).value):
+            got = infer_from_task(store, CFG, q, feature)
+            for res in (expect, whole):
+                assert np.array_equal(got.soft_query.value, res.soft_query.value)
+                assert np.array_equal(got.centers_query.value, res.centers_query.value)
+                assert np.array_equal(got.task_feature.value, res.task_feature.value)
+            assert got.tau == CFG.tau_end and not got.tape.record
+
+
 def test_task_feature_is_point_order_invariant():
     rng = np.random.default_rng(11)
     store = small_store(3)
@@ -290,4 +310,37 @@ def test_sampler_rejects_foreign_sidecar(tmp_path):
     path = tmp_path / "model.micasnn"
     save_ranker(ParamStore(), RankerConfig(width=8, k_candidates=3), TaskNormalizer(), path)
     with pytest.raises(ValueError):
+        load_sampler(path)
+
+
+def test_sampler_refuses_parameters_that_disagree_with_the_sidecar(tmp_path):
+    path = tmp_path / "sampler.micasnn"
+    wide = SamplerConfig(d1=8, d2=8, n_centers=4, width=16)
+    save_sampler(init_sampler_params(wide, np.random.default_rng(0)), CFG, path)
+    with pytest.raises(FormatError, match="task_enc.0.w"):
+        load_sampler(path)
+
+    store = small_store(8)
+    missing = ParamStore()
+    for name, p in store.items():
+        if name != "select.w":
+            missing.add(name, p.value)
+    save_sampler(missing, CFG, path)
+    with pytest.raises(FormatError, match="select.w"):
+        load_sampler(path)
+
+    store.add("extra", np.zeros(3))
+    save_params(store, path)
+    with pytest.raises(FormatError, match="extra"):
+        load_sampler(path)
+
+
+def test_sampler_refuses_a_non_finite_parameter(tmp_path):
+    store = small_store(9)
+    path = tmp_path / "sampler.micasnn"
+    save_sampler(store, CFG, path)
+    assert store.names()[-1] == "select.w"
+    blob = path.read_bytes()  # select.w's payload ends the file
+    path.write_bytes(blob[:-8] + np.array([np.inf], dtype="<f8").tobytes())
+    with pytest.raises(FormatError, match="select.w"):
         load_sampler(path)
