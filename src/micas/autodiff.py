@@ -146,6 +146,20 @@ class Tape:
             raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
         return self._push(a.value @ b.value, (a, b), (lambda g: g @ b.value.T, lambda g: a.value.T @ g))
 
+    def matmul_rows(self, a: Node, b: Node) -> Node:
+        """matmul with each row computed on its own: row i is a[i:i+1] @ b.
+
+        A BLAS product may round a row differently depending on how many
+        rows share the call; computing each row alone makes row i of the
+        output depend on a[i] and b only, bit for bit, and likewise row i
+        of a's gradient on the output gradient's row i and b. b's gradient
+        is matmul's, a sum over the rows in one product.
+        """
+        if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
+            raise ValueError(f"matmul_rows shape mismatch {a.shape} @ {b.shape}")
+        return self._push(_by_rows(a.value, b.value), (a, b),
+                          (lambda g: _by_rows(g, b.value.T), lambda g: a.value.T @ g))
+
     def transpose(self, a: Node) -> Node:
         if a.value.ndim != 2:
             raise ValueError("transpose expects a matrix")
@@ -359,6 +373,14 @@ class Tape:
         for n in self.nodes:
             if n.param is not None and n.grad is not None:
                 n.param.grad += n.grad
+
+
+def _by_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m with each row of the product computed alone, as x[i:i+1] @ m."""
+    out = np.empty((x.shape[0], m.shape[1]))
+    for i in range(x.shape[0]):
+        out[i : i + 1] = x[i : i + 1] @ m
+    return out
 
 
 def _block_max_vjp(a: Node, starts: np.ndarray):

@@ -429,7 +429,7 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
             store, r_cfg, _ = ranker_art
             for key, prompt in zip(keys, cands.prompts):
                 if key not in prompt_rows:
-                    prompt_rows[key] = pool_prompt(store, r_cfg, prompt)
+                    prompt_rows[key] = pool_prompt(store, prompt)
             pick = select_pooled(store, r_cfg, query.input.points, [prompt_rows[key] for key in keys], cands)
         else:
             pick = int(rng.integers(len(cands.prompts)))

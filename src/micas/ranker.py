@@ -85,44 +85,56 @@ def _point_stack(t: Tape, store: ParamStore, pts, tag_rows: Node) -> Node:
     return t.relu(autodiff.affine(t, store, "score.l1", t.relu(h)))
 
 
-def _point_block(tape: Tape, store: ParamStore, cfg: RankerConfig, pts, segment: int) -> np.ndarray:
-    """The (S, width) point-stack output of one cloud under one segment tag."""
-    tag_rows = tape.const(np.broadcast_to(store["score.tags"].value[segment], (len(pts), cfg.width)))
-    return _point_stack(tape, store, pts, tag_rows).value
+def _point_block(store: ParamStore, pts, segment: int) -> np.ndarray:
+    """The (S, width) point-stack output of one cloud under one segment tag, without a tape.
+
+    The same operations in the same order as `_point_stack`, so the
+    values are the same bit for bit; only two (S, width) arrays are made.
+    """
+    h = np.asarray(pts, dtype=np.float64) @ store["score.l0.w"].value
+    h += store["score.l0.b"].value
+    h += store["score.tags"].value[segment]
+    np.maximum(h, 0.0, out=h)
+    out = h @ store["score.l1.w"].value
+    out += store["score.l1.b"].value
+    return np.maximum(out, 0.0, out=out)
 
 
-def pool_cloud(tape: Tape, store: ParamStore, cfg: RankerConfig, pts, segment: int) -> np.ndarray:
-    """The pooled (width,) row of one cloud under one segment tag, on a tape that records no graph.
+def pool_cloud(store: ParamStore, pts, segment: int) -> np.ndarray:
+    """The pooled (width,) row of one cloud under one segment tag, computed without a tape.
 
     The row depends only on the parameters, the cloud and the tag, so a
     prompt's input and output rows can be computed once and reused for
     every query that ranks the prompt.
     """
-    return _point_block(tape, store, cfg, pts, segment).max(axis=0)
+    return _point_block(store, pts, segment).max(axis=0)
 
 
-def score_head(tape: Tape, store: ParamStore, pooled: Node) -> list[Node]:
-    """Scores of K prompts from (2K + 1, width) pooled rows.
+def _row_affine(tape: Tape, store: ParamStore, name: str, x: Node) -> Node:
+    return tape.add_row(tape.matmul_rows(x, tape.param(store, f"{name}.w")), tape.param(store, f"{name}.b"))
+
+
+def score_head(tape: Tape, store: ParamStore, pooled: Node) -> Node:
+    """The (K,) scores of K prompts from (2K + 1, width) pooled rows, as one node.
 
     The rows are the query's, then each prompt's input and output in turn.
     One elementwise maximum over the query's, the inputs' and the
     outputs' rows gives all K joint descriptors; that equals a max-pool
     over each prompt's fused rows, with ties going to the query, then the
-    prompt input, then the prompt output. The head runs on each joint row
-    alone, so a prompt's score does not depend on the others.
+    prompt input, then the prompt output. The head runs once over the
+    (K, width) joint rows, but its products compute each row on its own
+    (`Tape.matmul_rows`), so a prompt's score does not depend, not even in
+    rounding, on which other prompts share the call.
     """
     k = np.arange((pooled.shape[0] - 1) // 2)
     joint = tape.maximum([tape.gather_rows(pooled, np.zeros_like(k)), tape.gather_rows(pooled, 1 + 2 * k),
                           tape.gather_rows(pooled, 2 + 2 * k)])
-    scores = []
-    for i in k:
-        head = tape.relu(autodiff.affine(tape, store, "score.h0", tape.gather_rows(joint, [i])))
-        scores.append(tape.reshape(autodiff.affine(tape, store, "score.h1", head), ()))
-    return scores
+    head = tape.relu(_row_affine(tape, store, "score.h0", joint))
+    return tape.reshape(_row_affine(tape, store, "score.h1", head), (len(k),))
 
 
-def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, query_pts, prompts) -> list[Node]:
-    """Scalar affinity of each (prompt input, prompt output) pair for one query.
+def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, query_pts, prompts) -> Node:
+    """The (K,) affinities of K (prompt input, prompt output) pairs for one query, as one node.
 
     Points pass through a shared per-point stack with an additive learned
     embedding per segment tag, a row max-pool collapses each cloud, and
@@ -134,29 +146,27 @@ def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, query_pts, p
 
     A max-pool's gradient reaches only each column's argmax row, so a
     recording tape records only those rows. Every cloud first runs
-    through the point stack on a values-only tape, one block at a time;
-    the rows that are the first maximizer of some column are kept in
-    ascending order and the block is dropped. The kept rows of all clouds
-    then run through the point stack as one recorded chain, each row
-    tagged with its cloud's segment, and one segment max-pool gives the
-    (2K + 1, width) pooled rows. They are the same maxima, and ties go
-    to the same rows, as in a full-cloud pass, but backward touches a
-    few hundred rows instead of every point. A non-recording tape pools
-    each cloud with `pool_cloud`.
+    through the point stack in plain numpy, with no tape, one block at a
+    time; the rows that are the first maximizer of some column are kept
+    in ascending order and the block is dropped. The kept rows of all
+    clouds then run through the point stack as one recorded chain, each
+    row tagged with its cloud's segment, and one segment max-pool gives
+    the (2K + 1, width) pooled rows. They are the same maxima, and ties
+    go to the same rows, as in a full-cloud pass, but backward touches a
+    few hundred rows instead of every point. On a non-recording tape
+    each cloud is pooled with `pool_cloud`.
     """
     clouds = [query_pts] + [pts for pair in prompts for pts in pair]
     segments = np.array([SEGMENT_QUERY] + [SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT] * len(prompts))
     if tape.record:
-        values_only = Tape(record=False)
-        kept = [np.unique(np.argmax(_point_block(values_only, store, cfg, pts, segment), axis=0))
+        kept = [np.unique(np.argmax(_point_block(store, pts, segment), axis=0))
                 for pts, segment in zip(clouds, segments)]
         counts = [len(rows) for rows in kept]
         chain = _point_stack(tape, store, np.vstack([pts[rows] for pts, rows in zip(clouds, kept)]),
                              tape.gather_rows(tape.param(store, "score.tags"), np.repeat(segments, counts)))
         pooled = tape.maxpool_segments(chain, np.cumsum([0] + counts[:-1]))
     else:
-        pooled = tape.const(np.stack([pool_cloud(tape, store, cfg, pts, segment)
-                                      for pts, segment in zip(clouds, segments)]))
+        pooled = tape.const(np.stack([pool_cloud(store, pts, segment) for pts, segment in zip(clouds, segments)]))
     return score_head(tape, store, pooled)
 
 
@@ -164,7 +174,7 @@ def predict_score(tape: Tape, store: ParamStore, cfg: RankerConfig, fused: Fused
     """Scalar affinity of one prompt for one query: score_prompts with one prompt."""
     query, prompt_in, prompt_out = (fused.points[fused.segments == s]
                                     for s in (SEGMENT_QUERY, SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT))
-    return score_prompts(tape, store, cfg, query, [(prompt_in, prompt_out)])[0]
+    return tape.reshape(score_prompts(tape, store, cfg, query, [(prompt_in, prompt_out)]), ())
 
 
 def competition_ranks(labels) -> np.ndarray:
@@ -181,21 +191,25 @@ def rank_weight_matrix(labels) -> np.ndarray:
     return np.maximum(0.0, inv[:, None] - inv[None, :])
 
 
-def listwise_rank_loss(tape: Tape, score_nodes, labels) -> Node:
+def listwise_rank_loss(tape: Tape, scores, labels) -> Node:
     """Sum of c[i, j] * log(1 + exp(score_j - score_i)) over ordered pairs.
 
-    Built from tape primitives, so it is differentiable end to end; the
-    coefficients depend only on the labels and carry no gradient. Adding a
-    constant to every score leaves the loss unchanged.
+    `scores` is a (K,) node, such as `score_prompts` returns, or a list of
+    K scalar nodes, which is stacked into one. Built from tape primitives,
+    so it is differentiable end to end; the coefficients depend only on
+    the labels and carry no gradient. Adding a constant to every score
+    leaves the loss unchanged.
     """
-    scores = list(score_nodes)
-    if len(scores) < 2:
+    s = scores if isinstance(scores, Node) else tape.stack_scalars(scores)
+    if s.value.ndim != 1:
+        raise ValueError(f"scores must be a (K,) node, got shape {s.shape}")
+    k = s.shape[0]
+    if k < 2:
         raise ValueError("ranking needs at least 2 candidates")
     coeff = rank_weight_matrix(labels)
-    if coeff.shape != (len(scores), len(scores)):
+    if coeff.shape != (k, k):
         raise ValueError("labels must match the candidate count")
-    s = tape.stack_scalars(scores)
-    rows = tape.tile_rows(s, len(scores))  # entry (i, j) = score_j
+    rows = tape.tile_rows(s, k)  # entry (i, j) = score_j
     diffs = tape.add(rows, tape.scale(tape.transpose(rows), -1.0))
     return tape.weighted_sum(tape.softplus(diffs), coeff)
 
@@ -271,27 +285,31 @@ def build_candidate_pool(bank: PromptBank, task: str, k: int, rng, exclude: int 
     return CandidateSet([pool[i] for i in idx], idx)
 
 
-def pool_prompt(store: ParamStore, cfg: RankerConfig, prompt: TaskPair) -> np.ndarray:
+def pool_prompt(store: ParamStore, prompt: TaskPair) -> np.ndarray:
     """Pooled (2, width) input and output rows of one prompt pair, computed without a graph."""
-    tape = Tape(record=False)
-    return np.stack([pool_cloud(tape, store, cfg, prompt.input.points, SEGMENT_PROMPT_IN),
-                     pool_cloud(tape, store, cfg, prompt.target.points, SEGMENT_PROMPT_OUT)])
+    return np.stack([pool_cloud(store, prompt.input.points, SEGMENT_PROMPT_IN),
+                     pool_cloud(store, prompt.target.points, SEGMENT_PROMPT_OUT)])
 
 
 def select_pooled(store: ParamStore, cfg: RankerConfig, query_in_pts, prompt_rows, candidates: CandidateSet) -> int:
     """Index of the highest-scoring candidate, lowest index on ties.
 
     prompt_rows[i] is `pool_prompt` of the i-th candidate, so only the
-    query cloud runs through the point stack. The scores, stored on
-    `candidates`, equal those of `score_prompts` on a tape that records
-    no graph, bit for bit.
+    query cloud runs through the point stack; prompt_rows must have shape
+    (K, 2, width) for K candidates. The scores, stored on `candidates`,
+    equal those of `score_prompts` on a tape that records no graph, bit
+    for bit.
     """
     if not candidates.prompts:
         raise ValueError("candidate set is empty")
+    rows = np.asarray(prompt_rows, dtype=np.float64)
+    if rows.shape != (len(candidates.prompts), 2, cfg.width):
+        raise ValueError(f"prompt rows must have shape {(len(candidates.prompts), 2, cfg.width)} "
+                         f"for {len(candidates.prompts)} candidates, got {rows.shape}")
     tape = Tape(record=False)
-    query_row = pool_cloud(tape, store, cfg, geometry.as_points(query_in_pts), SEGMENT_QUERY)
-    pooled = np.vstack([query_row, np.reshape(prompt_rows, (-1, cfg.width))])
-    candidates.scores = np.array([float(n.value) for n in score_head(tape, store, tape.const(pooled))])
+    query_row = pool_cloud(store, geometry.as_points(query_in_pts), SEGMENT_QUERY)
+    pooled = np.vstack([query_row, rows.reshape(-1, cfg.width)])
+    candidates.scores = score_head(tape, store, tape.const(pooled)).value
     return int(np.argmax(candidates.scores))
 
 

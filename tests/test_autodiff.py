@@ -73,6 +73,40 @@ def test_grad_matmul_transpose_reshape():
     check(loss, store)
 
 
+def test_grad_matmul_rows():
+    store = fd_store({"a": (4, 3), "b": (3, 5)}, 2)
+
+    def loss(s):
+        t = Tape()
+        t.mean_all(t.tanh(t.matmul_rows(t.param(s, "a"), t.param(s, "b"))))
+        return t
+
+    check(loss, store)
+
+
+def test_matmul_rows_computes_each_row_on_its_own():
+    rng = np.random.default_rng(3)
+    store = ParamStore()
+    a, b = store.add("a", rng.normal(size=(9, 64))).value, store.add("b", rng.normal(size=(64, 64))).value
+    a[5] = a[2]  # a duplicated row
+    out_grad = rng.normal(size=(9, 64))
+    t = Tape()
+    out = t.matmul_rows(t.param(store, "a"), t.param(store, "b"))
+    t.weighted_sum(out, out_grad)
+    t.backward()
+    assert out.shape == (9, 64)
+    assert np.array_equal(out.value[5], out.value[2])
+    for i in range(len(a)):  # row i of the value and of a's gradient from row i alone
+        assert np.array_equal(out.value[i], (a[i : i + 1] @ b)[0]), i
+        assert np.array_equal(store["a"].grad[i], (out_grad[i : i + 1] @ b.T)[0]), i
+    assert np.array_equal(store["b"].grad, a.T @ out_grad)  # b's gradient is matmul's
+    # a row's value does not depend on how many rows share the call, or on what they hold
+    others = rng.normal(size=(4, 64))
+    for rows in (a[2:3], np.vstack([others, a[2:3], others])):
+        alone = t.matmul_rows(t.const(rows), t.const(b)).value
+        assert np.array_equal(alone[len(rows) // 2], out.value[2])
+
+
 def test_grad_concat_tile_gather():
     store = fd_store({"a": (4, 2), "b": (4, 3), "v": (5,)}, 2)
 
@@ -356,6 +390,10 @@ def test_shape_validation_raises():
         t.add_row(a, t.const(np.zeros(2)))
     with pytest.raises(ValueError):
         t.matmul(a, a)
+    with pytest.raises(ValueError):
+        t.matmul_rows(a, a)
+    with pytest.raises(ValueError):
+        t.matmul_rows(t.const(np.zeros(3)), b)
     with pytest.raises(ValueError):
         t.concat_cols(a, b)
     with pytest.raises(ValueError):

@@ -368,9 +368,8 @@ def reference_cells(cfg, test, train, sampler_art, ranker_art, sampler_variant, 
         cands = build_candidate_pool(bank, query.task, cfg.k_candidates, rng)
         if prompt_variant == "ranked":
             store, r_cfg, _ = ranker_art
-            scores = [float(n.value) for n in score_prompts(
-                Tape(record=False), store, r_cfg, query.input.points,
-                [(p.input.points, p.target.points) for p in cands.prompts])]
+            scores = score_prompts(Tape(record=False), store, r_cfg, query.input.points,
+                                   [(p.input.points, p.target.points) for p in cands.prompts]).value
             pick = int(np.argmax(scores))
         else:
             pick = int(rng.integers(len(cands.prompts)))
@@ -423,9 +422,9 @@ def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch)
     pool_cloud, encode_task = ranker_mod.pool_cloud, sampler_mod.encode_task
     build_candidate_pool = pipeline.build_candidate_pool
 
-    def pool_spy(tape, store, cfg, pts, segment):
+    def pool_spy(store, pts, segment):
         pooled.append((pts, segment))
-        return pool_cloud(tape, store, cfg, pts, segment)
+        return pool_cloud(store, pts, segment)
 
     def encode_spy(tape, store, p_in, p_out):
         encoded.append((p_in, p_out))

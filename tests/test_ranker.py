@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from micas import ranker as ranker_mod
 from micas.autodiff import ParamStore, Tape, affine, finite_diff_check, save_params
 from micas.errors import FormatError
 from micas.geometry import chamfer_distance, miou
@@ -18,6 +19,7 @@ from micas.ranker import (
     listwise_rank_loss,
     load_label_cache,
     load_ranker,
+    pool_cloud,
     pool_prompt,
     predict_score,
     rank_weight_matrix,
@@ -149,11 +151,9 @@ def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
     store.zero_grads()
     # d(loss)/d(score_k) from the loss alone, then one single-prompt tape per candidate
     s_store = ParamStore()
-    s_store.add("s", np.array([float(n.value) for n in scores]))
+    s_store.add("s", scores.value)
     t = Tape()
-    s_node = t.param(s_store, "s")
-    listwise_rank_loss(t, [t.reshape(t.gather_rows(t.reshape(s_node, (4, 1)), [i]), ()) for i in range(4)],
-                       labels)
+    listwise_rank_loss(t, t.param(s_store, "s"), labels)
     t.backward()
     for k, (p_in, p_out) in enumerate(prompts):
         fused = FusedCloud(np.vstack([q, p_in, p_out]), np.repeat([0, 1, 2], len(q)))
@@ -212,7 +212,10 @@ def sparse_cases():
 def test_row_sparse_pooling_equals_full_block_maxpool():
     cfg = RankerConfig(width=16, k_candidates=3)
     for seed, (q, prompts) in enumerate(sparse_cases()):
-        store = init_ranker_params(cfg, np.random.default_rng(50 + seed))
+        rng = np.random.default_rng(50 + seed)
+        store = init_ranker_params(cfg, rng)
+        for name in ("score.l0.b", "score.l1.b", "score.h0.b"):  # biases a trained ranker has
+            store[name].value[...] = rng.normal(0.0, 0.1, size=cfg.width)
         sparse_tape, dense_tape = Tape(), Tape()
         sparse_pools = spy_pools(sparse_tape, "maxpool_segments")
         dense_pools = spy_pools(dense_tape, "maxpool_rows")
@@ -223,9 +226,12 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
         rows, pooled = sparse_pools[0]
         assert rows < sum(full_rows for full_rows, _ in dense_pools)
         assert pooled.shape == (len(dense_pools), cfg.width)
-        for row, (_, full) in zip(pooled, dense_pools):
+        clouds = [(q, 0)] + [(pts, seg) for pair in prompts for pts, seg in zip(pair, (1, 2))]
+        for row, (_, full), (pts, segment) in zip(pooled, dense_pools, clouds):
             assert np.array_equal(row, full)
-        assert [float(n.value) for n in sparse] == [float(n.value) for n in dense]
+            assert np.array_equal(pool_cloud(store, pts, segment), full)  # the tape-free values pass
+        assert np.array_equal(sparse.value, [float(n.value) for n in dense])
+        assert np.array_equal(score_prompts(Tape(record=False), store, cfg, q, prompts).value, sparse.value)
 
 
 def test_row_sparse_train_step_gradient_matches_dense_reference():
@@ -245,10 +251,18 @@ def test_row_sparse_train_step_gradient_matches_dense_reference():
             assert np.abs(grads[0][name] - grads[1][name]).max() <= 1e-12 * scale, name
 
 
-def test_recording_pass_feeds_only_argmax_rows_to_first_layer():
+def test_recording_pass_feeds_only_argmax_rows_to_first_layer(monkeypatch):
     cfg = RankerConfig(width=16, k_candidates=3)
     store = init_ranker_params(cfg, np.random.default_rng(70))
     w0 = store["score.l0.w"].value
+    values_pass = []
+    point_block = ranker_mod._point_block
+
+    def block_spy(store, pts, segment):
+        values_pass.append(len(pts))
+        return point_block(store, pts, segment)
+
+    monkeypatch.setattr(ranker_mod, "_point_block", block_spy)
     for q, prompts in sparse_cases():
         clouds = [(q, 0)] + [(pts, seg) for pair in prompts for pts, seg in zip(pair, (1, 2))]
         distinct = []
@@ -267,12 +281,30 @@ def test_recording_pass_feeds_only_argmax_rows_to_first_layer():
                 return matmul(a, b)
 
             tape.matmul = spy
+            values_pass.clear()
             score_prompts(tape, store, cfg, q, prompts)
-            if record:  # one chain over the kept rows of every cloud
+            # both modes run each full cloud through the values pass exactly once
+            assert values_pass == [len(pts) for pts, _ in clouds]
+            if record:  # one recorded chain over the kept rows of every cloud
                 assert len(fed) == 1
                 assert len(clouds) <= fed[0] <= sum(distinct), (fed, distinct)
-            else:  # inference runs each full cloud exactly once
-                assert fed == [len(pts) for pts, _ in clouds]
+            else:  # inference records no first-layer product
+                assert fed == []
+
+
+def test_ranker_step_records_the_same_small_graph_for_any_k():
+    cfg = RankerConfig(width=16, k_candidates=8)
+    store = init_ranker_params(cfg, np.random.default_rng(71))
+    rng = np.random.default_rng(72)
+    q = rng.uniform(size=(32, 3))
+    recorded = []
+    for k in (2, 8):
+        prompts = [(rng.uniform(size=(32, 3)), rng.uniform(size=(32, 3))) for _ in range(k)]
+        tape = Tape()
+        listwise_rank_loss(tape, score_prompts(tape, store, cfg, q, prompts), np.linspace(0.9, 0.1, k))
+        recorded.append(len(tape.nodes))
+    # no node is recorded per candidate: the point chain, one head and the loss
+    assert recorded[0] == recorded[1] <= 40, recorded
 
 
 # ---- ranking loss ----
@@ -336,6 +368,20 @@ def test_ranking_loss_argument_checks():
     tape = Tape()
     with pytest.raises(ValueError):
         listwise_rank_loss(tape, scalar_nodes(tape, [1.0, 2.0]), [0.5, 0.1, 0.9])
+
+
+def test_ranking_loss_takes_a_score_vector_node():
+    rng = np.random.default_rng(12)
+    scores, labels = rng.normal(size=4), rng.uniform(size=4)
+    tape = Tape()
+    from_list = listwise_rank_loss(tape, scalar_nodes(tape, scores), labels)
+    tape = Tape()
+    from_vector = listwise_rank_loss(tape, tape.const(scores), labels)
+    assert float(from_vector.value) == float(from_list.value)
+    for bad in (np.float64(1.0), np.ones((4, 1)), np.ones((2, 2))):  # not a (K,) vector
+        tape = Tape()
+        with pytest.raises(ValueError):
+            listwise_rank_loss(tape, tape.const(bad), labels)
 
 
 def test_ranking_loss_gradient():
@@ -438,17 +484,36 @@ def test_select_pooled_ties_and_empty():
         store[name].value[...] = 0.0  # all candidates score exactly 0
     cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(18))
     q = np.random.default_rng(19).uniform(size=(12, 3))
-    assert select_pooled(store, CFG, q, [pool_prompt(store, CFG, p) for p in cand.prompts], cand) == 0
+    assert select_pooled(store, CFG, q, [pool_prompt(store, p) for p in cand.prompts], cand) == 0
     assert np.array_equal(cand.scores, np.zeros(3))
     with pytest.raises(ValueError):
         select_pooled(store, CFG, q, [], CandidateSet([], np.empty(0, np.int64)))
+
+
+def test_select_pooled_rejects_prompt_rows_that_do_not_match_the_candidates():
+    cfg = RankerConfig(width=8, k_candidates=3)
+    bank = make_bank(5, s=12)
+    store = init_ranker_params(cfg, np.random.default_rng(26))
+    cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(27))
+    q = np.random.default_rng(28).uniform(size=(12, 3))
+    rows = np.array([pool_prompt(store, p) for p in cand.prompts])
+    with pytest.raises(ValueError, match="prompt rows"):  # two candidates' rows for three candidates
+        select_pooled(store, cfg, q, rows[:2], cand)
+    narrow = init_ranker_params(RankerConfig(width=4), np.random.default_rng(29))
+    with pytest.raises(ValueError, match="prompt rows"):  # width-4 rows for a width-8 ranker
+        select_pooled(store, cfg, q, [pool_prompt(narrow, p) for p in cand.prompts], cand)
+    with pytest.raises(ValueError, match="prompt rows"):  # one row per candidate, not two
+        select_pooled(store, cfg, q, rows[:, 0], cand)
+    assert cand.scores is None
+    select_pooled(store, cfg, q, rows, cand)
+    assert cand.scores.shape == (3,)
 
 
 def test_select_pooled_exact_tie_goes_to_lowest_index():
     bank = make_bank(5, s=12)
     pool = bank.for_task("denoising")
     store = init_ranker_params(CFG, np.random.default_rng(24))
-    rows = np.array([pool_prompt(store, CFG, p) for p in pool])
+    rows = np.array([pool_prompt(store, p) for p in pool])
     q = np.random.default_rng(25).uniform(size=(12, 3))
     every = CandidateSet(list(pool), np.arange(len(pool)))
     best = select_pooled(store, CFG, q, rows, every)
@@ -466,12 +531,12 @@ def test_pooled_scores_match_single_scores():
     store = init_ranker_params(CFG, np.random.default_rng(20))
     cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(21))
     q = np.random.default_rng(22).uniform(size=(10, 3))
-    select_pooled(store, CFG, q, [pool_prompt(store, CFG, p) for p in cand.prompts], cand)
+    select_pooled(store, CFG, q, [pool_prompt(store, p) for p in cand.prompts], cand)
     graph_free = score_prompts(Tape(record=False), store, CFG, q,
                                [(p.input.points, p.target.points) for p in cand.prompts])
     for i, prompt in enumerate(cand.prompts):
         one = float(predict_score(Tape(), store, CFG, fuse(q, prompt)).value)
-        assert cand.scores[i] == one == float(graph_free[i].value)
+        assert cand.scores[i] == one == graph_free.value[i]
 
 
 def test_bank_pooled_scores_equal_graph_free_scoring_bit_for_bit():
@@ -479,14 +544,14 @@ def test_bank_pooled_scores_equal_graph_free_scoring_bit_for_bit():
     for seed, task in enumerate(TASKS):
         bank = PromptBank.from_pairs([gen_pair(task, 1 + i % 5, 32, 300 + 10 * seed + i) for i in range(7)])
         store = init_ranker_params(cfg, np.random.default_rng(80 + seed))
-        rows = np.array([pool_prompt(store, cfg, p) for p in bank.for_task(task)])  # pooled once per bank
+        rows = np.array([pool_prompt(store, p) for p in bank.for_task(task)])  # pooled once per bank
         for draw in range(4):
             rng = np.random.default_rng(90 + draw)
             cand = build_candidate_pool(bank, task, cfg.k_candidates, rng)
             q = gen_pair(task, 3, 32, 400 + draw).input.points
             pick = select_pooled(store, cfg, q, rows[cand.indices], cand)
-            ref = np.array([float(n.value) for n in score_prompts(
-                Tape(record=False), store, cfg, q, [(p.input.points, p.target.points) for p in cand.prompts])])
+            ref = score_prompts(Tape(record=False), store, cfg, q,
+                                [(p.input.points, p.target.points) for p in cand.prompts]).value
             assert np.array_equal(cand.scores, ref)
             assert pick == int(np.argmax(ref))
 
