@@ -66,9 +66,6 @@ class ParamStore:
         for p in self._entries.values():
             p.grad[...] = 0.0
 
-    def n_scalars(self) -> int:
-        return sum(p.value.size for p in self._entries.values())
-
 
 class Node:
     """One recorded value in the computation graph."""
@@ -199,14 +196,6 @@ class Tape:
 
         return self._push(a.value[idx], (a,), (vjp,))
 
-    def stack_scalars(self, nodes) -> Node:
-        nodes = list(nodes)
-        if not nodes or any(n.shape != () for n in nodes):
-            raise ValueError("stack_scalars expects a non-empty list of scalar nodes")
-        value = np.array([n.value for n in nodes])
-        vjps = tuple((lambda g, i=i: np.asarray(g[i])) for i in range(len(nodes)))
-        return self._push(value, tuple(nodes), vjps)
-
     # ---- nonlinearities ----
 
     def relu(self, a: Node) -> Node:
@@ -241,30 +230,32 @@ class Tape:
 
         return self._push(y, (a,), (vjp,))
 
-    def maxpool_rows(self, a: Node) -> Node:
-        """Column-wise max over rows of an (R, C) matrix, yielding (C,).
-
-        The one-block case of maxpool_segments, with the same gradient.
-        """
-        if a.value.ndim != 2:
-            raise ValueError("maxpool_rows expects a matrix")
-        return self._push(a.value.max(axis=0), (a,), (_block_max_vjp(a, np.zeros(1, dtype=np.int64)),))
-
-    def maxpool_segments(self, a: Node, starts) -> Node:
+    def maxpool_segments(self, a: Node, starts=None) -> Node:
         """Column-wise max over each block of consecutive rows, yielding (B, C).
 
         starts holds the B block offsets into the rows of an (R, C)
         matrix: block b spans rows starts[b] up to starts[b + 1], the last
         one up to R. The blocks must cover every row, so starts begins at
-        0, strictly increases and stays below R. The gradient of each
+        0, strictly increases and stays below R. With starts None all rows
+        form one block and the result is (C,). The gradient of each
         block's column goes to its first maximizer, the lowest row on ties.
         """
-        starts = np.asarray(starts, dtype=np.int64)
+        one = starts is None
+        starts = np.zeros(1, dtype=np.int64) if one else np.asarray(starts, dtype=np.int64)
         if a.value.ndim != 2 or starts.ndim != 1:
             raise ValueError("maxpool_segments expects a matrix and 1-D block starts")
         if not len(starts) or starts[0] != 0 or (np.diff(starts) <= 0).any() or starts[-1] >= a.shape[0]:
             raise ValueError("block starts must begin at 0, strictly increase and lie below the row count")
-        return self._push(np.maximum.reduceat(a.value, starts, axis=0), (a,), (_block_max_vjp(a, starts),))
+        pooled = a.value.max(axis=0) if one else np.maximum.reduceat(a.value, starts, axis=0)
+
+        def vjp(g):
+            ends = np.append(starts[1:], a.shape[0])
+            rows = np.stack([s + np.argmax(a.value[s:e], axis=0) for s, e in zip(starts, ends)])
+            z = np.zeros_like(a.value)
+            z[rows, np.arange(a.value.shape[1])] = g.reshape(rows.shape)
+            return z
+
+        return self._push(pooled, (a,), (vjp,))
 
     def maximum(self, nodes) -> Node:
         """Elementwise max of same-shaped nodes; on exact ties the earliest wins."""
@@ -383,23 +374,6 @@ def _by_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_max_vjp(a: Node, starts: np.ndarray):
-    """Gradient of a column-wise max over the row blocks of `a` that begin at `starts`.
-
-    Each block's column gets its output gradient at its first maximizer,
-    the lowest row of the block on ties; every other entry gets zero.
-    """
-
-    def vjp(g):
-        ends = np.append(starts[1:], a.shape[0])
-        rows = np.stack([s + np.argmax(a.value[s:e], axis=0) for s, e in zip(starts, ends)])
-        z = np.zeros_like(a.value)
-        z[rows, np.arange(a.value.shape[1])] = g.reshape(rows.shape)
-        return z
-
-    return vjp
-
-
 # ---- layers ----
 
 
@@ -445,6 +419,29 @@ def forward_mlp(tape: Tape, store: ParamStore, prefix: str, x: Node, final="line
     if i == 0:
         raise ValueError(f"no layers found under prefix {prefix!r}")
     return h
+
+
+def row_sparse_maxpool(tape: Tape, pts, starts, values, chain) -> Node:
+    """`maxpool_segments(chain(pts), starts)`, with the chain recorded only on the rows that win.
+
+    `values(x, b)` gives block b's per-row features in plain numpy, and
+    `chain(x, owner)` records the same ops in the same order for rows x
+    of blocks owner, so both agree bit for bit. A max-pool's gradient
+    reaches only each column's first maximizer, so a recording tape runs
+    each block through `values` once, keeps the rows that first maximize
+    a column (lowest row on ties) in ascending order, and records `chain`
+    and the pool over those rows only. A non-recording tape gets the
+    values pass's maxima as a constant.
+    """
+    bounds = [0, len(pts)] if starts is None else [*starts, len(pts)]
+    blocks = [(b, lo, pts[lo:hi]) for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    if not tape.record:
+        pooled = np.stack([values(x, b).max(axis=0) for b, _, x in blocks])
+        return tape.const(pooled[0] if starts is None else pooled)
+    kept = [lo + np.unique(np.argmax(values(x, b), axis=0)) for b, lo, x in blocks]
+    counts = [len(rows) for rows in kept]
+    chained = chain(pts[np.concatenate(kept)], np.repeat(np.arange(len(kept)), counts))
+    return tape.maxpool_segments(chained, None if starts is None else np.cumsum([0] + counts[:-1]))
 
 
 # ---- optimization ----

@@ -80,17 +80,14 @@ def init_ranker_params(cfg: RankerConfig, rng) -> ParamStore:
     return store
 
 
-def _point_stack(t: Tape, store: ParamStore, pts, tag_rows: Node) -> Node:
+def _point_stack(t: Tape, store: ParamStore, pts, segments) -> Node:
+    tag_rows = t.gather_rows(t.param(store, "score.tags"), segments)
     h = t.add(autodiff.affine(t, store, "score.l0", t.const(pts)), tag_rows)
     return t.relu(autodiff.affine(t, store, "score.l1", t.relu(h)))
 
 
 def _point_block(store: ParamStore, pts, segment: int) -> np.ndarray:
-    """The (S, width) point-stack output of one cloud under one segment tag, without a tape.
-
-    The same operations in the same order as `_point_stack`, so the
-    values are the same bit for bit; only two (S, width) arrays are made.
-    """
+    """One cloud's (S, width) `_point_stack` output under one segment tag, without a tape, in its op order."""
     h = np.asarray(pts, dtype=np.float64) @ store["score.l0.w"].value
     h += store["score.l0.b"].value
     h += store["score.tags"].value[segment]
@@ -103,9 +100,8 @@ def _point_block(store: ParamStore, pts, segment: int) -> np.ndarray:
 def pool_cloud(store: ParamStore, pts, segment: int) -> np.ndarray:
     """The pooled (width,) row of one cloud under one segment tag, computed without a tape.
 
-    The row depends only on the parameters, the cloud and the tag, so a
-    prompt's input and output rows can be computed once and reused for
-    every query that ranks the prompt.
+    It depends only on the parameters, the cloud and the tag, so a prompt's
+    rows can be computed once for every query that ranks the prompt.
     """
     return _point_block(store, pts, segment).max(axis=0)
 
@@ -144,30 +140,17 @@ def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, query_pts, p
     are computed once and shared by every prompt. Permuting points within
     a cloud cannot change a score; all-zero parameters score 0.
 
-    A max-pool's gradient reaches only each column's argmax row, so a
-    recording tape records only those rows. Every cloud first runs
-    through the point stack in plain numpy, with no tape, one block at a
-    time; the rows that are the first maximizer of some column are kept
-    in ascending order and the block is dropped. The kept rows of all
-    clouds then run through the point stack as one recorded chain, each
-    row tagged with its cloud's segment, and one segment max-pool gives
-    the (2K + 1, width) pooled rows. They are the same maxima, and ties
-    go to the same rows, as in a full-cloud pass, but backward touches a
-    few hundred rows instead of every point. On a non-recording tape
-    each cloud is pooled with `pool_cloud`.
+    The clouds are pooled by `autodiff.row_sparse_maxpool`, one block per
+    cloud: `_point_block` is its values pass, and on a recording tape
+    only each cloud's first column maximizers, the lowest row on ties,
+    run through `_point_stack`, each row tagged with its cloud's segment.
     """
     clouds = [query_pts] + [pts for pair in prompts for pts in pair]
     segments = np.array([SEGMENT_QUERY] + [SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT] * len(prompts))
-    if tape.record:
-        kept = [np.unique(np.argmax(_point_block(store, pts, segment), axis=0))
-                for pts, segment in zip(clouds, segments)]
-        counts = [len(rows) for rows in kept]
-        chain = _point_stack(tape, store, np.vstack([pts[rows] for pts, rows in zip(clouds, kept)]),
-                             tape.gather_rows(tape.param(store, "score.tags"), np.repeat(segments, counts)))
-        pooled = tape.maxpool_segments(chain, np.cumsum([0] + counts[:-1]))
-    else:
-        pooled = tape.const(np.stack([pool_cloud(store, pts, segment) for pts, segment in zip(clouds, segments)]))
-    return score_head(tape, store, pooled)
+    return score_head(tape, store, autodiff.row_sparse_maxpool(
+        tape, np.vstack(clouds), np.cumsum([0] + [len(pts) for pts in clouds[:-1]]),
+        lambda pts, cloud: _point_block(store, pts, segments[cloud]),
+        lambda pts, cloud: _point_stack(tape, store, pts, segments[cloud])))
 
 
 def predict_score(tape: Tape, store: ParamStore, cfg: RankerConfig, fused: FusedCloud) -> Node:
@@ -191,25 +174,23 @@ def rank_weight_matrix(labels) -> np.ndarray:
     return np.maximum(0.0, inv[:, None] - inv[None, :])
 
 
-def listwise_rank_loss(tape: Tape, scores, labels) -> Node:
+def listwise_rank_loss(tape: Tape, scores: Node, labels) -> Node:
     """Sum of c[i, j] * log(1 + exp(score_j - score_i)) over ordered pairs.
 
-    `scores` is a (K,) node, such as `score_prompts` returns, or a list of
-    K scalar nodes, which is stacked into one. Built from tape primitives,
-    so it is differentiable end to end; the coefficients depend only on
-    the labels and carry no gradient. Adding a constant to every score
-    leaves the loss unchanged.
+    `scores` is a (K,) node, such as `score_prompts` returns. Built from
+    tape primitives, so it is differentiable end to end; the coefficients
+    depend only on the labels and carry no gradient. Adding a constant to
+    every score leaves the loss unchanged.
     """
-    s = scores if isinstance(scores, Node) else tape.stack_scalars(scores)
-    if s.value.ndim != 1:
-        raise ValueError(f"scores must be a (K,) node, got shape {s.shape}")
-    k = s.shape[0]
+    if scores.value.ndim != 1:
+        raise ValueError(f"scores must be a (K,) node, got shape {scores.shape}")
+    k = scores.shape[0]
     if k < 2:
         raise ValueError("ranking needs at least 2 candidates")
     coeff = rank_weight_matrix(labels)
     if coeff.shape != (k, k):
         raise ValueError("labels must match the candidate count")
-    rows = tape.tile_rows(s, k)  # entry (i, j) = score_j
+    rows = tape.tile_rows(scores, k)  # entry (i, j) = score_j
     diffs = tape.add(rows, tape.scale(tape.transpose(rows), -1.0))
     return tape.weighted_sum(tape.softplus(diffs), coeff)
 

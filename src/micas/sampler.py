@@ -57,16 +57,31 @@ def init_sampler_params(cfg: SamplerConfig, rng) -> ParamStore:
     return store
 
 
+def _task_block(store: ParamStore, pts) -> np.ndarray:
+    """encode_task's (R, d1) per-point features without a tape, in `forward_mlp`'s op order."""
+    h = pts
+    for i in range(3):
+        h = h @ store[f"task_enc.{i}.w"].value
+        h += store[f"task_enc.{i}.b"].value
+        if i < 2:
+            np.tanh(h, out=h)
+    return np.maximum(h, 0.0, out=h)
+
+
 def encode_task(tape: Tape, store: ParamStore, prompt_in_pts, prompt_out_pts) -> Node:
     """Summarize a prompt pair as one width-d1 vector.
 
     Both clouds pass point-wise through a shared MLP and a row max-pool
     collapses the result, so the feature is invariant to point order.
+    The pool is `autodiff.row_sparse_maxpool` over one block with
+    `_task_block` as values pass, so a recording tape records the MLP
+    only on each column's first maximizer, the lowest row on ties.
     """
     pts = np.vstack([np.asarray(prompt_in_pts, dtype=np.float64),
                      np.asarray(prompt_out_pts, dtype=np.float64)])
-    h = autodiff.forward_mlp(tape, store, "task_enc", tape.const(pts), final="relu", hidden="tanh")
-    return tape.maxpool_rows(h)
+    return autodiff.row_sparse_maxpool(
+        tape, pts, None, lambda x, _: _task_block(store, x),
+        lambda x, _: autodiff.forward_mlp(tape, store, "task_enc", tape.const(x), final="relu", hidden="tanh"))
 
 
 def encode_points(tape: Tape, store: ParamStore, pts) -> Node:
@@ -74,7 +89,7 @@ def encode_points(tape: Tape, store: ParamStore, pts) -> Node:
     x = tape.const(np.asarray(pts, dtype=np.float64))
     h = tape.sin(autodiff.affine(tape, store, "point_local.0", x))
     local = tape.tanh(autodiff.affine(tape, store, "point_local.1", h))
-    global_feat = tape.maxpool_rows(local)
+    global_feat = tape.maxpool_segments(local)
     joined = tape.concat_cols(local, tape.tile_rows(global_feat, x.shape[0]))
     return autodiff.affine(tape, store, "point_proj", joined)
 

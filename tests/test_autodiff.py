@@ -153,7 +153,7 @@ def test_grad_softmax_and_maxpool():
 
     def loss_pool(s):
         t = Tape()
-        t.mean_all(t.maxpool_rows(t.param(s, "x")))
+        t.mean_all(t.maxpool_segments(t.param(s, "x")))
         return t
 
     check(loss_pool, store)
@@ -167,7 +167,7 @@ def test_grad_softmax_and_maxpool():
     check(loss_max, store)
 
 
-def test_maxpool_segments_equals_per_block_maxpool_rows():
+def test_maxpool_segments_equals_one_block_pool_per_block():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(11, 4))
     x[5] = x[4]  # a tie inside block [3, 7)
@@ -176,7 +176,10 @@ def test_maxpool_segments_equals_per_block_maxpool_rows():
     pooled = t.maxpool_segments(t.const(x), starts)
     assert pooled.shape == (4, 4)
     for b, (lo, hi) in enumerate(zip(starts, starts[1:] + [11])):
-        assert np.array_equal(pooled.value[b], t.maxpool_rows(t.const(x[lo:hi])).value)
+        one_block = t.maxpool_segments(t.const(x[lo:hi]))  # starts None: one block, a (C,) row
+        assert one_block.shape == (4,)
+        assert np.array_equal(pooled.value[b], one_block.value)
+        assert np.array_equal(one_block.value, x[lo:hi].max(axis=0))
 
 
 def test_maxpool_segments_ties_go_to_the_lowest_row_of_each_block():
@@ -210,19 +213,9 @@ def test_maxpool_segments_rejects_bad_block_starts():
             t.maxpool_segments(a, starts)
     with pytest.raises(ValueError):
         t.maxpool_segments(t.const(np.zeros(5)), [0])
-
-
-def test_grad_stack_scalars():
-    store = fd_store({"x": (3, 3)}, 5)
-
-    def loss(s):
-        t = Tape()
-        x = t.param(s, "x")
-        parts = [t.mean_all(t.gather_rows(x, [i])) for i in range(3)]
-        t.mean_all(t.stack_scalars(parts))
-        return t
-
-    check(loss, store)
+    for bad in (np.zeros(5), np.zeros((0, 2))):  # the one-block case checks its input too
+        with pytest.raises(ValueError):
+            t.maxpool_segments(t.const(bad))
 
 
 def test_grad_chamfer_both_sides():
@@ -375,8 +368,7 @@ def test_param_store_contract():
     with pytest.raises(ValueError):
         store.add("bad", np.array([np.nan]))
     store.add("b", np.zeros(3))
-    assert store.names() == ["w", "b"]
-    assert store.n_scalars() == 9
+    assert store.names() == ["w", "b"] and len(store) == 2
     assert "w" in store and "missing" not in store
 
 
@@ -400,8 +392,6 @@ def test_shape_validation_raises():
         t.gather_rows(a, [2])
     with pytest.raises(ValueError):
         t.log(t.const(np.array([[0.0]])))
-    with pytest.raises(ValueError):
-        t.stack_scalars([])
 
 
 def test_cosine_lr_schedule_endpoints():

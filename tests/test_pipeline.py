@@ -141,7 +141,10 @@ def per_patch_item_loss(sampler_store, surrogate_store, s_cfg, sur_cfg, query, p
         offset = tape.reshape(tape.gather_rows(offsets, [i]), (sur_cfg.m_neighbors, 3))
         anchor = tape.reshape(tape.gather_rows(centers, [i]), (3,))
         per_patch.append(tape.chamfer(tape.add_row(offset, anchor), tape.const(gt_masked[i])))
-    recon = tape.mean_all(tape.stack_scalars(per_patch))
+    stacked = tape.reshape(per_patch[0], (1, 1))
+    for patch in per_patch[1:]:
+        stacked = tape.concat_cols(stacked, tape.reshape(patch, (1, 1)))
+    recon = tape.mean_all(stacked)
     coverage = tape.chamfer(res.centers_query, tape.const(query.input.points))
     return tape, tape.add(recon, tape.scale(coverage, s_cfg.alpha))
 

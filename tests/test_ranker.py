@@ -39,10 +39,6 @@ def make_bank(n=6, s=16, task="denoising"):
     return PromptBank.from_pairs([gen_pair(task, 1 + i % 5, s, 100 + i) for i in range(n)])
 
 
-def scalar_nodes(tape, values):
-    return [tape.const(np.float64(v)) for v in values]
-
-
 # ---- fusion ----
 
 def test_fuse_layout():
@@ -166,21 +162,28 @@ def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
 
 
 def dense_scores(tape, store, cfg, q, prompts):
-    """Reference scorer: the per-point stack and max-pool over every row of every cloud."""
+    """Reference scorer: the per-point stack and max-pool over every row of every cloud.
+
+    Each prompt's head runs on its own; the K scores are joined into one
+    (K,) node by exact column concatenation.
+    """
     tags = tape.param(store, "score.tags")
 
     def pooled(pts, segment):
         tag = tape.reshape(tape.gather_rows(tags, [segment]), (cfg.width,))
         h = tape.add_row(affine(tape, store, "score.l0", tape.const(pts)), tag)
-        return tape.maxpool_rows(tape.relu(affine(tape, store, "score.l1", tape.relu(h))))
+        return tape.maxpool_segments(tape.relu(affine(tape, store, "score.l1", tape.relu(h))))
 
     query = pooled(q, 0)
     scores = []
     for p_in, p_out in prompts:
         joint = tape.maximum([query, pooled(p_in, 1), pooled(p_out, 2)])
         head = tape.relu(affine(tape, store, "score.h0", tape.reshape(joint, (1, cfg.width))))
-        scores.append(tape.reshape(affine(tape, store, "score.h1", head), ()))
-    return scores
+        scores.append(affine(tape, store, "score.h1", head))
+    row = scores[0]
+    for score in scores[1:]:
+        row = tape.concat_cols(row, score)
+    return tape.reshape(row, (len(scores),))
 
 
 def spy_pools(tape, method):
@@ -218,7 +221,7 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
             store[name].value[...] = rng.normal(0.0, 0.1, size=cfg.width)
         sparse_tape, dense_tape = Tape(), Tape()
         sparse_pools = spy_pools(sparse_tape, "maxpool_segments")
-        dense_pools = spy_pools(dense_tape, "maxpool_rows")
+        dense_pools = spy_pools(dense_tape, "maxpool_segments")
         sparse = score_prompts(sparse_tape, store, cfg, q, prompts)
         dense = dense_scores(dense_tape, store, cfg, q, prompts)
         # one segment pool over the stacked chain, one full-block pool per cloud
@@ -230,7 +233,7 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
         for row, (_, full), (pts, segment) in zip(pooled, dense_pools, clouds):
             assert np.array_equal(row, full)
             assert np.array_equal(pool_cloud(store, pts, segment), full)  # the tape-free values pass
-        assert np.array_equal(sparse.value, [float(n.value) for n in dense])
+        assert np.array_equal(sparse.value, dense.value)
         assert np.array_equal(score_prompts(Tape(record=False), store, cfg, q, prompts).value, sparse.value)
 
 
@@ -334,7 +337,7 @@ def test_rank_weight_matrix_properties():
 
 def test_pairwise_loss_equal_scores_two_candidates():
     tape = Tape()
-    loss = listwise_rank_loss(tape, scalar_nodes(tape, [0.7, 0.7]), [1.0, 0.0])
+    loss = listwise_rank_loss(tape, tape.const(np.array([0.7, 0.7])), [1.0, 0.0])
     assert abs(float(loss.value) - 0.5 * np.log(2.0)) <= 1e-12
 
 
@@ -342,42 +345,42 @@ def test_pairwise_loss_shift_invariance():
     rng = np.random.default_rng(11)
     scores = rng.normal(size=5)
     labels = rng.uniform(size=5)
-    base = float(listwise_rank_loss(Tape(), scalar_nodes(Tape(), scores), labels).value)
+    tape = Tape()
+    base = float(listwise_rank_loss(tape, tape.const(scores), labels).value)
     for shift in (-3.0, 0.25, 10.0):
         tape = Tape()
-        shifted = float(listwise_rank_loss(tape, scalar_nodes(tape, scores + shift), labels).value)
+        shifted = float(listwise_rank_loss(tape, tape.const(scores + shift), labels).value)
         assert abs(shifted - base) <= 1e-12
 
 
 def test_ranking_loss_ordering_and_ties():
     labels = [0.9, 0.5, 0.1]
     tape = Tape()
-    good = float(listwise_rank_loss(tape, scalar_nodes(tape, [3.0, 2.0, 1.0]), labels).value)
+    good = float(listwise_rank_loss(tape, tape.const(np.array([3.0, 2.0, 1.0])), labels).value)
     tape = Tape()
-    bad = float(listwise_rank_loss(tape, scalar_nodes(tape, [1.0, 2.0, 3.0]), labels).value)
+    bad = float(listwise_rank_loss(tape, tape.const(np.array([1.0, 2.0, 3.0])), labels).value)
     assert good < bad
     tape = Tape()
-    tied = listwise_rank_loss(tape, scalar_nodes(tape, [0.4, -1.2, 0.0]), [0.5, 0.5, 0.5])
+    tied = listwise_rank_loss(tape, tape.const(np.array([0.4, -1.2, 0.0])), [0.5, 0.5, 0.5])
     assert float(tied.value) == 0.0
 
 
 def test_ranking_loss_argument_checks():
     tape = Tape()
     with pytest.raises(ValueError):
-        listwise_rank_loss(tape, scalar_nodes(tape, [1.0]), [0.5])
+        listwise_rank_loss(tape, tape.const(np.array([1.0])), [0.5])
     tape = Tape()
     with pytest.raises(ValueError):
-        listwise_rank_loss(tape, scalar_nodes(tape, [1.0, 2.0]), [0.5, 0.1, 0.9])
+        listwise_rank_loss(tape, tape.const(np.array([1.0, 2.0])), [0.5, 0.1, 0.9])
 
 
 def test_ranking_loss_takes_a_score_vector_node():
     rng = np.random.default_rng(12)
     scores, labels = rng.normal(size=4), rng.uniform(size=4)
     tape = Tape()
-    from_list = listwise_rank_loss(tape, scalar_nodes(tape, scores), labels)
-    tape = Tape()
     from_vector = listwise_rank_loss(tape, tape.const(scores), labels)
-    assert float(from_vector.value) == float(from_list.value)
+    want = (np.logaddexp(0.0, scores[None, :] - scores[:, None]) * rank_weight_matrix(labels)).sum()
+    assert float(from_vector.value) == pytest.approx(want, rel=1e-15)
     for bad in (np.float64(1.0), np.ones((4, 1)), np.ones((2, 2))):  # not a (K,) vector
         tape = Tape()
         with pytest.raises(ValueError):
@@ -391,9 +394,7 @@ def test_ranking_loss_gradient():
 
     def loss_fn(p):
         tape = Tape()
-        node = tape.param(p, "s")
-        scores = [tape.reshape(tape.gather_rows(tape.reshape(node, (3, 1)), [i]), ()) for i in range(3)]
-        listwise_rank_loss(tape, scores, labels)
+        listwise_rank_loss(tape, tape.param(p, "s"), labels)
         return tape
 
     assert finite_diff_check(loss_fn, store) <= 1e-3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from micas import sampler as sampler_mod
-from micas.autodiff import ParamStore, Tape, save_params
+from micas.autodiff import ParamStore, Tape, forward_mlp, save_params
 from micas.errors import FormatError
 from micas.sampler import (
     WEIGHT_FLOOR,
@@ -252,6 +252,110 @@ def test_task_feature_is_point_order_invariant():
     tape = Tape()
     feat_perm = encode_task(tape, store, p_in[perm], p_out[perm]).value
     assert np.abs(feat - feat_perm).max() < 1e-12
+
+
+ENC_CFG = SamplerConfig(d1=16, d2=8, n_centers=4, width=16)
+
+
+def encoder_store(seed):
+    """Sampler parameters with the nonzero task-encoder biases a trained sampler has."""
+    rng = np.random.default_rng(seed)
+    store = init_sampler_params(ENC_CFG, rng)
+    for i in range(3):
+        bias = store[f"task_enc.{i}.b"].value
+        bias[...] = rng.normal(0.0, 0.1, size=bias.shape)
+    return store
+
+
+def dense_task_rows(tape, store, p_in, p_out):
+    """The reference encoder: the task MLP recorded over every point of the prompt pair."""
+    return forward_mlp(tape, store, "task_enc", tape.const(np.vstack([p_in, p_out])),
+                       final="relu", hidden="tanh")
+
+
+def encoder_cases():
+    """Random 256 + 256-point prompts, then one whose input repeats every point four times,
+    shuffled, and whose output is its input reversed."""
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        yield rng.uniform(-1.0, 1.0, size=(256, 3)), rng.uniform(-1.0, 1.0, size=(256, 3))
+    dup = np.repeat(rng.uniform(-1.0, 1.0, size=(64, 3)), 4, axis=0)[rng.permutation(256)]
+    yield dup, dup[::-1].copy()
+
+
+def test_recording_and_inference_task_features_are_bit_equal():
+    for seed in range(5):
+        store = encoder_store(30 + seed)
+        for p_in, p_out in encoder_cases():
+            recorded = encode_task(Tape(), store, p_in, p_out).value
+            assert recorded.shape == (ENC_CFG.d1,)
+            assert np.array_equal(recorded, encode_task(Tape(record=False), store, p_in, p_out).value)
+            assert np.array_equal(recorded, dense_task_rows(Tape(), store, p_in, p_out).value.max(axis=0))
+
+
+def test_duplicated_prompt_points_send_each_column_to_the_lowest_tied_row():
+    store = encoder_store(40)
+    *_, (p_in, p_out) = encoder_cases()  # every point appears eight times
+    pts = np.vstack([p_in, p_out])
+    first = np.argmax(dense_task_rows(Tape(), store, p_in, p_out).value, axis=0)  # lowest row on ties
+    for column, row in enumerate(first):
+        tied = np.flatnonzero((pts == pts[row]).all(axis=1))
+        assert row == tied.min() and len(tied) >= 2 and row < len(p_in), column
+    tape = Tape()
+    encode_task(tape, store, p_in, p_out)
+    # the recorded chain, the only rows backward reaches, holds exactly those rows in
+    # ascending order; any other tied copies would come in another order
+    assert np.array_equal(tape.nodes[0].value, pts[np.unique(first)])
+
+
+def test_task_encoder_gradient_matches_dense_reference():
+    weights = np.random.default_rng(41).normal(size=ENC_CFG.d1)
+    for seed, (p_in, p_out) in enumerate(encoder_cases()):
+        store = encoder_store(50 + seed)
+        grads = []
+        for sparse in (True, False):
+            store.zero_grads()
+            tape = Tape()
+            if sparse:
+                feature = encode_task(tape, store, p_in, p_out)
+            else:
+                feature = tape.maxpool_segments(dense_task_rows(tape, store, p_in, p_out))
+            tape.weighted_sum(feature, weights)
+            tape.backward()
+            grads.append({name: p.grad.copy() for name, p in store.items() if name.startswith("task_enc")})
+        for name, want in grads[1].items():
+            assert np.abs(want).max() > 0.0, name
+            assert np.abs(grads[0][name] - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_recording_encoder_feeds_only_argmax_rows_to_first_layer(monkeypatch):
+    values_pass = []
+    task_block = sampler_mod._task_block
+
+    def block_spy(store, pts):
+        values_pass.append(len(pts))
+        return task_block(store, pts)
+
+    monkeypatch.setattr(sampler_mod, "_task_block", block_spy)
+    store = encoder_store(60)
+    w0 = store["task_enc.0.w"].value
+    for p_in, p_out in encoder_cases():
+        distinct = len(np.unique(np.argmax(dense_task_rows(Tape(), store, p_in, p_out).value, axis=0)))
+        for record in (True, False):
+            tape = Tape(record=record)
+            fed = []
+            matmul = tape.matmul
+
+            def spy(a, b):
+                if b.value is w0:
+                    fed.append(a.shape[0])
+                return matmul(a, b)
+
+            tape.matmul = spy
+            values_pass.clear()
+            encode_task(tape, store, p_in, p_out)
+            assert values_pass == [512]  # both modes run the full prompt through the values pass once
+            assert fed == ([distinct] if record else [])
 
 
 def test_point_permutation_permutes_soft_rows():
