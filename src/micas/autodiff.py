@@ -3,8 +3,8 @@
 A Tape records every primitive in creation order, which is already a
 topological order of the computation graph. backward() seeds the final
 scalar node and walks the list in reverse, applying the vector-Jacobian
-products of the nodes that lie on a path to a Param. Leaf gradients are
-added into their Param accumulators, so two backward passes without
+products of the nodes that lie on a path to a Param. Param-leaf gradients
+are added into their Param accumulators, so two backward passes without
 zero_grads() in between accumulate twice. A tape made with record=False
 keeps no graph: it computes values only, for inference.
 """
@@ -143,6 +143,13 @@ class Tape:
             raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
         return self._push(a.value @ b.value, (a, b), (lambda g: g @ b.value.T, lambda g: a.value.T @ g))
 
+    def affine(self, x: Node, w: Node, b: Node) -> Node:
+        """add_row(matmul(x, w), b) as one node, rounded the same, without keeping the bare product."""
+        if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+            raise ValueError(f"affine shape mismatch {x.shape} @ {w.shape} + {b.shape}")
+        return self._push(x.value @ w.value + b.value, (x, w, b),
+                          (lambda g: g @ w.value.T, lambda g: x.value.T @ g, lambda g: g.sum(axis=0)))
+
     def matmul_rows(self, a: Node, b: Node) -> Node:
         """matmul with each row computed on its own: row i is a[i:i+1] @ b.
 
@@ -189,12 +196,7 @@ class Tape:
         if len(idx) and ((idx < 0).any() or (idx >= a.shape[0]).any()):
             raise ValueError("gather index out of range")
 
-        def vjp(g):
-            z = np.zeros_like(a.value)
-            np.add.at(z, idx, g)  # duplicate indices accumulate
-            return z
-
-        return self._push(a.value[idx], (a,), (vjp,))
+        return self._push(a.value[idx], (a,), (lambda g: _add_at(idx, g, a.shape[0]),))
 
     # ---- nonlinearities ----
 
@@ -298,14 +300,10 @@ class Tape:
         inv_a, inv_b = 2.0 / len(pa), 2.0 / len(pb)
 
         def vjp_a(g):
-            ga = inv_a * (pa - pb[idx_ab])
-            np.add.at(ga, idx_ba, inv_b * (pa[idx_ba] - pb))
-            return float(g) * ga
+            return float(g) * _add_at(idx_ba, inv_b * (pa[idx_ba] - pb), len(pa), inv_a * (pa - pb[idx_ab]))
 
         def vjp_b(g):
-            gb = inv_b * (pb - pa[idx_ba])
-            np.add.at(gb, idx_ab, inv_a * (pb[idx_ab] - pa))
-            return float(g) * gb
+            return float(g) * _add_at(idx_ab, inv_a * (pb[idx_ab] - pa), len(pb), inv_b * (pb - pa[idx_ba]))
 
         return self._push(value, (a, b), (vjp_a, vjp_b))
 
@@ -324,9 +322,9 @@ class Tape:
         rows = np.arange(len(pa))[:, None]
 
         def vjp(g):
-            ga = inv_a * (pa - pb[rows, idx_ab])
-            np.add.at(ga, (rows, idx_ba), inv_b * (pa[rows, idx_ba] - pb))
-            return g[:, None, None] * ga
+            ga = _add_at((rows * pa.shape[1] + idx_ba).ravel(), (inv_b * (pa[rows, idx_ba] - pb)).reshape(-1, 3),
+                         pa.shape[0] * pa.shape[1], (inv_a * (pa - pb[rows, idx_ab])).reshape(-1, 3))
+            return g[:, None, None] * ga.reshape(pa.shape)
 
         return self._push(d2_ab.mean(axis=1) + d2_ba.mean(axis=1), (a,), (vjp,))
 
@@ -340,8 +338,10 @@ class Tape:
         and no vector-Jacobian product into them is ever evaluated. A
         node's first contribution is assigned and later ones are added in
         reverse record order, which rounds exactly as summing them into
-        zeros would. Interior gradients are cleared on entry; Param
-        gradients are accumulated, not reset, so callers control zeroing.
+        zeros would. An interior node's gradient is released once its
+        vector-Jacobian products have run; Param leaves keep theirs, which
+        are added into their Params in record order. Param gradients are
+        accumulated, not reset, so callers control zeroing.
         """
         if not self.record:
             raise ValueError("backward on a tape that records no graph")
@@ -361,9 +361,19 @@ class Tape:
                     g = vjp(n.grad)
                     # never in place: a contribution may share memory with another node's gradient
                     parent.grad = g if parent.grad is None else parent.grad + g
+            if n.param is None:
+                n.grad = None
         for n in self.nodes:
             if n.param is not None and n.grad is not None:
                 n.param.grad += n.grad
+
+
+def _add_at(idx: np.ndarray, g: np.ndarray, rows: int, base: np.ndarray | None = None) -> np.ndarray:
+    """np.add.at(z, idx, g) on z, a copy of the (rows, C) base or zeros, bit for bit: bincount adds in input order."""
+    c = g.shape[1]
+    if base is not None:
+        idx, g = np.concatenate([np.arange(rows), idx]), np.concatenate([base, g])
+    return np.bincount((idx[:, None] * c + np.arange(c)).ravel(), weights=g.ravel(), minlength=rows * c).reshape(rows, c)
 
 
 def _by_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -384,7 +394,7 @@ def init_affine(store: ParamStore, name: str, n_in: int, n_out: int, rng) -> Non
 
 
 def affine(tape: Tape, store: ParamStore, name: str, x: Node) -> Node:
-    return tape.add_row(tape.matmul(x, tape.param(store, f"{name}.w")), tape.param(store, f"{name}.b"))
+    return tape.affine(x, tape.param(store, f"{name}.w"), tape.param(store, f"{name}.b"))
 
 
 def init_mlp(store: ParamStore, prefix: str, widths, rng) -> None:
@@ -438,7 +448,7 @@ def row_sparse_maxpool(tape: Tape, pts, starts, values, chain) -> Node:
     if not tape.record:
         pooled = np.stack([values(x, b).max(axis=0) for b, _, x in blocks])
         return tape.const(pooled[0] if starts is None else pooled)
-    kept = [lo + np.unique(np.argmax(values(x, b), axis=0)) for b, lo, x in blocks]
+    kept = [lo + np.flatnonzero(np.bincount(np.argmax(values(x, b), axis=0), minlength=len(x))) for b, lo, x in blocks]
     counts = [len(rows) for rows in kept]
     chained = chain(pts[np.concatenate(kept)], np.repeat(np.arange(len(kept)), counts))
     return tape.maxpool_segments(chained, None if starts is None else np.cumsum([0] + counts[:-1]))

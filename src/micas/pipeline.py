@@ -288,7 +288,10 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     """Stage two: fit the scorer against oracle pseudo-labels.
 
     Requires the stage-one checkpoint; refuses to run without it and
-    verifies after training that its bytes are untouched.
+    verifies after training that its bytes are untouched. Each SGD batch
+    is one `score_prompts` call on one tape with one backward, dropped
+    before the next batch; prompt clouds are the train pairs' own arrays,
+    so a pair that several queries of a batch rank is pooled once.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -354,26 +357,27 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     prompt_clouds = {qid: [(p.input.points, p.target.points) for p in cands.prompts]
                      for qid, cands in candidates.items()}
     ranker_store = init_ranker_params(r_cfg, np.random.default_rng(derive_seed(cfg.seed, "ranker-init")))
+
+    def batch_step(batch, epoch) -> float:
+        tape = autodiff.Tape()
+        scores = score_prompts(tape, ranker_store, r_cfg, [train_pairs[qid].input.points for qid in batch],
+                               [prompt_clouds[qid] for qid in batch])
+        loss = listwise_rank_loss(tape, scores, [labels[qid] for qid in batch])
+        if not np.isfinite(loss.value):
+            raise TrainingDiverged(f"non-finite rank loss at epoch {epoch}, queries {batch.tolist()}")
+        tape.backward(1.0 / len(batch))
+        return float(loss.value)
+
     history = []
     for epoch in range(cfg.ranker_epochs):
         rng = np.random.default_rng(derive_seed(cfg.seed, "ranker-epoch", epoch))
         order = rng.permutation(len(train_pairs))
         losses = []
         for start in range(0, len(order), cfg.ranker_batch):
-            batch = order[start : start + cfg.ranker_batch]
-            for qid in batch:
-                query = train_pairs[qid]
-                tape = autodiff.Tape()
-                scores = score_prompts(tape, ranker_store, r_cfg, query.input.points,
-                                       prompt_clouds[qid])
-                loss = listwise_rank_loss(tape, scores, labels[qid])
-                if not np.isfinite(loss.value):
-                    raise TrainingDiverged(f"non-finite rank loss at epoch {epoch}, query {qid}")
-                losses.append(float(loss.value))
-                tape.backward(1.0 / len(batch))
+            losses.append(batch_step(order[start : start + cfg.ranker_batch], epoch))
             autodiff.sgd_cosine_step(ranker_store, epoch, cfg.ranker_epochs,
                                      cfg.ranker_lr0, cfg.ranker_lr_min)
-        history.append({"epoch": epoch, "mean_loss": float(np.mean(losses))})
+        history.append({"epoch": epoch, "mean_loss": sum(losses) / len(order)})
 
     sha_after = file_sha256(sampler_path)
     if sha_after != sha_before:

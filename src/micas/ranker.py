@@ -110,54 +110,56 @@ def _row_affine(tape: Tape, store: ParamStore, name: str, x: Node) -> Node:
     return tape.add_row(tape.matmul_rows(x, tape.param(store, f"{name}.w")), tape.param(store, f"{name}.b"))
 
 
-def score_head(tape: Tape, store: ParamStore, pooled: Node) -> Node:
-    """The (K,) scores of K prompts from (2K + 1, width) pooled rows, as one node.
+def score_head(tape: Tape, store: ParamStore, pooled: Node, joint) -> Node:
+    """Scores from pooled (U, width) rows, as one node shaped like joint[0].
 
-    The rows are the query's, then each prompt's input and output in turn.
-    One elementwise maximum over the query's, the inputs' and the
-    outputs' rows gives all K joint descriptors; that equals a max-pool
-    over each prompt's fused rows, with ties going to the query, then the
-    prompt input, then the prompt output. The head runs once over the
-    (K, width) joint rows, but its products compute each row on its own
-    (`Tape.matmul_rows`), so a prompt's score does not depend, not even in
-    rounding, on which other prompts share the call.
+    joint[0], joint[1] and joint[2] index each score's query, prompt input
+    and prompt output rows. One elementwise maximum over the three gathers
+    gives every joint descriptor; that equals a max-pool over the prompt's
+    fused rows, with ties going to the query, then the prompt input, then
+    the prompt output. The head runs once over all joint rows, but its
+    products compute each row on its own (`Tape.matmul_rows`), so a score
+    does not depend, not even in rounding, on which others share the call.
     """
-    k = np.arange((pooled.shape[0] - 1) // 2)
-    joint = tape.maximum([tape.gather_rows(pooled, np.zeros_like(k)), tape.gather_rows(pooled, 1 + 2 * k),
-                          tape.gather_rows(pooled, 2 + 2 * k)])
-    head = tape.relu(_row_affine(tape, store, "score.h0", joint))
-    return tape.reshape(_row_affine(tape, store, "score.h1", head), (len(k),))
+    joint = np.asarray(joint)
+    rows = tape.maximum([tape.gather_rows(pooled, idx.ravel()) for idx in joint])
+    head = tape.relu(_row_affine(tape, store, "score.h0", rows))
+    return tape.reshape(_row_affine(tape, store, "score.h1", head), joint.shape[1:])
 
 
-def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, query_pts, prompts) -> Node:
-    """The (K,) affinities of K (prompt input, prompt output) pairs for one query, as one node.
+def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, queries, prompts) -> Node:
+    """The (B, K) affinities of K (prompt input, prompt output) pairs for each of B queries, as one node.
 
-    Points pass through a shared per-point stack with an additive learned
-    embedding per segment tag, a row max-pool collapses each cloud, and
-    `score_head` maps the pooled rows to one score per prompt. Each of the
-    2K + 1 clouds (the query, then every prompt's input and output) runs
-    through the point stack on its own, so the query's pooled features
-    are computed once and shared by every prompt. Permuting points within
+    prompts[b] holds query b's K pairs; one query is the B = 1 case, and
+    row b equals that case's scores for query b, bit for bit. Points pass
+    through a shared per-point stack with an additive learned embedding
+    per segment tag, a row max-pool collapses each cloud, and `score_head`
+    maps the pooled rows to one score per prompt. Permuting points within
     a cloud cannot change a score; all-zero parameters score 0.
 
-    The clouds are pooled by `autodiff.row_sparse_maxpool`, one block per
-    cloud: `_point_block` is its values pass, and on a recording tape
-    only each cloud's first column maximizers, the lowest row on ties,
-    run through `_point_stack`, each row tagged with its cloud's segment.
+    Each distinct (cloud, segment) block, told apart by array identity, is
+    pooled once per call by `autodiff.row_sparse_maxpool` with
+    `_point_block` as its values pass; a recording tape runs only each
+    block's first column maximizers, the lowest row on ties, through
+    `_point_stack`.
     """
-    clouds = [query_pts] + [pts for pair in prompts for pts in pair]
-    segments = np.array([SEGMENT_QUERY] + [SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT] * len(prompts))
-    return score_head(tape, store, autodiff.row_sparse_maxpool(
+    blocks = {}  # (id(cloud), segment) -> (block index, cloud, segment), in first-use order
+    joint = np.array([[[blocks.setdefault((id(pts), seg), (len(blocks), pts, seg))[0]
+                        for pts, seg in ((query, SEGMENT_QUERY), (p_in, SEGMENT_PROMPT_IN), (p_out, SEGMENT_PROMPT_OUT))]
+                       for p_in, p_out in pairs] for query, pairs in zip(queries, prompts, strict=True)])
+    _, clouds, segments = zip(*blocks.values())
+    pooled = autodiff.row_sparse_maxpool(
         tape, np.vstack(clouds), np.cumsum([0] + [len(pts) for pts in clouds[:-1]]),
-        lambda pts, cloud: _point_block(store, pts, segments[cloud]),
-        lambda pts, cloud: _point_stack(tape, store, pts, segments[cloud])))
+        lambda pts, b: _point_block(store, pts, segments[b]),
+        lambda pts, b: _point_stack(tape, store, pts, np.take(segments, b)))
+    return score_head(tape, store, pooled, np.moveaxis(joint, -1, 0))
 
 
 def predict_score(tape: Tape, store: ParamStore, cfg: RankerConfig, fused: FusedCloud) -> Node:
     """Scalar affinity of one prompt for one query: score_prompts with one prompt."""
     query, prompt_in, prompt_out = (fused.points[fused.segments == s]
                                     for s in (SEGMENT_QUERY, SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT))
-    return tape.reshape(score_prompts(tape, store, cfg, query, [(prompt_in, prompt_out)]), ())
+    return tape.reshape(score_prompts(tape, store, cfg, [query], [[(prompt_in, prompt_out)]]), ())
 
 
 def competition_ranks(labels) -> np.ndarray:
@@ -175,23 +177,23 @@ def rank_weight_matrix(labels) -> np.ndarray:
 
 
 def listwise_rank_loss(tape: Tape, scores: Node, labels) -> Node:
-    """Sum of c[i, j] * log(1 + exp(score_j - score_i)) over ordered pairs.
+    """Sum over queries of c[i, j] * log(1 + exp(score_j - score_i)) over each query's ordered pairs.
 
-    `scores` is a (K,) node, such as `score_prompts` returns. Built from
-    tape primitives, so it is differentiable end to end; the coefficients
-    depend only on the labels and carry no gradient. Adding a constant to
-    every score leaves the loss unchanged.
+    `scores` is a (B, K) node, such as `score_prompts` returns, with (B, K)
+    labels; a (K,) node with K labels is one query. Built from tape
+    primitives, so it is differentiable end to end; the coefficients
+    depend only on each query's labels and carry no gradient. Adding a
+    constant to a query's scores leaves the loss unchanged.
     """
-    if scores.value.ndim != 1:
-        raise ValueError(f"scores must be a (K,) node, got shape {scores.shape}")
-    k = scores.shape[0]
-    if k < 2:
-        raise ValueError("ranking needs at least 2 candidates")
-    coeff = rank_weight_matrix(labels)
-    if coeff.shape != (k, k):
-        raise ValueError("labels must match the candidate count")
-    rows = tape.tile_rows(scores, k)  # entry (i, j) = score_j
-    diffs = tape.add(rows, tape.scale(tape.transpose(rows), -1.0))
+    scores = tape.reshape(scores, (1, -1)) if scores.value.ndim == 1 else scores
+    b, k = scores.shape  # a ValueError unless (B, K)
+    labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
+    if k < 2 or labels.shape != (b, k):
+        raise ValueError(f"need K >= 2 candidates and labels shaped as the scores, got {labels.shape} for {(b, k)}")
+    coeff = np.vstack([rank_weight_matrix(row) for row in labels])
+    rows = tape.gather_rows(scores, np.repeat(np.arange(b), k))  # entry (bK + i, j) = score[b, j]
+    cols = tape.transpose(tape.tile_rows(tape.reshape(scores, (b * k,)), k))  # entry (bK + i, j) = score[b, i]
+    diffs = tape.add(rows, tape.scale(cols, -1.0))
     return tape.weighted_sum(tape.softplus(diffs), coeff)
 
 
@@ -290,7 +292,8 @@ def select_pooled(store: ParamStore, cfg: RankerConfig, query_in_pts, prompt_row
     tape = Tape(record=False)
     query_row = pool_cloud(store, geometry.as_points(query_in_pts), SEGMENT_QUERY)
     pooled = np.vstack([query_row, rows.reshape(-1, cfg.width)])
-    candidates.scores = score_head(tape, store, tape.const(pooled)).value
+    k = np.arange(len(candidates.prompts))
+    candidates.scores = score_head(tape, store, tape.const(pooled), [np.zeros_like(k), 1 + 2 * k, 2 + 2 * k]).value
     return int(np.argmax(candidates.scores))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff, geometry
 from .autodiff import Node, ParamStore, Tape
 from .geometry import PatchSet
-from .sampler import SamplerConfig, sample_inference
+from .sampler import SamplerConfig, encode_task, infer_from_task
 
 # Noise model of the oracle: sigma scales with center coverage error and
 # prompt mismatch, both measured by Chamfer divergence against the query.
@@ -157,10 +157,13 @@ class OracleModel:
 
 
 def adaptive_centers_fn(store: ParamStore, cfg: SamplerConfig):
-    """centers_fn using a trained sampler at inference settings."""
+    """centers_fn giving `sample_inference`'s centers, encoding each prompt pair object once per fn."""
+    features = {}  # id(pair) -> (pair, task feature); holding the pair keeps its id from being reused
 
     def fn(query_in_pts, prompt):
-        res = sample_inference(store, cfg, query_in_pts, prompt.input.points, prompt.target.points)
-        return res.centers_query.value
+        if id(prompt) not in features:
+            features[id(prompt)] = prompt, encode_task(Tape(record=False), store, prompt.input.points,
+                                                       prompt.target.points).value
+        return infer_from_task(store, cfg, query_in_pts, features[id(prompt)][1]).centers_query.value
 
     return fn

@@ -6,6 +6,7 @@ import pytest
 from micas.autodiff import (
     ParamStore,
     Tape,
+    _add_at,
     affine,
     cosine_lr,
     finite_diff_check,
@@ -252,6 +253,47 @@ def test_grad_chamfer_patches():
     assert finite_diff_check(loss, store) <= 1e-6
 
 
+def test_add_at_equals_numpy_add_at_bit_for_bit():
+    rng = np.random.default_rng(12)
+    mixed = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-12, 12, size=(40, 4))
+    cases = [
+        (rng.normal(size=(5, 3)), rng.integers(0, 5, size=30), rng.normal(size=(30, 3))),  # duplicates
+        (rng.normal(size=(5, 3)), np.zeros(0, dtype=np.int64), np.zeros((0, 3))),  # empty index
+        (np.zeros((4, 2)), np.full(25, 2), rng.normal(size=(25, 2))),  # every index the same
+        (mixed[:6], rng.integers(0, 6, size=34), mixed[6:]),  # magnitudes from 1e-12 to 1e12
+        (np.zeros((3, 64)), rng.integers(0, 3, size=1000), rng.normal(size=(1000, 64))),
+    ]
+    for base, idx, g in cases:
+        expect = base.copy()
+        np.add.at(expect, idx, g)
+        got = _add_at(idx, g, len(base), base)
+        assert got.shape == base.shape and got.tobytes() == expect.tobytes()
+        if not base.any():  # the zero base may be left out
+            assert _add_at(idx, g, len(base)).tobytes() == expect.tobytes()
+
+
+def test_chamfer_gradients_equal_add_at_references_bit_for_bit():
+    rng = np.random.default_rng(13)
+    a, b = rng.uniform(size=(3, 9, 3)), rng.uniform(size=(3, 5, 3))
+    for p in range(3):
+        t = Tape()
+        node = t.chamfer(t.const(a[p]), t.const(b[p]))
+        d_a, d_b = (vjp(np.asarray(0.7)) for vjp in node.vjps)
+        patch = t.chamfer_patches(t.const(a), b)
+        (d_patch,) = patch.vjps
+        inv_a, inv_b = 2.0 / 9, 2.0 / 5
+        dist = ((a[p][:, None] - b[p][None]) ** 2).sum(axis=-1)
+        ab, ba = dist.argmin(axis=1), dist.argmin(axis=0)
+        ref_a = inv_a * (a[p] - b[p][ab])
+        np.add.at(ref_a, ba, inv_b * (a[p][ba] - b[p]))
+        ref_b = inv_b * (b[p] - a[p][ba])
+        np.add.at(ref_b, ab, inv_a * (b[p][ab] - a[p]))
+        assert np.array_equal(d_a, 0.7 * ref_a) and np.array_equal(d_b, 0.7 * ref_b)
+        upstream = np.zeros(3)
+        upstream[p] = 0.7
+        assert np.array_equal(d_patch(upstream)[p], 0.7 * ref_a)
+
+
 def test_chamfer_patches_value_matches_geometry():
     from micas.geometry import chamfer_distance
 
@@ -299,10 +341,16 @@ def test_backward_reaches_only_nodes_with_a_path_to_a_param():
     w = t.param(store, "w")
     y = t.matmul(side, w)
     t.mean_all(t.add(y, t.tanh(c)))
+    evaluated = []
+    for n in t.nodes:  # record which nodes' vector-Jacobian products run
+        n.vjps = tuple((lambda g, f=f, n=n: evaluated.append(n) or f(g)) for f in n.vjps)
     t.backward()
     assert c.grad is None and side.grad is None
     assert all(n.grad is None for n in t.nodes if not n.needs_grad)
-    assert w.grad is not None and y.grad is not None
+    assert y in evaluated and side not in evaluated  # side's branch is never differentiated
+    # interior gradients are released once used; only the Param leaf keeps its own
+    assert [n for n in t.nodes if n.grad is not None] == [w]
+    assert np.array_equal(w.grad, store["w"].grad)
     assert np.array_equal(store["w"].grad, side.value.T @ np.full((2, 2), 0.25))
 
 
@@ -322,10 +370,13 @@ def test_repeated_backward_on_one_tape_accumulates_twice():
     h = t.tanh(t.param(store, "x"))
     t.mean_all(h)
     t.backward()
-    first, first_h = store["x"].grad.copy(), h.grad
+    first, leaf = store["x"].grad.copy(), t.nodes[0]
+    first_leaf = leaf.grad.copy()
+    assert h.grad is None and t.nodes[-1].grad is None  # interior gradients are released
     t.backward()
     assert np.array_equal(store["x"].grad, 2.0 * first)
-    assert np.array_equal(h.grad, first_h)  # interior gradients restart, they do not pile up
+    assert h.grad is None and t.nodes[-1].grad is None
+    assert np.array_equal(leaf.grad, first_leaf)  # the leaf's gradient restarts, it does not pile up
 
 
 def test_maximum_routes_ties_to_the_earliest_node():
@@ -387,6 +438,8 @@ def test_shape_validation_raises():
     with pytest.raises(ValueError):
         t.matmul_rows(t.const(np.zeros(3)), b)
     with pytest.raises(ValueError):
+        t.affine(a, b, t.const(np.zeros(3)))  # bias wider than the product
+    with pytest.raises(ValueError):
         t.concat_cols(a, b)
     with pytest.raises(ValueError):
         t.gather_rows(a, [2])
@@ -423,6 +476,28 @@ def test_sgd_step_raises_on_divergence():
     store["x"].grad[...] = np.inf
     with pytest.raises(TrainingDiverged):
         sgd_cosine_step(store, 0, 2, 0.1, 0.01)
+
+
+def test_affine_node_equals_matmul_then_add_row_bit_for_bit():
+    store = fd_store({"x": (6, 4), "w": (4, 5), "b": (5,)}, 14)
+    grads = []
+    for fused in (True, False):
+        store.zero_grads()
+        t = Tape()
+        x, w, b = (t.param(store, name) for name in ("x", "w", "b"))
+        out = t.affine(x, w, b) if fused else t.add_row(t.matmul(x, w), b)
+        t.mean_all(t.add(t.tanh(out), t.matmul(x, w)))  # x and w feed a second node too
+        t.backward()
+        grads.append([out.value] + [store[name].grad.copy() for name in ("x", "w", "b")])
+    for one, other in zip(*grads):
+        assert np.array_equal(one, other)
+
+    def loss(s):
+        t = Tape()
+        t.mean_all(t.tanh(t.affine(t.param(s, "x"), t.param(s, "w"), t.param(s, "b"))))
+        return t
+
+    check(loss, store)
 
 
 def test_affine_and_mlp_layout():

@@ -13,6 +13,7 @@ ALLOWED = {
     "report_equal": "criterion 10 and the benchmark's repeat check compare reports with it",
     "fuse": "the benchmark's predict_score timing builds its input with it",
     "predict_score": "the benchmark times one-prompt scoring through it",
+    "sample_inference": "the benchmark's sampler checks and independent label estimates call it",
 }
 
 

@@ -264,6 +264,22 @@ def test_label_cache_reused_and_load_bearing(tiny_run, tmp_path):
     assert (art / "ranker.micasnn").read_bytes() != ranker_blob
 
 
+def test_label_pass_encodes_each_candidate_pair_once(tiny_run, tmp_path, monkeypatch):
+    encoded = []
+    real = sur_mod.encode_task
+
+    def spy(tape, store, prompt_in_pts, prompt_out_pts):
+        encoded.append(id(prompt_in_pts))
+        return real(tape, store, prompt_in_pts, prompt_out_pts)
+
+    monkeypatch.setattr(sur_mod, "encode_task", spy)
+    ranked = pipeline.train_ranker(TINY, tiny_run.train, tiny_run.trained.sampler_path, tmp_path)
+    entries = load_label_cache(ranked.labels_path)
+    assert sorted(encoded) == sorted({id(tiny_run.train[cid].input.points) for _, cid in entries})
+    assert len(entries) > len(encoded)  # pairs are candidates of several queries
+    assert ranked.labels_path.read_bytes() == tiny_run.ranked.labels_path.read_bytes()
+
+
 def test_label_cache_recomputed_after_sampler_retrain(tiny_run, tmp_path):
     # A sampler retrained into the run directory of an older one must not
     # inherit the labels computed with the older sampler.
@@ -371,8 +387,8 @@ def reference_cells(cfg, test, train, sampler_art, ranker_art, sampler_variant, 
         cands = build_candidate_pool(bank, query.task, cfg.k_candidates, rng)
         if prompt_variant == "ranked":
             store, r_cfg, _ = ranker_art
-            scores = score_prompts(Tape(record=False), store, r_cfg, query.input.points,
-                                   [(p.input.points, p.target.points) for p in cands.prompts]).value
+            scores = score_prompts(Tape(record=False), store, r_cfg, [query.input.points],
+                                   [[(p.input.points, p.target.points) for p in cands.prompts]]).value[0]
             pick = int(np.argmax(scores))
         else:
             pick = int(rng.integers(len(cands.prompts)))

@@ -128,7 +128,7 @@ def test_shared_query_scoring_gradient_matches_finite_differences():
 
     def loss_fn(p):
         tape = Tape()
-        listwise_rank_loss(tape, score_prompts(tape, p, cfg, q, prompts), labels)
+        listwise_rank_loss(tape, score_prompts(tape, p, cfg, [q], [prompts]), labels)
         return tape
 
     assert finite_diff_check(loss_fn, store) <= 1e-5
@@ -140,14 +140,14 @@ def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
     q, prompts = tie_case(34, s=12, k=4)
     labels = [0.1, 0.7, 0.7, 0.3]
     tape = Tape()
-    scores = score_prompts(tape, store, cfg, q, prompts)
+    scores = score_prompts(tape, store, cfg, [q], [prompts])
     listwise_rank_loss(tape, scores, labels)
     tape.backward()
     joint = {name: p.grad.copy() for name, p in store.items()}
     store.zero_grads()
     # d(loss)/d(score_k) from the loss alone, then one single-prompt tape per candidate
     s_store = ParamStore()
-    s_store.add("s", scores.value)
+    s_store.add("s", scores.value[0])
     t = Tape()
     listwise_rank_loss(t, t.param(s_store, "s"), labels)
     t.backward()
@@ -165,7 +165,8 @@ def dense_scores(tape, store, cfg, q, prompts):
     """Reference scorer: the per-point stack and max-pool over every row of every cloud.
 
     Each prompt's head runs on its own; the K scores are joined into one
-    (K,) node by exact column concatenation.
+    (1, K) node by exact column concatenation, as score_prompts returns
+    for one query.
     """
     tags = tape.param(store, "score.tags")
 
@@ -183,7 +184,12 @@ def dense_scores(tape, store, cfg, q, prompts):
     row = scores[0]
     for score in scores[1:]:
         row = tape.concat_cols(row, score)
-    return tape.reshape(row, (len(scores),))
+    return row
+
+
+def score_one(tape, store, cfg, q, prompts):
+    """score_prompts on one query, the B = 1 case: a (1, K) node."""
+    return score_prompts(tape, store, cfg, [q], [prompts])
 
 
 def spy_pools(tape, method):
@@ -222,7 +228,7 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
         sparse_tape, dense_tape = Tape(), Tape()
         sparse_pools = spy_pools(sparse_tape, "maxpool_segments")
         dense_pools = spy_pools(dense_tape, "maxpool_segments")
-        sparse = score_prompts(sparse_tape, store, cfg, q, prompts)
+        sparse = score_prompts(sparse_tape, store, cfg, [q], [prompts])
         dense = dense_scores(dense_tape, store, cfg, q, prompts)
         # one segment pool over the stacked chain, one full-block pool per cloud
         assert len(sparse_pools) == 1 and len(dense_pools) == 1 + 2 * len(prompts)
@@ -234,7 +240,7 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
             assert np.array_equal(row, full)
             assert np.array_equal(pool_cloud(store, pts, segment), full)  # the tape-free values pass
         assert np.array_equal(sparse.value, dense.value)
-        assert np.array_equal(score_prompts(Tape(record=False), store, cfg, q, prompts).value, sparse.value)
+        assert np.array_equal(score_prompts(Tape(record=False), store, cfg, [q], [prompts]).value, sparse.value)
 
 
 def test_row_sparse_train_step_gradient_matches_dense_reference():
@@ -243,7 +249,7 @@ def test_row_sparse_train_step_gradient_matches_dense_reference():
         store = init_ranker_params(cfg, np.random.default_rng(60 + seed))
         labels = np.linspace(0.9, 0.1, len(prompts))
         grads = []
-        for scorer in (score_prompts, dense_scores):
+        for scorer in (score_one, dense_scores):
             store.zero_grads()
             tape = Tape()
             listwise_rank_loss(tape, scorer(tape, store, cfg, q, prompts), labels)
@@ -276,16 +282,16 @@ def test_recording_pass_feeds_only_argmax_rows_to_first_layer(monkeypatch):
         for record in (True, False):
             tape = Tape(record=record)
             fed = []
-            matmul = tape.matmul
+            affine = tape.affine
 
-            def spy(a, b):
-                if b.value is w0:
-                    fed.append(a.shape[0])
-                return matmul(a, b)
+            def spy(x, w, b):
+                if w.value is w0:
+                    fed.append(x.shape[0])
+                return affine(x, w, b)
 
-            tape.matmul = spy
+            tape.affine = spy
             values_pass.clear()
-            score_prompts(tape, store, cfg, q, prompts)
+            score_prompts(tape, store, cfg, [q], [prompts])
             # both modes run each full cloud through the values pass exactly once
             assert values_pass == [len(pts) for pts, _ in clouds]
             if record:  # one recorded chain over the kept rows of every cloud
@@ -299,15 +305,88 @@ def test_ranker_step_records_the_same_small_graph_for_any_k():
     cfg = RankerConfig(width=16, k_candidates=8)
     store = init_ranker_params(cfg, np.random.default_rng(71))
     rng = np.random.default_rng(72)
-    q = rng.uniform(size=(32, 3))
-    recorded = []
-    for k in (2, 8):
-        prompts = [(rng.uniform(size=(32, 3)), rng.uniform(size=(32, 3))) for _ in range(k)]
-        tape = Tape()
-        listwise_rank_loss(tape, score_prompts(tape, store, cfg, q, prompts), np.linspace(0.9, 0.1, k))
-        recorded.append(len(tape.nodes))
-    # no node is recorded per candidate: the point chain, one head and the loss
-    assert recorded[0] == recorded[1] <= 40, recorded
+    recorded = {}
+    for b in (1, 4):
+        for k in (2, 8):
+            queries = [rng.uniform(size=(32, 3)) for _ in range(b)]
+            prompts = [[(rng.uniform(size=(32, 3)), rng.uniform(size=(32, 3))) for _ in range(k)]
+                       for _ in range(b)]
+            tape = Tape()
+            listwise_rank_loss(tape, score_prompts(tape, store, cfg, queries, prompts),
+                               np.tile(np.linspace(0.9, 0.1, k), (b, 1)))
+            recorded[b, k] = len(tape.nodes)
+    # no node is recorded per query or per candidate: the point chain, one head and the loss
+    assert len(set(recorded.values())) == 1 and recorded[1, 2] <= 40, recorded
+
+
+def batch_case(seed, b=4, k=3, s=24):
+    """B queries whose K candidates are drawn from one small bank, so prompt arrays repeat across queries."""
+    rng = np.random.default_rng(seed)
+    bank = [(rng.uniform(size=(s, 3)), rng.uniform(size=(s, 3))) for _ in range(k + 2)]
+    queries = [rng.uniform(size=(s, 3)) for _ in range(b)]
+    picks = [rng.choice(len(bank), size=k, replace=False) for _ in range(b)]
+    return queries, [[bank[i] for i in idx] for idx in picks], bank, picks
+
+
+def test_batch_scores_equal_one_query_scores_bit_for_bit():
+    cfg = RankerConfig(width=16, k_candidates=3)
+    for seed in range(3):
+        store = init_ranker_params(cfg, np.random.default_rng(100 + seed))
+        queries, prompts, bank, picks = batch_case(110 + seed)
+        bank_rows = np.array([np.stack([pool_cloud(store, p_in, 1), pool_cloud(store, p_out, 2)])
+                              for p_in, p_out in bank])
+        for record in (True, False):
+            batch = score_prompts(Tape(record=record), store, cfg, queries, prompts).value
+            assert batch.shape == (len(queries), cfg.k_candidates)
+            for q, pairs, idx, row in zip(queries, prompts, picks, batch):
+                one = score_prompts(Tape(record=record), store, cfg, [q], [pairs]).value
+                cand = CandidateSet([None] * len(idx), idx)
+                select_pooled(store, cfg, q, bank_rows[idx], cand)
+                assert np.array_equal(row, one[0]) and np.array_equal(row, cand.scores)
+
+
+def test_batch_tape_gradient_equals_sum_of_per_query_tapes():
+    cfg = RankerConfig(width=16, k_candidates=3)
+    store = init_ranker_params(cfg, np.random.default_rng(120))
+    queries, prompts, _, _ = batch_case(121)
+    labels = np.random.default_rng(122).uniform(size=(len(queries), cfg.k_candidates))
+    tape = Tape()
+    listwise_rank_loss(tape, score_prompts(tape, store, cfg, queries, prompts), labels)
+    tape.backward(0.25)
+    batch = {name: p.grad.copy() for name, p in store.items()}
+    store.zero_grads()
+    for q, pairs, row in zip(queries, prompts, labels):
+        single = Tape()
+        listwise_rank_loss(single, score_prompts(single, store, cfg, [q], [pairs]), row)
+        single.backward(0.25)
+    for name, p in store.items():
+        if name == "score.h1.b":  # every query's loss is shift-invariant: zero up to rounding
+            assert max(abs(batch[name][0]), abs(p.grad[0])) <= 1e-15
+            continue
+        scale = max(np.abs(p.grad).max(), 1e-300)
+        assert np.abs(batch[name] - p.grad).max() <= 1e-12 * scale, name
+
+
+def test_batch_pools_each_distinct_cloud_and_segment_once(monkeypatch):
+    cfg = RankerConfig(width=16, k_candidates=3)
+    store = init_ranker_params(cfg, np.random.default_rng(130))
+    queries, prompts, _, _ = batch_case(131)
+    queries[2] = queries[0]  # one query cloud ranked twice in the batch
+    blocks = {(id(q), 0) for q in queries}
+    blocks |= {(id(pts), seg) for pairs in prompts for pair in pairs for pts, seg in zip(pair, (1, 2))}
+    assert len(blocks) < len(queries) * (1 + 2 * cfg.k_candidates)  # the case shares clouds
+    values_pass = []
+    point_block = ranker_mod._point_block
+
+    def block_spy(store, pts, segment):
+        values_pass.append(segment)
+        return point_block(store, pts, segment)
+
+    monkeypatch.setattr(ranker_mod, "_point_block", block_spy)
+    for record in (True, False):
+        values_pass.clear()
+        score_prompts(Tape(record=record), store, cfg, queries, prompts)
+        assert sorted(values_pass) == sorted(seg for _, seg in blocks)
 
 
 # ---- ranking loss ----
@@ -533,11 +612,11 @@ def test_pooled_scores_match_single_scores():
     cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(21))
     q = np.random.default_rng(22).uniform(size=(10, 3))
     select_pooled(store, CFG, q, [pool_prompt(store, p) for p in cand.prompts], cand)
-    graph_free = score_prompts(Tape(record=False), store, CFG, q,
-                               [(p.input.points, p.target.points) for p in cand.prompts])
+    graph_free = score_prompts(Tape(record=False), store, CFG, [q],
+                               [[(p.input.points, p.target.points) for p in cand.prompts]])
     for i, prompt in enumerate(cand.prompts):
         one = float(predict_score(Tape(), store, CFG, fuse(q, prompt)).value)
-        assert cand.scores[i] == one == graph_free.value[i]
+        assert cand.scores[i] == one == graph_free.value[0, i]
 
 
 def test_bank_pooled_scores_equal_graph_free_scoring_bit_for_bit():
@@ -551,8 +630,8 @@ def test_bank_pooled_scores_equal_graph_free_scoring_bit_for_bit():
             cand = build_candidate_pool(bank, task, cfg.k_candidates, rng)
             q = gen_pair(task, 3, 32, 400 + draw).input.points
             pick = select_pooled(store, cfg, q, rows[cand.indices], cand)
-            ref = score_prompts(Tape(record=False), store, cfg, q,
-                                [(p.input.points, p.target.points) for p in cand.prompts]).value
+            ref = score_prompts(Tape(record=False), store, cfg, [q],
+                                [[(p.input.points, p.target.points) for p in cand.prompts]]).value[0]
             assert np.array_equal(cand.scores, ref)
             assert pick == int(np.argmax(ref))
 

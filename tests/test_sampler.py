@@ -344,14 +344,14 @@ def test_recording_encoder_feeds_only_argmax_rows_to_first_layer(monkeypatch):
         for record in (True, False):
             tape = Tape(record=record)
             fed = []
-            matmul = tape.matmul
+            affine = tape.affine
 
-            def spy(a, b):
-                if b.value is w0:
-                    fed.append(a.shape[0])
-                return matmul(a, b)
+            def spy(x, w, b):
+                if w.value is w0:
+                    fed.append(x.shape[0])
+                return affine(x, w, b)
 
-            tape.matmul = spy
+            tape.affine = spy
             values_pass.clear()
             encode_task(tape, store, p_in, p_out)
             assert values_pass == [512]  # both modes run the full prompt through the values pass once

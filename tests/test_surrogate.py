@@ -221,4 +221,7 @@ def test_centers_fn_helpers():
     assert centers.shape == (S_CFG.n_centers, 3)
     expect = sample_inference(sampler_store, S_CFG, q, prompt.input.points, prompt.target.points)
     assert np.array_equal(centers, expect.centers_query.value)
+    q2 = rng.uniform(size=(16, 3))  # a second query reuses the pair's encoded feature
+    expect = sample_inference(sampler_store, S_CFG, q2, prompt.input.points, prompt.target.points)
+    assert np.array_equal(ada_fn(q2, prompt), expect.centers_query.value)
     assert OracleModel(ada_fn).centers_fn is ada_fn
