@@ -11,6 +11,7 @@ keeps no graph: it computes values only, for inference.
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -571,6 +572,32 @@ def load_params(path) -> ParamStore:
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} unexpected trailing bytes")
     return store
+
+
+def read_sidecar(path, kind: str, fields: dict) -> dict:
+    """The fields of checkpoint `path`'s JSON sidecar, which must describe a `kind`.
+
+    `fields` maps every field besides "kind" to its type, and the sidecar
+    must hold exactly those. An integer also passes for a float; a boolean
+    passes for no number. Raise FormatError naming the first field that is
+    missing, unknown or of another type.
+    """
+    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise FormatError(f"checkpoint sidecar must be a JSON object, got {type(meta).__name__}")
+    if meta.get("kind") != kind:
+        raise FormatError(f"checkpoint sidecar is not a {kind} description: {meta.get('kind')!r}")
+    unknown = sorted(set(meta) - set(fields) - {"kind"})
+    if unknown:
+        raise FormatError(f"{kind} sidecar has unknown field {unknown[0]!r}")
+    for name, typ in fields.items():
+        if name not in meta:
+            raise FormatError(f"{kind} sidecar lacks field {name!r}")
+        value = meta[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else typ):
+            raise FormatError(f"{kind} sidecar field {name!r} must be {typ.__name__}, got {value!r}")
+    return {name: typ(meta[name]) for name, typ in fields.items()}
 
 
 def check_layout(store: ParamStore, reference: ParamStore) -> None:

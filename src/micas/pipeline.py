@@ -30,12 +30,10 @@ from .ranker import (
     listwise_rank_loss,
     load_label_cache,
     load_ranker,
-    pool_prompt,
     raw_performance,
     save_label_cache,
     save_ranker,
     score_prompts,
-    select_pooled,
 )
 from .sampler import (
     SamplerConfig,
@@ -130,6 +128,14 @@ def write_datasets(cfg: RunConfig, out_dir) -> tuple[Path, Path]:
     return train_path, test_path
 
 
+def _indices_by_task(pairs) -> dict[str, list[int]]:
+    """Each task's pair indices in split order, so entry k is the pair at that task's bank position k."""
+    by_task: dict[str, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        by_task.setdefault(pair.task, []).append(i)
+    return by_task
+
+
 # ---- sampler training ----
 
 
@@ -146,10 +152,12 @@ def item_loss(sampler_store, surrogate_store, s_cfg: SamplerConfig, sur_cfg: Sur
 
     `frozen` carries (pattern, gt_masked, context) to pin the
     non-differentiable choices; pass the previous return value to rebuild
-    a bitwise-identical loss, e.g. for finite-difference probes.
+    a bitwise-identical loss, e.g. for finite-difference probes. `noise` is
+    the query's (S, N) Gumbel draw; None samples without perturbation.
     """
-    res = sample(sampler_store, s_cfg, query.input.points, prompt.input.points,
-                 prompt.target.points, tau, noise=noise)
+    if noise is None:
+        noise = np.zeros((query.input.size, s_cfg.n_centers))
+    res = sample(sampler_store, query.input.points, prompt.input.points, prompt.target.points, tau, noise)
     tape = res.tape
     if frozen is None:
         target_centers = res.soft_query.value.T @ query.target.points
@@ -188,8 +196,7 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir, on_step=None) -> Sampler
     s_cfg, sur_cfg = sampler_config(cfg), surrogate_config(cfg)
     sampler_store = init_sampler_params(s_cfg, np.random.default_rng(derive_seed(cfg.seed, "sampler-init")))
     surrogate_store = init_surrogate_params(sur_cfg, np.random.default_rng(derive_seed(cfg.seed, "surrogate-init")))
-    bank = PromptBank.from_pairs(train_pairs)
-    by_task = {task: [i for i, p in enumerate(train_pairs) if p.task == task] for task in bank.prompts}
+    by_task = _indices_by_task(train_pairs)
     history = []
     for epoch in range(cfg.sampler_epochs):
         rng = np.random.default_rng(derive_seed(cfg.seed, "sampler-epoch", epoch))
@@ -276,14 +283,6 @@ def _pairs_sha256(pairs) -> str:
     return digest.hexdigest()
 
 
-def _global_candidate_ids(train_pairs):
-    """Map (task, bank position) back to the pair's index in the split."""
-    by_task: dict[str, list[int]] = {}
-    for i, pair in enumerate(train_pairs):
-        by_task.setdefault(pair.task, []).append(i)
-    return by_task
-
-
 def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTraining:
     """Stage two: fit the scorer against oracle pseudo-labels.
 
@@ -303,16 +302,18 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     sampler_store, s_cfg = load_sampler(sampler_path)
     r_cfg = ranker_config(cfg)
     bank = PromptBank.from_pairs(train_pairs)
-    task_globals = _global_candidate_ids(train_pairs)
+    by_task = _indices_by_task(train_pairs)
     oracle = OracleModel(adaptive_centers_fn(sampler_store, s_cfg))
 
-    # Frozen candidate sets, one per query, then oracle raw performances.
+    # Frozen candidate sets, one per query, with each candidate's index in
+    # the split, then oracle raw performances.
     candidates: dict[int, CandidateSet] = {}
-    position = {task: {g: k for k, g in enumerate(ids)} for task, ids in task_globals.items()}
+    candidate_ids: dict[int, list[int]] = {}
     for qid, query in enumerate(train_pairs):
         rng = np.random.default_rng(derive_seed(cfg.seed, "candidates", qid))
         candidates[qid] = build_candidate_pool(bank, query.task, cfg.k_candidates, rng,
-                                               exclude=position[query.task][qid])
+                                               exclude=by_task[query.task].index(qid))
+        candidate_ids[qid] = [by_task[query.task][int(i)] for i in candidates[qid].indices]
     labels_path = out / LABEL_CACHE
     provenance_path = Path(str(labels_path) + ".json")
     provenance = {"sampler_sha256": sha_before, "seed": cfg.seed, "label_draws": LABEL_DRAWS,
@@ -327,8 +328,7 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     computed = False
     raws: dict[tuple[int, int], float] = {}
     for qid, query in enumerate(train_pairs):
-        for k, prompt in enumerate(candidates[qid].prompts):
-            cid = task_globals[query.task][int(candidates[qid].indices[k])]
+        for cid, prompt in zip(candidate_ids[qid], candidates[qid].prompts):
             key = (qid, cid)
             if key not in raw_cache:
                 rng = np.random.default_rng(derive_seed(cfg.seed, "label", qid, cid))
@@ -345,14 +345,8 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     for task in bank.prompts:
         values = [raw for (qid, _), raw in raws.items() if train_pairs[qid].task == task]
         normalizer.fit(task, np.asarray(values))
-    labels: dict[int, np.ndarray] = {}
-    for qid, query in enumerate(train_pairs):
-        row = []
-        for k in range(len(candidates[qid].prompts)):
-            cid = task_globals[query.task][int(candidates[qid].indices[k])]
-            row.append(normalizer.to_label(query.task, raws[(qid, cid)]))
-        labels[qid] = np.asarray(row)
-        candidates[qid].labels = labels[qid]
+    labels = {qid: np.asarray([normalizer.to_label(query.task, raws[(qid, cid)]) for cid in candidate_ids[qid]])
+              for qid, query in enumerate(train_pairs)}
 
     prompt_clouds = {qid: [(p.input.points, p.target.points) for p in cands.prompts]
                      for qid, cands in candidates.items()}
@@ -360,7 +354,7 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
 
     def batch_step(batch, epoch) -> float:
         tape = autodiff.Tape()
-        scores = score_prompts(tape, ranker_store, r_cfg, [train_pairs[qid].input.points for qid in batch],
+        scores = score_prompts(tape, ranker_store, [train_pairs[qid].input.points for qid in batch],
                                [prompt_clouds[qid] for qid in batch])
         loss = listwise_rank_loss(tape, scores, [labels[qid] for qid in batch])
         if not np.isfinite(loss.value):
@@ -406,7 +400,8 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
     (store, RankerConfig, TaskNormalizer); each may be None when the
     corresponding baseline variant is requested. Results are bitwise
     reproducible for a fixed seed: each query owns an rng seeded by
-    run_seed XOR query_id.
+    run_seed XOR query_id. The ranked cell scores all of a task's queries
+    in one `score_prompts` call and picks each query's top candidate.
     """
     if sampler_variant not in SAMPLER_VARIANTS:
         raise ConfigurationError(f"sampler_variant must be one of {SAMPLER_VARIANTS}")
@@ -418,33 +413,36 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
         raise ConfigurationError("ranked prompting requested but no ranker checkpoint given")
     bank = PromptBank.from_pairs(train_pairs)
     started = time.time()
-    # The prompt side of ranking and sampling depends only on the frozen
-    # checkpoints and the prompt, so a bank prompt is pooled by the ranker
-    # when a query first draws it, encoded by the sampler when a query
-    # first picks it, and reused for every later query in this call.
-    prompt_rows: dict[tuple[str, int], np.ndarray] = {}
+    # Each query owns one rng and uses it in a fixed order: its candidates,
+    # then the random pick, then the oracle's noise.
+    rngs = [np.random.default_rng(np.uint64(cfg.seed) ^ np.uint64(qid)) for qid in range(len(test_pairs))]
+    drawn = [build_candidate_pool(bank, query.task, cfg.k_candidates, rng) for query, rng in zip(test_pairs, rngs)]
+    if prompt_variant == "ranked":
+        # A task's queries all draw from one bank pool, so one call per task
+        # pools each drawn prompt cloud once.
+        picks = [0] * len(test_pairs)
+        for ids in _indices_by_task(test_pairs).values():
+            scores = score_prompts(autodiff.Tape(record=False), ranker_art[0],
+                                   [test_pairs[i].input.points for i in ids],
+                                   [[(p.input.points, p.target.points) for p in drawn[i].prompts] for i in ids])
+            for i, row in zip(ids, scores.value):
+                picks[i] = int(np.argmax(row))  # exact ties go to the lowest index
+    else:
+        picks = [int(rng.integers(len(cands.prompts))) for cands, rng in zip(drawn, rngs)]
+    # A picked prompt's task feature depends only on the frozen sampler and
+    # the prompt, so it is encoded once per call and reused by later queries.
     task_features: dict[tuple[str, int], np.ndarray] = {}
 
-    def eval_one(query_id, query):
-        rng = np.random.default_rng(np.uint64(cfg.seed) ^ np.uint64(query_id))
-        cands = build_candidate_pool(bank, query.task, cfg.k_candidates, rng)
-        keys = [(query.task, int(i)) for i in cands.indices]
-        if prompt_variant == "ranked":
-            store, r_cfg, _ = ranker_art
-            for key, prompt in zip(keys, cands.prompts):
-                if key not in prompt_rows:
-                    prompt_rows[key] = pool_prompt(store, prompt)
-            pick = select_pooled(store, r_cfg, query.input.points, [prompt_rows[key] for key in keys], cands)
-        else:
-            pick = int(rng.integers(len(cands.prompts)))
+    def eval_one(query, cands, pick, rng):
         prompt = cands.prompts[pick]
+        key = (query.task, int(cands.indices[pick]))
         soft = None
         if sampler_variant == "adaptive":
             store, s_cfg = sampler_art
-            if keys[pick] not in task_features:
-                task_features[keys[pick]] = encode_task(autodiff.Tape(record=False), store, prompt.input.points,
-                                                        prompt.target.points).value
-            res = infer_from_task(store, s_cfg, query.input.points, task_features[keys[pick]])
+            if key not in task_features:
+                task_features[key] = encode_task(autodiff.Tape(record=False), store, prompt.input.points,
+                                                 prompt.target.points).value
+            res = infer_from_task(store, s_cfg, query.input.points, task_features[key])
             centers = res.centers_query.value
             soft = res.soft_query.value
             picked_indices = None
@@ -472,7 +470,7 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
                 row["outlier_total"] = int(len(picked_indices))
         return row
 
-    rows = [eval_one(query_id, query) for query_id, query in enumerate(test_pairs)]
+    rows = [eval_one(*args) for args in zip(test_pairs, drawn, picks, rngs)]
 
     cells: dict[str, dict[str, dict]] = {}
     for task in sorted({r["task"] for r in rows}):

@@ -97,45 +97,25 @@ def _point_block(store: ParamStore, pts, segment: int) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def pool_cloud(store: ParamStore, pts, segment: int) -> np.ndarray:
-    """The pooled (width,) row of one cloud under one segment tag, computed without a tape.
-
-    It depends only on the parameters, the cloud and the tag, so a prompt's
-    rows can be computed once for every query that ranks the prompt.
-    """
-    return _point_block(store, pts, segment).max(axis=0)
-
-
 def _row_affine(tape: Tape, store: ParamStore, name: str, x: Node) -> Node:
     return tape.add_row(tape.matmul_rows(x, tape.param(store, f"{name}.w")), tape.param(store, f"{name}.b"))
 
 
-def score_head(tape: Tape, store: ParamStore, pooled: Node, joint) -> Node:
-    """Scores from pooled (U, width) rows, as one node shaped like joint[0].
-
-    joint[0], joint[1] and joint[2] index each score's query, prompt input
-    and prompt output rows. One elementwise maximum over the three gathers
-    gives every joint descriptor; that equals a max-pool over the prompt's
-    fused rows, with ties going to the query, then the prompt input, then
-    the prompt output. The head runs once over all joint rows, but its
-    products compute each row on its own (`Tape.matmul_rows`), so a score
-    does not depend, not even in rounding, on which others share the call.
-    """
-    joint = np.asarray(joint)
-    rows = tape.maximum([tape.gather_rows(pooled, idx.ravel()) for idx in joint])
-    head = tape.relu(_row_affine(tape, store, "score.h0", rows))
-    return tape.reshape(_row_affine(tape, store, "score.h1", head), joint.shape[1:])
-
-
-def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, queries, prompts) -> Node:
+def score_prompts(tape: Tape, store: ParamStore, queries, prompts) -> Node:
     """The (B, K) affinities of K (prompt input, prompt output) pairs for each of B queries, as one node.
 
     prompts[b] holds query b's K pairs; one query is the B = 1 case, and
     row b equals that case's scores for query b, bit for bit. Points pass
     through a shared per-point stack with an additive learned embedding
-    per segment tag, a row max-pool collapses each cloud, and `score_head`
-    maps the pooled rows to one score per prompt. Permuting points within
-    a cloud cannot change a score; all-zero parameters score 0.
+    per segment tag, and a row max-pool collapses each cloud. One
+    elementwise maximum of a prompt's query, input and output rows gives
+    its joint descriptor; that equals a max-pool over the prompt's fused
+    rows, with ties going to the query, then the prompt input, then the
+    prompt output. The head runs once over all joint rows, but its
+    products compute each row on its own (`Tape.matmul_rows`), so a score
+    does not depend, not even in rounding, on which others share the
+    call. Permuting points within a cloud cannot change a score; all-zero
+    parameters score 0.
 
     Each distinct (cloud, segment) block, told apart by array identity, is
     pooled once per call by `autodiff.row_sparse_maxpool` with
@@ -152,14 +132,16 @@ def score_prompts(tape: Tape, store: ParamStore, cfg: RankerConfig, queries, pro
         tape, np.vstack(clouds), np.cumsum([0] + [len(pts) for pts in clouds[:-1]]),
         lambda pts, b: _point_block(store, pts, segments[b]),
         lambda pts, b: _point_stack(tape, store, pts, np.take(segments, b)))
-    return score_head(tape, store, pooled, np.moveaxis(joint, -1, 0))
+    rows = tape.maximum([tape.gather_rows(pooled, joint[..., s].ravel()) for s in range(3)])
+    head = tape.relu(_row_affine(tape, store, "score.h0", rows))
+    return tape.reshape(_row_affine(tape, store, "score.h1", head), joint.shape[:2])
 
 
 def predict_score(tape: Tape, store: ParamStore, cfg: RankerConfig, fused: FusedCloud) -> Node:
     """Scalar affinity of one prompt for one query: score_prompts with one prompt."""
     query, prompt_in, prompt_out = (fused.points[fused.segments == s]
                                     for s in (SEGMENT_QUERY, SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT))
-    return tape.reshape(score_prompts(tape, store, cfg, [query], [[(prompt_in, prompt_out)]]), ())
+    return tape.reshape(score_prompts(tape, store, [query], [[(prompt_in, prompt_out)]]), ())
 
 
 def competition_ranks(labels) -> np.ndarray:
@@ -241,17 +223,21 @@ class TaskNormalizer:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TaskNormalizer":
-        return cls({task: (entry["lo"], entry["hi"]) for task, entry in data.items()})
+        """Bounds in `to_dict`'s layout; FormatError names the first task whose entry does not fit it."""
+        for task, entry in data.items():
+            numeric = isinstance(entry, dict) and all(type(entry.get(key)) in (int, float) for key in ("lo", "hi"))
+            if task not in HIGHER_IS_BETTER or not numeric or entry != {
+                    "lo": entry["lo"], "hi": entry["hi"], "higher_is_better": HIGHER_IS_BETTER[task]}:
+                raise FormatError(f"normalizer entry {task!r} is not a known task's lo, hi and orientation: {entry!r}")
+        return cls({task: (float(entry["lo"]), float(entry["hi"])) for task, entry in data.items()})
 
 
 @dataclass
 class CandidateSet:
-    """K prompts drawn for one query, with optional labels and scores."""
+    """K prompts drawn for one query."""
 
     prompts: list[TaskPair]
     indices: np.ndarray  # positions in the bank's per-task list
-    labels: np.ndarray | None = None
-    scores: np.ndarray | None = None
 
 
 def build_candidate_pool(bank: PromptBank, task: str, k: int, rng, exclude: int | None = None) -> CandidateSet:
@@ -266,35 +252,6 @@ def build_candidate_pool(bank: PromptBank, task: str, k: int, rng, exclude: int 
         raise ValueError(f"k must be in [1, {len(positions)}], got {k}")
     idx = rng.choice(positions, size=k, replace=False).astype(np.int64)
     return CandidateSet([pool[i] for i in idx], idx)
-
-
-def pool_prompt(store: ParamStore, prompt: TaskPair) -> np.ndarray:
-    """Pooled (2, width) input and output rows of one prompt pair, computed without a graph."""
-    return np.stack([pool_cloud(store, prompt.input.points, SEGMENT_PROMPT_IN),
-                     pool_cloud(store, prompt.target.points, SEGMENT_PROMPT_OUT)])
-
-
-def select_pooled(store: ParamStore, cfg: RankerConfig, query_in_pts, prompt_rows, candidates: CandidateSet) -> int:
-    """Index of the highest-scoring candidate, lowest index on ties.
-
-    prompt_rows[i] is `pool_prompt` of the i-th candidate, so only the
-    query cloud runs through the point stack; prompt_rows must have shape
-    (K, 2, width) for K candidates. The scores, stored on `candidates`,
-    equal those of `score_prompts` on a tape that records no graph, bit
-    for bit.
-    """
-    if not candidates.prompts:
-        raise ValueError("candidate set is empty")
-    rows = np.asarray(prompt_rows, dtype=np.float64)
-    if rows.shape != (len(candidates.prompts), 2, cfg.width):
-        raise ValueError(f"prompt rows must have shape {(len(candidates.prompts), 2, cfg.width)} "
-                         f"for {len(candidates.prompts)} candidates, got {rows.shape}")
-    tape = Tape(record=False)
-    query_row = pool_cloud(store, geometry.as_points(query_in_pts), SEGMENT_QUERY)
-    pooled = np.vstack([query_row, rows.reshape(-1, cfg.width)])
-    k = np.arange(len(candidates.prompts))
-    candidates.scores = score_head(tape, store, tape.const(pooled), [np.zeros_like(k), 1 + 2 * k, 2 + 2 * k]).value
-    return int(np.argmax(candidates.scores))
 
 
 def save_label_cache(entries: dict[tuple[int, int], float], path) -> None:
@@ -337,10 +294,7 @@ def save_ranker(store: ParamStore, cfg: RankerConfig, normalizer: TaskNormalizer
 def load_ranker(path) -> tuple[ParamStore, RankerConfig, TaskNormalizer]:
     """Read a ranker checkpoint; its parameters must match the sidecar's architecture."""
     store = autodiff.load_params(path)
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != "ranker":
-        raise ValueError(f"checkpoint sidecar is not a ranker description: {meta.get('kind')!r}")
+    meta = autodiff.read_sidecar(path, "ranker", {"width": int, "k_candidates": int, "normalizer": dict})
     cfg = RankerConfig(width=meta["width"], k_candidates=meta["k_candidates"])
     autodiff.check_layout(store, init_ranker_params(cfg, np.random.default_rng(0)))
     return store, cfg, TaskNormalizer.from_dict(meta["normalizer"])

@@ -11,7 +11,7 @@ column weights can be pushed through a second cloud to sample it jointly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -163,36 +163,27 @@ class SampleResult:
     tau: float
 
 
-def sample(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in_pts, prompt_out_pts,
-           tau: float, rng=None, noise=None, tape: Tape | None = None) -> SampleResult:
+def sample(store: ParamStore, query_pts, prompt_in_pts, prompt_out_pts, tau: float, noise) -> SampleResult:
     """Run the sampler on a query cloud conditioned on one prompt pair.
 
     encode_task summarizes the pair, then `sample_from_task` samples the
-    query. All intermediate nodes share one tape so a downstream loss can
-    differentiate the whole pass.
+    query. All intermediate nodes share one new tape so a downstream loss
+    can differentiate the whole pass.
     """
-    tape = tape if tape is not None else Tape()
+    tape = Tape()
     return sample_from_task(tape, store, query_pts, encode_task(tape, store, prompt_in_pts, prompt_out_pts),
-                            tau, rng, noise)
+                            tau, noise)
 
 
-def sample_from_task(tape: Tape, store: ParamStore, query_pts, task: Node, tau: float, rng=None,
-                     noise=None) -> SampleResult:
+def sample_from_task(tape: Tape, store: ParamStore, query_pts, task: Node, tau: float, noise) -> SampleResult:
     """Sample a query cloud given its prompt pair's task feature, a (d1,) node on `tape`.
 
-    rng drives the Gumbel perturbation; passing `noise`, the query's
-    (S, N) array, freezes it instead, and passing neither zeroes it,
-    which is the inference mode.
+    `noise` is the query's (S, N) Gumbel perturbation, such as
+    `gumbel_noise` draws; zeros give the inference mode.
     """
     pts = np.asarray(query_pts, dtype=np.float64)
     weights = sampling_weights(tape, store, enhance(tape, task, encode_points(tape, store, pts)))
-    if noise is not None:
-        g = np.asarray(noise, dtype=np.float64)
-    elif rng is not None:
-        g = gumbel_noise(rng, weights.shape)
-    else:
-        g = np.zeros(weights.shape)
-    soft = gumbel_softmax(tape, weights, g, tau)
+    soft = gumbel_softmax(tape, weights, noise, tau)
     return SampleResult(tape, task, soft, project_centers(tape, soft, pts), tau)
 
 
@@ -205,7 +196,8 @@ def infer_from_task(store: ParamStore, cfg: SamplerConfig, query_pts, task_featu
     differentiated.
     """
     tape = Tape(record=False)
-    return sample_from_task(tape, store, query_pts, tape.const(task_feature), cfg.tau_end)
+    return sample_from_task(tape, store, query_pts, tape.const(task_feature), cfg.tau_end,
+                            np.zeros((len(query_pts), cfg.n_centers)))
 
 
 def sample_inference(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in_pts, prompt_out_pts) -> SampleResult:
@@ -241,11 +233,7 @@ def save_sampler(store: ParamStore, cfg: SamplerConfig, path) -> None:
 def load_sampler(path) -> tuple[ParamStore, SamplerConfig]:
     """Read a sampler checkpoint; its parameters must match the sidecar's architecture."""
     store = autodiff.load_params(path)
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != "sampler":
-        raise ValueError(f"checkpoint sidecar is not a sampler description: {meta.get('kind')!r}")
-    meta.pop("kind")
-    cfg = SamplerConfig(**meta)
+    types = {f.name: type(f.default) for f in fields(SamplerConfig)}
+    cfg = SamplerConfig(**autodiff.read_sidecar(path, "sampler", types))
     autodiff.check_layout(store, init_sampler_params(cfg, np.random.default_rng(0)))
     return store, cfg

@@ -1,4 +1,4 @@
-"""Guard against public package code that nothing in the package uses."""
+"""Guard against package code that nothing uses: public definitions and function parameters."""
 
 import ast
 from collections import Counter
@@ -15,6 +15,15 @@ ALLOWED = {
     "predict_score": "the benchmark times one-prompt scoring through it",
     "sample_inference": "the benchmark's sampler checks and independent label estimates call it",
 }
+
+# (function, parameter) pairs kept although the function never reads the parameter.
+UNREAD_ALLOWED = {
+    ("predict_score", "cfg"): "the benchmark calls predict_score with this signature",
+}
+
+
+def package_trees():
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
 
 
 def references(node) -> Counter:
@@ -44,7 +53,7 @@ def public_definitions(tree):
 
 
 def test_every_public_definition_is_used_in_the_package():
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    trees = package_trees()
     used = sum((references(tree) for tree in trees), Counter())
     unused = []
     for tree in trees:
@@ -53,3 +62,29 @@ def test_every_public_definition_is_used_in_the_package():
             if used[node.name] - references(node)[node.name] < 1 and node.name not in ALLOWED:
                 unused.append(node.name)
     assert unused == [], f"public definitions with no use in src/micas: {unused}"
+
+
+def unread_parameters(tree):
+    """(function, parameter) for each parameter that its function or lambda never loads; `_` names are exempt.
+
+    A load anywhere in the function's body, nested functions included,
+    counts as a read.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            loaded = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            for param in params:
+                if not param.arg.startswith("_") and param.arg not in loaded:
+                    yield getattr(node, "name", "<lambda>"), param.arg
+
+
+def test_every_parameter_is_read_by_its_function():
+    unread = [pair for tree in package_trees() for pair in unread_parameters(tree) if pair not in UNREAD_ALLOWED]
+    assert unread == [], f"parameters that their function never reads in src/micas: {unread}"
+
+
+def test_unread_parameter_scan_finds_an_unread_parameter():
+    tree = ast.parse("def f(a, b, _c):\n    return a\n\ng = lambda x, y: y\n")
+    assert list(unread_parameters(tree)) == [("f", "b"), ("<lambda>", "x")]

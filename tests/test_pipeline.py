@@ -127,8 +127,7 @@ def per_patch_item_loss(sampler_store, surrogate_store, s_cfg, sur_cfg, query, p
     Tape.chamfer node for every masked patch, the reference for the batched
     patch node."""
     pattern, gt_masked, context = frozen
-    res = sample(sampler_store, s_cfg, query.input.points, prompt.input.points,
-                 prompt.target.points, tau, noise=noise)
+    res = sample(sampler_store, query.input.points, prompt.input.points, prompt.target.points, tau, noise)
     tape = res.tape
     centers = tape.gather_rows(res.centers_query, pattern.indices)
     k = centers.shape[0]
@@ -387,7 +386,7 @@ def reference_cells(cfg, test, train, sampler_art, ranker_art, sampler_variant, 
         cands = build_candidate_pool(bank, query.task, cfg.k_candidates, rng)
         if prompt_variant == "ranked":
             store, r_cfg, _ = ranker_art
-            scores = score_prompts(Tape(record=False), store, r_cfg, [query.input.points],
+            scores = score_prompts(Tape(record=False), store, [query.input.points],
                                    [[(p.input.points, p.target.points) for p in cands.prompts]]).value[0]
             pick = int(np.argmax(scores))
         else:
@@ -437,13 +436,13 @@ def test_evaluate_equals_a_per_query_reference_loop(tiny_run, sampler_variant, p
 
 
 def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch):
-    pooled, encoded, drawn = [], [], []
-    pool_cloud, encode_task = ranker_mod.pool_cloud, sampler_mod.encode_task
-    build_candidate_pool = pipeline.build_candidate_pool
+    pooled, encoded, drawn, oracle_prompts = [], [], [], []
+    point_block, encode_task = ranker_mod._point_block, sampler_mod.encode_task
+    build_candidate_pool, oracle = pipeline.build_candidate_pool, pipeline.oracle_predict
 
-    def pool_spy(store, pts, segment):
-        pooled.append((pts, segment))
-        return pool_cloud(store, pts, segment)
+    def block_spy(store, pts, segment):  # pts is a view into the call's stacked clouds, so match by value
+        pooled.append((pts.tobytes(), segment))
+        return point_block(store, pts, segment)
 
     def encode_spy(tape, store, p_in, p_out):
         encoded.append((p_in, p_out))
@@ -453,34 +452,68 @@ def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch)
         drawn.append(build_candidate_pool(*args, **kwargs))
         return drawn[-1]
 
-    monkeypatch.setattr(ranker_mod, "pool_cloud", pool_spy)
+    def oracle_spy(query_in, query_target, prompt_in, *args):
+        oracle_prompts.append(prompt_in)
+        return oracle(query_in, query_target, prompt_in, *args)
+
+    monkeypatch.setattr(ranker_mod, "_point_block", block_spy)
     monkeypatch.setattr(sampler_mod, "encode_task", encode_spy)
     monkeypatch.setattr(pipeline, "encode_task", encode_spy)
     monkeypatch.setattr(pipeline, "build_candidate_pool", draw_spy)
+    monkeypatch.setattr(pipeline, "oracle_predict", oracle_spy)
     sampler_art = load_sampler(tiny_run.trained.sampler_path)
     ranker_art = load_ranker(tiny_run.ranked.ranker_path)
     cfg = replace(TINY, k_candidates=2)
     test = tiny_run.test
     for _ in range(2):  # the counts hold per call, not per process
-        pooled.clear(), encoded.clear(), drawn.clear()
+        pooled.clear(), encoded.clear(), drawn.clear(), oracle_prompts.clear()
         pipeline.evaluate(cfg, test, tiny_run.train, sampler_art, ranker_art, "adaptive", "ranked")
-        used = {id(p) for cands in drawn for p in cands.prompts}
-        picked = {id(cands.prompts[int(np.argmax(cands.scores))]) for cands in drawn}
+        used = [pair for pair in tiny_run.train if any(p is pair for cands in drawn for p in cands.prompts)]
+        picked = {id(prompt_in) for prompt_in in oracle_prompts}
         # some bank prompt is never drawn, and some is drawn by more than one query
         assert len(used) < len(tiny_run.train) and len(used) < cfg.k_candidates * len(test)
+        # each drawn bank cloud and each query cloud runs through the point stack once
+        expected = [(pair.input.points.tobytes(), SEGMENT_PROMPT_IN) for pair in used]
+        expected += [(pair.target.points.tobytes(), SEGMENT_PROMPT_OUT) for pair in used]
+        expected += [(query.input.points.tobytes(), SEGMENT_QUERY) for query in test]
+        assert sorted(pooled) == sorted(expected)
         for pair in tiny_run.train:
-            times = int(id(pair) in used)
-            assert sum(pts is pair.input.points and seg == SEGMENT_PROMPT_IN for pts, seg in pooled) == times
-            assert sum(pts is pair.target.points and seg == SEGMENT_PROMPT_OUT for pts, seg in pooled) == times
             assert sum(p_in is pair.input.points and p_out is pair.target.points
-                       for p_in, p_out in encoded) == int(id(pair) in picked)
-        # beyond the drawn prompts, only each query cloud runs through the point stack
-        assert [seg for _, seg in pooled].count(SEGMENT_QUERY) == len(test)
-        assert len(pooled) == 2 * len(used) + len(test)
+                       for p_in, p_out in encoded) == int(id(pair.input.points) in picked)
         assert len(encoded) == len(picked) < len(test)
     pooled.clear(), encoded.clear()
     pipeline.evaluate(TINY, tiny_run.test, tiny_run.train, None, None, "fps", "random")
     assert pooled == [] and encoded == []
+
+
+def test_evaluate_ranks_each_task_in_one_call_and_breaks_exact_ties_to_the_lowest_index(tiny_run, monkeypatch):
+    calls, drawn, oracle_prompts = [], [], []
+    build_candidate_pool, oracle = pipeline.build_candidate_pool, pipeline.oracle_predict
+
+    def tied_scores(tape, store, queries, prompts):
+        # candidates 1 and 2 tie exactly for the top score of every query
+        calls.append(queries)
+        return tape.const(np.tile([0.0, 1.0, 1.0], (len(queries), 1)))
+
+    def draw_spy(*args, **kwargs):
+        drawn.append(build_candidate_pool(*args, **kwargs))
+        return drawn[-1]
+
+    def oracle_spy(query_in, query_target, prompt_in, *args):
+        oracle_prompts.append(prompt_in)
+        return oracle(query_in, query_target, prompt_in, *args)
+
+    monkeypatch.setattr(pipeline, "score_prompts", tied_scores)
+    monkeypatch.setattr(pipeline, "build_candidate_pool", draw_spy)
+    monkeypatch.setattr(pipeline, "oracle_predict", oracle_spy)
+    ranker_art = load_ranker(tiny_run.ranked.ranker_path)
+    assert TINY.k_candidates == 3
+    pipeline.evaluate(TINY, tiny_run.test, tiny_run.train, None, ranker_art, "fps", "ranked")
+    call_tasks = [{query.task for query in tiny_run.test if any(query.input.points is q for q in queries)}
+                  for queries in calls]
+    assert sorted(map(sorted, call_tasks)) == [[task] for task in sorted(TASKS)]  # one call per task
+    assert sum(len(queries) for queries in calls) == len(oracle_prompts) == len(tiny_run.test)
+    assert all(prompt_in is cands.prompts[1].input.points for prompt_in, cands in zip(oracle_prompts, drawn))
 
 
 def test_write_and_reload_report(tiny_run, tmp_path):
@@ -595,6 +628,24 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     assert cli.main(["eval", *common, "--ablation", "fps,oracle"]) == 2
     assert cli.main(["eval", "--out", str(tmp_path / "nowhere"), "--ablation", "fps,random"]) == 2
     assert cli.main(["gen-data", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+
+def test_cli_eval_refuses_a_malformed_checkpoint_sidecar(tiny_run, tmp_path, capsys):
+    cfg_file = tmp_path / "tiny.cfg"
+    cfg_file.write_text(TINY_CONFIG_TEXT)
+    run = tmp_path / "run"
+    pipeline.write_datasets(TINY, run / "data")
+    shutil.copytree(tiny_run.work / "artifacts", run / "artifacts")
+    common = ["eval", "--config", str(cfg_file), "--out", str(run)]
+    for checkpoint, field, ablation in ((pipeline.SAMPLER_CHECKPOINT, "d1", "adaptive,random"),
+                                        (pipeline.RANKER_CHECKPOINT, "width", "fps,ranked")):
+        sidecar = run / "artifacts" / (checkpoint + ".json")
+        meta = json.loads(sidecar.read_text())
+        del meta[field]
+        sidecar.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert cli.main([*common, "--ablation", ablation]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {checkpoint.split('.')[0]} sidecar lacks field '{field}'")
 
 
 def test_cli_seed_override_changes_data(tmp_path):

@@ -1,5 +1,8 @@
 """Prompt ranking: fusion, scoring, list-wise loss, labels, persistence."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from micas.autodiff import ParamStore, Tape, affine, finite_diff_check, save_par
 from micas.errors import FormatError
 from micas.geometry import chamfer_distance, miou
 from micas.ranker import (
-    CandidateSet,
     FusedCloud,
     RankerConfig,
     TaskNormalizer,
@@ -19,15 +21,12 @@ from micas.ranker import (
     listwise_rank_loss,
     load_label_cache,
     load_ranker,
-    pool_cloud,
-    pool_prompt,
     predict_score,
     rank_weight_matrix,
     raw_performance,
     save_label_cache,
     save_ranker,
     score_prompts,
-    select_pooled,
 )
 from micas.sampler import SamplerConfig, save_sampler
 from micas.tasks import TASKS, PromptBank, gen_pair
@@ -74,8 +73,11 @@ def test_zero_parameters_score_zero():
     store = init_ranker_params(CFG, np.random.default_rng(2))
     for name in store.names():
         store[name].value[...] = 0.0
-    fused = fuse(np.random.default_rng(3).uniform(size=(12, 3)), gen_pair("denoising", 1, 12, 4))
-    assert float(predict_score(Tape(), store, CFG, fused).value) == 0.0
+    q = np.random.default_rng(3).uniform(size=(12, 3))
+    assert float(predict_score(Tape(), store, CFG, fuse(q, gen_pair("denoising", 1, 12, 4))).value) == 0.0
+    cand = build_candidate_pool(make_bank(5, s=12), "denoising", 3, np.random.default_rng(18))
+    scores = score_prompts(Tape(record=False), store, [q], [[(p.input.points, p.target.points) for p in cand.prompts]])
+    assert np.array_equal(scores.value, np.zeros((1, 3)))
 
 
 def test_score_invariant_to_within_segment_permutation():
@@ -128,7 +130,7 @@ def test_shared_query_scoring_gradient_matches_finite_differences():
 
     def loss_fn(p):
         tape = Tape()
-        listwise_rank_loss(tape, score_prompts(tape, p, cfg, [q], [prompts]), labels)
+        listwise_rank_loss(tape, score_prompts(tape, p, [q], [prompts]), labels)
         return tape
 
     assert finite_diff_check(loss_fn, store) <= 1e-5
@@ -140,7 +142,7 @@ def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
     q, prompts = tie_case(34, s=12, k=4)
     labels = [0.1, 0.7, 0.7, 0.3]
     tape = Tape()
-    scores = score_prompts(tape, store, cfg, [q], [prompts])
+    scores = score_prompts(tape, store, [q], [prompts])
     listwise_rank_loss(tape, scores, labels)
     tape.backward()
     joint = {name: p.grad.copy() for name, p in store.items()}
@@ -189,7 +191,7 @@ def dense_scores(tape, store, cfg, q, prompts):
 
 def score_one(tape, store, cfg, q, prompts):
     """score_prompts on one query, the B = 1 case: a (1, K) node."""
-    return score_prompts(tape, store, cfg, [q], [prompts])
+    return score_prompts(tape, store, [q], [prompts])
 
 
 def spy_pools(tape, method):
@@ -228,7 +230,7 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
         sparse_tape, dense_tape = Tape(), Tape()
         sparse_pools = spy_pools(sparse_tape, "maxpool_segments")
         dense_pools = spy_pools(dense_tape, "maxpool_segments")
-        sparse = score_prompts(sparse_tape, store, cfg, [q], [prompts])
+        sparse = score_prompts(sparse_tape, store, [q], [prompts])
         dense = dense_scores(dense_tape, store, cfg, q, prompts)
         # one segment pool over the stacked chain, one full-block pool per cloud
         assert len(sparse_pools) == 1 and len(dense_pools) == 1 + 2 * len(prompts)
@@ -238,9 +240,9 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
         clouds = [(q, 0)] + [(pts, seg) for pair in prompts for pts, seg in zip(pair, (1, 2))]
         for row, (_, full), (pts, segment) in zip(pooled, dense_pools, clouds):
             assert np.array_equal(row, full)
-            assert np.array_equal(pool_cloud(store, pts, segment), full)  # the tape-free values pass
+            assert np.array_equal(ranker_mod._point_block(store, pts, segment).max(axis=0), full)  # tape-free
         assert np.array_equal(sparse.value, dense.value)
-        assert np.array_equal(score_prompts(Tape(record=False), store, cfg, [q], [prompts]).value, sparse.value)
+        assert np.array_equal(score_prompts(Tape(record=False), store, [q], [prompts]).value, sparse.value)
 
 
 def test_row_sparse_train_step_gradient_matches_dense_reference():
@@ -291,7 +293,7 @@ def test_recording_pass_feeds_only_argmax_rows_to_first_layer(monkeypatch):
 
             tape.affine = spy
             values_pass.clear()
-            score_prompts(tape, store, cfg, [q], [prompts])
+            score_prompts(tape, store, [q], [prompts])
             # both modes run each full cloud through the values pass exactly once
             assert values_pass == [len(pts) for pts, _ in clouds]
             if record:  # one recorded chain over the kept rows of every cloud
@@ -312,7 +314,7 @@ def test_ranker_step_records_the_same_small_graph_for_any_k():
             prompts = [[(rng.uniform(size=(32, 3)), rng.uniform(size=(32, 3))) for _ in range(k)]
                        for _ in range(b)]
             tape = Tape()
-            listwise_rank_loss(tape, score_prompts(tape, store, cfg, queries, prompts),
+            listwise_rank_loss(tape, score_prompts(tape, store, queries, prompts),
                                np.tile(np.linspace(0.9, 0.1, k), (b, 1)))
             recorded[b, k] = len(tape.nodes)
     # no node is recorded per query or per candidate: the point chain, one head and the loss
@@ -332,17 +334,12 @@ def test_batch_scores_equal_one_query_scores_bit_for_bit():
     cfg = RankerConfig(width=16, k_candidates=3)
     for seed in range(3):
         store = init_ranker_params(cfg, np.random.default_rng(100 + seed))
-        queries, prompts, bank, picks = batch_case(110 + seed)
-        bank_rows = np.array([np.stack([pool_cloud(store, p_in, 1), pool_cloud(store, p_out, 2)])
-                              for p_in, p_out in bank])
+        queries, prompts, _, _ = batch_case(110 + seed)
         for record in (True, False):
-            batch = score_prompts(Tape(record=record), store, cfg, queries, prompts).value
+            batch = score_prompts(Tape(record=record), store, queries, prompts).value
             assert batch.shape == (len(queries), cfg.k_candidates)
-            for q, pairs, idx, row in zip(queries, prompts, picks, batch):
-                one = score_prompts(Tape(record=record), store, cfg, [q], [pairs]).value
-                cand = CandidateSet([None] * len(idx), idx)
-                select_pooled(store, cfg, q, bank_rows[idx], cand)
-                assert np.array_equal(row, one[0]) and np.array_equal(row, cand.scores)
+            for q, pairs, row in zip(queries, prompts, batch):
+                assert np.array_equal(row, score_prompts(Tape(record=record), store, [q], [pairs]).value[0])
 
 
 def test_batch_tape_gradient_equals_sum_of_per_query_tapes():
@@ -351,13 +348,13 @@ def test_batch_tape_gradient_equals_sum_of_per_query_tapes():
     queries, prompts, _, _ = batch_case(121)
     labels = np.random.default_rng(122).uniform(size=(len(queries), cfg.k_candidates))
     tape = Tape()
-    listwise_rank_loss(tape, score_prompts(tape, store, cfg, queries, prompts), labels)
+    listwise_rank_loss(tape, score_prompts(tape, store, queries, prompts), labels)
     tape.backward(0.25)
     batch = {name: p.grad.copy() for name, p in store.items()}
     store.zero_grads()
     for q, pairs, row in zip(queries, prompts, labels):
         single = Tape()
-        listwise_rank_loss(single, score_prompts(single, store, cfg, [q], [pairs]), row)
+        listwise_rank_loss(single, score_prompts(single, store, [q], [pairs]), row)
         single.backward(0.25)
     for name, p in store.items():
         if name == "score.h1.b":  # every query's loss is shift-invariant: zero up to rounding
@@ -385,7 +382,7 @@ def test_batch_pools_each_distinct_cloud_and_segment_once(monkeypatch):
     monkeypatch.setattr(ranker_mod, "_point_block", block_spy)
     for record in (True, False):
         values_pass.clear()
-        score_prompts(Tape(record=record), store, cfg, queries, prompts)
+        score_prompts(Tape(record=record), store, queries, prompts)
         assert sorted(values_pass) == sorted(seg for _, seg in blocks)
 
 
@@ -557,83 +554,49 @@ def test_candidate_pool_k_bounds():
     build_candidate_pool(bank, "denoising", 6, np.random.default_rng(0))  # exact fit is fine
 
 
-def test_select_pooled_ties_and_empty():
-    bank = make_bank(5, s=12)
-    store = init_ranker_params(CFG, np.random.default_rng(17))
-    for name in store.names():
-        store[name].value[...] = 0.0  # all candidates score exactly 0
-    cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(18))
-    q = np.random.default_rng(19).uniform(size=(12, 3))
-    assert select_pooled(store, CFG, q, [pool_prompt(store, p) for p in cand.prompts], cand) == 0
-    assert np.array_equal(cand.scores, np.zeros(3))
-    with pytest.raises(ValueError):
-        select_pooled(store, CFG, q, [], CandidateSet([], np.empty(0, np.int64)))
-
-
-def test_select_pooled_rejects_prompt_rows_that_do_not_match_the_candidates():
-    cfg = RankerConfig(width=8, k_candidates=3)
-    bank = make_bank(5, s=12)
-    store = init_ranker_params(cfg, np.random.default_rng(26))
-    cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(27))
-    q = np.random.default_rng(28).uniform(size=(12, 3))
-    rows = np.array([pool_prompt(store, p) for p in cand.prompts])
-    with pytest.raises(ValueError, match="prompt rows"):  # two candidates' rows for three candidates
-        select_pooled(store, cfg, q, rows[:2], cand)
-    narrow = init_ranker_params(RankerConfig(width=4), np.random.default_rng(29))
-    with pytest.raises(ValueError, match="prompt rows"):  # width-4 rows for a width-8 ranker
-        select_pooled(store, cfg, q, [pool_prompt(narrow, p) for p in cand.prompts], cand)
-    with pytest.raises(ValueError, match="prompt rows"):  # one row per candidate, not two
-        select_pooled(store, cfg, q, rows[:, 0], cand)
-    assert cand.scores is None
-    select_pooled(store, cfg, q, rows, cand)
-    assert cand.scores.shape == (3,)
-
-
-def test_select_pooled_exact_tie_goes_to_lowest_index():
-    bank = make_bank(5, s=12)
-    pool = bank.for_task("denoising")
-    store = init_ranker_params(CFG, np.random.default_rng(24))
-    rows = np.array([pool_prompt(store, p) for p in pool])
-    q = np.random.default_rng(25).uniform(size=(12, 3))
-    every = CandidateSet(list(pool), np.arange(len(pool)))
-    best = select_pooled(store, CFG, q, rows, every)
-    worst = int(np.argmin(every.scores))
-    assert every.scores[best] > every.scores[worst]
-    # the best prompt drawn twice, behind a worse one: the first copy wins
-    idx = np.array([worst, best, best])
-    cand = CandidateSet([pool[i] for i in idx], idx)
-    assert select_pooled(store, CFG, q, rows[idx], cand) == 1
-    assert cand.scores[1] == cand.scores[2] == every.scores[best]
-
-
 def test_pooled_scores_match_single_scores():
     bank = make_bank(4, s=10)
     store = init_ranker_params(CFG, np.random.default_rng(20))
     cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(21))
     q = np.random.default_rng(22).uniform(size=(10, 3))
-    select_pooled(store, CFG, q, [pool_prompt(store, p) for p in cand.prompts], cand)
-    graph_free = score_prompts(Tape(record=False), store, CFG, [q],
+    graph_free = score_prompts(Tape(record=False), store, [q],
                                [[(p.input.points, p.target.points) for p in cand.prompts]])
     for i, prompt in enumerate(cand.prompts):
         one = float(predict_score(Tape(), store, CFG, fuse(q, prompt)).value)
-        assert cand.scores[i] == one == graph_free.value[0, i]
+        assert one == graph_free.value[0, i]
+
+
+def test_select_pooled_ties_and_empty():
+    # all-zero parameters tie every candidate at exactly 0; the ranked pick
+    # (argmax, as evaluate makes it) then goes to the first candidate, and
+    # an empty candidate set cannot be drawn at all
+    bank = make_bank(5, s=12)
+    store = init_ranker_params(CFG, np.random.default_rng(17))
+    for name in store.names():
+        store[name].value[...] = 0.0
+    cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(18))
+    q = np.random.default_rng(19).uniform(size=(12, 3))
+    scores = score_prompts(Tape(record=False), store, [q, q[::-1]],
+                           [[(p.input.points, p.target.points) for p in cand.prompts]] * 2)
+    assert np.array_equal(scores.value, np.zeros((2, 3)))
+    assert [int(np.argmax(row)) for row in scores.value] == [0, 0]
+    with pytest.raises(ValueError):
+        build_candidate_pool(bank, "denoising", 0, np.random.default_rng(18))
 
 
 def test_bank_pooled_scores_equal_graph_free_scoring_bit_for_bit():
+    # as evaluate ranks: one call over a task's queries, whose candidates share the bank's arrays
     cfg = RankerConfig(width=16, k_candidates=4)
     for seed, task in enumerate(TASKS):
         bank = PromptBank.from_pairs([gen_pair(task, 1 + i % 5, 32, 300 + 10 * seed + i) for i in range(7)])
         store = init_ranker_params(cfg, np.random.default_rng(80 + seed))
-        rows = np.array([pool_prompt(store, p) for p in bank.for_task(task)])  # pooled once per bank
-        for draw in range(4):
-            rng = np.random.default_rng(90 + draw)
-            cand = build_candidate_pool(bank, task, cfg.k_candidates, rng)
-            q = gen_pair(task, 3, 32, 400 + draw).input.points
-            pick = select_pooled(store, cfg, q, rows[cand.indices], cand)
-            ref = score_prompts(Tape(record=False), store, cfg, [q],
-                                [[(p.input.points, p.target.points) for p in cand.prompts]]).value[0]
-            assert np.array_equal(cand.scores, ref)
-            assert pick == int(np.argmax(ref))
+        drawn = [build_candidate_pool(bank, task, cfg.k_candidates, np.random.default_rng(90 + draw))
+                 for draw in range(4)]
+        queries = [gen_pair(task, 3, 32, 400 + draw).input.points for draw in range(4)]
+        prompts = [[(p.input.points, p.target.points) for p in cand.prompts] for cand in drawn]
+        together = score_prompts(Tape(record=False), store, queries, prompts).value
+        for q, pairs, row in zip(queries, prompts, together):
+            assert np.array_equal(row, score_prompts(Tape(record=False), store, [q], [pairs]).value[0])
 
 
 # ---- persistence ----
@@ -672,6 +635,29 @@ def test_ranker_checkpoint_round_trip(tmp_path):
     assert norm_back.bounds == norm.bounds
     for name in store.names():
         assert np.array_equal(back[name].value, store[name].value)
+
+
+NORM_ENTRY = {"lo": 0.1, "hi": 0.7, "higher_is_better": False}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: {name: v for name, v in meta.items() if name != "width"}, "lacks field 'width'"),
+    (lambda meta: {name: v for name, v in meta.items() if name != "normalizer"}, "lacks field 'normalizer'"),
+    (lambda meta: {**meta, "width": 8.0}, "field 'width' must be int"),
+    (lambda meta: {**meta, "normalizer": []}, "field 'normalizer' must be dict"),
+    (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "lo": "0.1"}}}, "entry 'denoising'"),
+    (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "higher_is_better": True}}}, "entry 'denoising'"),
+    (lambda meta: {**meta, "normalizer": {"sorting": NORM_ENTRY}}, "entry 'sorting'"),
+    (lambda meta: {**meta, "seed": 0}, "unknown field 'seed'"),
+    (lambda meta: [meta], "must be a JSON object"),
+])
+def test_ranker_sidecar_refuses_a_malformed_field(tmp_path, edit, message):
+    path = tmp_path / "ranker.micasnn"
+    save_ranker(init_ranker_params(CFG, np.random.default_rng(3)), CFG, TaskNormalizer({"denoising": (0.1, 0.7)}), path)
+    sidecar = Path(str(path) + ".json")
+    sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    with pytest.raises(FormatError, match=message):
+        load_ranker(path)
 
 
 def test_ranker_rejects_foreign_sidecar(tmp_path):

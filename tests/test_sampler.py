@@ -1,5 +1,8 @@
 """Sampler behavior: weights, Gumbel statistics, projection, persistence."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,7 +185,7 @@ def test_sample_shapes_and_joint_projection():
     q = rng.uniform(size=(20, 3))
     p_in = rng.uniform(size=(16, 3))
     p_out = rng.uniform(size=(16, 3))
-    res = sample(store, CFG, q, p_in, p_out, tau=0.5, rng=rng)
+    res = sample(store, q, p_in, p_out, 0.5, gumbel_noise(rng, (20, CFG.n_centers)))
     assert res.soft_query.shape == (20, CFG.n_centers)
     assert res.centers_query.shape == (CFG.n_centers, 3)
     assert res.task_feature.shape == (CFG.d1,)
@@ -203,7 +206,7 @@ def test_sample_encodes_only_the_query_cloud(monkeypatch):
     rng = np.random.default_rng(14)
     store = small_store(6)
     q, p_in, p_out = (rng.uniform(size=(s, 3)) for s in (20, 16, 16))
-    sample(store, CFG, q, p_in, p_out, tau=0.5, rng=rng)
+    sample(store, q, p_in, p_out, 0.5, gumbel_noise(rng, (20, CFG.n_centers)))
     sample_inference(store, CFG, q, p_in, p_out)
     assert len(encoded) == 2
     assert all(np.array_equal(pts, q) for pts in encoded)
@@ -219,7 +222,7 @@ def test_sample_inference_is_deterministic():
     b = sample_inference(store, CFG, q, p_in, p_out)
     assert np.array_equal(a.soft_query.value, b.soft_query.value)
     assert a.tau == CFG.tau_end
-    frozen = sample(store, CFG, q, p_in, p_out, CFG.tau_end, noise=np.zeros((12, CFG.n_centers)))
+    frozen = sample(store, q, p_in, p_out, CFG.tau_end, np.zeros((12, CFG.n_centers)))
     assert np.array_equal(a.soft_query.value, frozen.soft_query.value)
 
 
@@ -229,8 +232,8 @@ def test_sampling_from_an_encoded_task_feature_equals_sample_inference():
         store = small_store(7 + seed)
         q, p_in, p_out = (rng.uniform(size=(s, 3)) for s in (24, 16, 16))
         expect = sample_inference(store, CFG, q, p_in, p_out)
-        # one pass with the encoding on the sampling tape, as a single call makes it
-        whole = sample(store, CFG, q, p_in, p_out, CFG.tau_end, tape=Tape(record=False))
+        # one recording pass with the encoding on the sampling tape, as training makes it
+        whole = sample(store, q, p_in, p_out, CFG.tau_end, np.zeros((24, CFG.n_centers)))
         for feature in (encode_task(Tape(record=False), store, p_in, p_out).value,
                         encode_task(Tape(), store, p_in, p_out).value):
             got = infer_from_task(store, CFG, q, feature)
@@ -365,9 +368,9 @@ def test_point_permutation_permutes_soft_rows():
     p_in = rng.uniform(size=(14, 3))
     p_out = rng.uniform(size=(14, 3))
     noise_q = gumbel_noise(rng, (14, CFG.n_centers))
-    res = sample(store, CFG, q, p_in, p_out, 0.4, noise=noise_q)
+    res = sample(store, q, p_in, p_out, 0.4, noise_q)
     perm = rng.permutation(14)
-    res_perm = sample(store, CFG, q[perm], p_in, p_out, 0.4, noise=noise_q[perm])
+    res_perm = sample(store, q[perm], p_in, p_out, 0.4, noise_q[perm])
     assert np.abs(res.soft_query.value[perm] - res_perm.soft_query.value).max() < 1e-9
     assert np.abs(res.centers_query.value - res_perm.centers_query.value).max() < 1e-9
 
@@ -408,6 +411,24 @@ def test_sampler_checkpoint_round_trip(tmp_path):
     assert cfg == CFG
     for name in store.names():
         assert np.array_equal(back[name].value, store[name].value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: {**meta, "extra": 1}, "unknown field 'extra'"),
+    (lambda meta: {**meta, "d1": "64"}, "field 'd1' must be int"),
+    (lambda meta: {**meta, "alpha": True}, "field 'alpha' must be float"),
+    (lambda meta: {name: v for name, v in meta.items() if name != "d1"}, "lacks field 'd1'"),
+    (lambda meta: [meta], "must be a JSON object"),
+])
+def test_sampler_sidecar_refuses_a_malformed_field(tmp_path, edit, message):
+    path = tmp_path / "sampler.micasnn"
+    save_sampler(small_store(10), CFG, path)
+    sidecar = Path(str(path) + ".json")
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "alpha": 1}))
+    assert load_sampler(path)[1].alpha == 1.0  # an integer passes for a float
+    sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    with pytest.raises(FormatError, match=message):
+        load_sampler(path)
 
 
 def test_sampler_rejects_foreign_sidecar(tmp_path):
