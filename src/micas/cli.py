@@ -21,7 +21,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import pipeline
 from .config import RunConfig, load_config, profile_config
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError
 from .ranker import load_ranker
 from .sampler import load_sampler
 from .tasks import load_dataset
@@ -166,10 +166,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, FormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # FormatError and ConfigurationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Point-cloud primitives: containers, distances, sampling, and binary records.
+"""Point-cloud primitives: the cloud container, distances, sampling, and binary records.
 
 Coordinates are float64 arrays of shape (S, 3) throughout. Identical
 inputs always produce identical outputs. Farthest-point and k-nearest
@@ -76,47 +76,6 @@ class PointCloud:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    def copy(self) -> "PointCloud":
-        return PointCloud(
-            self.points.copy(),
-            None if self.labels is None else self.labels.copy(),
-            None if self.noise_mask is None else self.noise_mask.copy(),
-        )
-
-
-@dataclass
-class PatchSet:
-    """Local neighborhoods grouped around sampled centers.
-
-    Attributes:
-        centers: (N, 3) float64 patch anchors.
-        patches: (N, M, 3) float64 neighbor coordinates per center.
-        source_indices: optional (N, M) indices into the source cloud.
-    """
-
-    centers: np.ndarray
-    patches: np.ndarray
-    source_indices: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=np.float64)
-        self.patches = np.asarray(self.patches, dtype=np.float64)
-        if self.centers.ndim != 2 or self.centers.shape[1] != 3:
-            raise ValueError("centers must have shape (N, 3)")
-        if self.patches.ndim != 3 or self.patches.shape[2] != 3:
-            raise ValueError("patches must have shape (N, M, 3)")
-        if self.patches.shape[0] != self.centers.shape[0]:
-            raise ValueError("patch count must match center count")
-        if self.source_indices is not None:
-            idx = np.asarray(self.source_indices, dtype=np.int64)
-            if idx.shape != self.patches.shape[:2]:
-                raise ValueError("source_indices must have shape (N, M)")
-            self.source_indices = idx
-
-    @property
-    def n_patches(self) -> int:
-        return self.centers.shape[0]
 
 
 def as_points(obj) -> np.ndarray:
@@ -224,8 +183,8 @@ def fps_select(cloud, n: int, seed_index: int = 0) -> np.ndarray:
     return chosen
 
 
-def knn_patches(cloud, centers, m: int) -> PatchSet:
-    """Gather the m nearest cloud points around each center.
+def knn_patches(cloud, centers, m: int) -> np.ndarray:
+    """Gather the m nearest cloud points around each center, as an (N, m, 3) array.
 
     Neighbors are ordered by increasing distance, lowest index first on
     ties, and may repeat across patches. A center that is itself a cloud
@@ -237,7 +196,7 @@ def knn_patches(cloud, centers, m: int) -> PatchSet:
         raise ValueError(f"m must be in [1, {len(pts)}], got {m}")
     d2 = np.sum((ctr[:, None, :] - pts[None, :, :]) ** 2, axis=2)
     order = np.argsort(d2, axis=1, kind="stable")[:, :m]
-    return PatchSet(centers=ctr, patches=pts[order], source_indices=order)
+    return pts[order]
 
 
 def minmax_normalize(value: float, lo: float, hi: float) -> float:

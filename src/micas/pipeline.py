@@ -52,10 +52,9 @@ from .surrogate import (
     SurrogateConfig,
     adaptive_centers_fn,
     init_surrogate_params,
-    mask_patches,
+    mask_indices,
     oracle_predict,
     surrogate_predict,
-    visible_context,
 )
 from .tasks import TASKS, PromptBank, TaskPair, gen_pair, load_dataset, save_dataset
 
@@ -150,8 +149,10 @@ def item_loss(sampler_store, surrogate_store, s_cfg: SamplerConfig, sur_cfg: Sur
     reconstructs the hidden ones with the surrogate, and scores
     reconstruction plus coverage.
 
-    `frozen` carries (pattern, gt_masked, context) to pin the
-    non-differentiable choices; pass the previous return value to rebuild
+    `frozen` carries (hidden, gt_masked, context) to pin the
+    non-differentiable choices: the sorted hidden patch indices, their
+    ground-truth points, and the mean point of the visible patches (zeros
+    when every patch is hidden); pass the previous return value to rebuild
     a bitwise-identical loss, e.g. for finite-difference probes. `noise` is
     the query's (S, N) Gumbel draw; None samples without perturbation.
     """
@@ -161,15 +162,15 @@ def item_loss(sampler_store, surrogate_store, s_cfg: SamplerConfig, sur_cfg: Sur
     tape = res.tape
     if frozen is None:
         target_centers = res.soft_query.value.T @ query.target.points
-        patchset = geometry.knn_patches(query.target.points, target_centers, sur_cfg.m_neighbors)
-        masked, pattern = mask_patches(patchset, mask_ratio, mask_rng)
-        if len(pattern.indices) == 0:
+        patches = geometry.knn_patches(query.target.points, target_centers, sur_cfg.m_neighbors)
+        hidden = mask_indices(len(patches), mask_ratio, mask_rng)
+        if len(hidden) == 0:
             raise ConfigurationError("mask ratio leaves no patch hidden; nothing to train on")
-        gt_masked = patchset.patches[pattern.indices]
-        context = visible_context(masked, pattern)
-        frozen = (pattern, gt_masked, context)
-    pattern, gt_masked, context = frozen
-    masked_centers = tape.gather_rows(res.centers_query, pattern.indices)
+        visible = np.delete(patches, hidden, axis=0)
+        context = visible.reshape(-1, 3).mean(axis=0) if len(visible) else np.zeros(3)
+        frozen = (hidden, patches[hidden], context)
+    hidden, gt_masked, context = frozen
+    masked_centers = tape.gather_rows(res.centers_query, hidden)
     preds = surrogate_predict(tape, surrogate_store, sur_cfg, res.task_feature, masked_centers, context)
     loss = sampling_loss(tape, preds, gt_masked, res.centers_query, query.input.points, s_cfg.alpha)
     return res, loss, frozen

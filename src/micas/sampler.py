@@ -160,7 +160,6 @@ class SampleResult:
     task_feature: Node  # (d1,) summary of the prompt pair
     soft_query: Node  # (S, N) column-stochastic weights for the query cloud
     centers_query: Node  # (N, 3)
-    tau: float
 
 
 def sample(store: ParamStore, query_pts, prompt_in_pts, prompt_out_pts, tau: float, noise) -> SampleResult:
@@ -184,7 +183,7 @@ def sample_from_task(tape: Tape, store: ParamStore, query_pts, task: Node, tau: 
     pts = np.asarray(query_pts, dtype=np.float64)
     weights = sampling_weights(tape, store, enhance(tape, task, encode_points(tape, store, pts)))
     soft = gumbel_softmax(tape, weights, noise, tau)
-    return SampleResult(tape, task, soft, project_centers(tape, soft, pts), tau)
+    return SampleResult(tape, task, soft, project_centers(tape, soft, pts))
 
 
 def infer_from_task(store: ParamStore, cfg: SamplerConfig, query_pts, task_feature) -> SampleResult:

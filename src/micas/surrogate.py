@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autodiff, geometry
 from .autodiff import Node, ParamStore, Tape
-from .geometry import PatchSet
 from .sampler import SamplerConfig, encode_task, infer_from_task
 
 # Noise model of the oracle: sigma scales with center coverage error and
@@ -33,53 +32,12 @@ ORACLE_PROMPT_GAIN = 1.0
 OFFSET_SPAN = 0.15
 
 
-@dataclass
-class MaskPattern:
-    """Which patch slots were hidden out of a set of `total` patches."""
-
-    indices: np.ndarray  # sorted masked patch indices
-    total: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("mask indices must be 1-D")
-        if len(idx) and ((idx < 0).any() or (idx >= self.total).any()):
-            raise ValueError("mask index out of range")
-        if len(np.unique(idx)) != len(idx):
-            raise ValueError("mask indices must be unique")
-        self.indices = np.sort(idx)
-
-    @property
-    def visible(self) -> np.ndarray:
-        keep = np.ones(self.total, dtype=bool)
-        keep[self.indices] = False
-        return np.flatnonzero(keep)
-
-
-def mask_patches(patches: PatchSet, ratio: float, rng) -> tuple[PatchSet, MaskPattern]:
-    """Zero out round(ratio * N) randomly chosen patches.
-
-    Returns a copy with masked rows replaced by the zero placeholder, plus
-    the pattern needed to undo the bookkeeping. Centers are left intact.
-    """
+def mask_indices(n: int, ratio: float, rng) -> np.ndarray:
+    """Sorted indices of round(ratio * n) patches drawn at random to be hidden, out of n."""
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("mask ratio must be in [0, 1]")
-    n = patches.n_patches
     count = int(np.rint(ratio * n))
-    idx = np.sort(rng.choice(n, size=count, replace=False)) if count else np.empty(0, np.int64)
-    hidden = patches.patches.copy()
-    hidden[idx] = 0.0
-    masked = PatchSet(patches.centers.copy(), hidden, None)
-    return masked, MaskPattern(idx, n)
-
-
-def visible_context(patches: PatchSet, pattern: MaskPattern) -> np.ndarray:
-    """Mean coordinate over all points of the visible patches, or zeros."""
-    vis = pattern.visible
-    if len(vis) == 0:
-        return np.zeros(3)
-    return patches.patches[vis].reshape(-1, 3).mean(axis=0)
+    return np.sort(rng.choice(n, size=count, replace=False)) if count else np.empty(0, np.int64)
 
 
 @dataclass

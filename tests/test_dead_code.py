@@ -1,4 +1,4 @@
-"""Guard against package code that nothing uses: public definitions and function parameters."""
+"""Guard against package code that nothing uses: public definitions, function parameters and dataclass fields."""
 
 import ast
 from collections import Counter
@@ -19,6 +19,11 @@ ALLOWED = {
 # (function, parameter) pairs kept although the function never reads the parameter.
 UNREAD_ALLOWED = {
     ("predict_score", "cfg"): "the benchmark calls predict_score with this signature",
+}
+
+# (dataclass, field) pairs kept although no package code outside the class reads the field.
+FIELD_ALLOWED = {
+    ("RankerTraining", "labels_path"): "the benchmark's label checks read the label cache through it",
 }
 
 
@@ -88,3 +93,48 @@ def test_every_parameter_is_read_by_its_function():
 def test_unread_parameter_scan_finds_an_unread_parameter():
     tree = ast.parse("def f(a, b, _c):\n    return a\n\ng = lambda x, y: y\n")
     assert list(unread_parameters(tree)) == [("f", "b"), ("<lambda>", "x")]
+
+
+def attribute_loads(node) -> Counter:
+    """Attribute names loaded anywhere under node."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def is_dataclass(node) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", None) == "dataclass" or getattr(target, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(trees):
+    """(class, field) for each annotated field of a dataclass that no code outside its class body loads.
+
+    Like methods, fields are matched by attribute name alone.
+    """
+    used = sum((attribute_loads(tree) for tree in trees), Counter())
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and is_dataclass(node):
+                own = attribute_loads(node)
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        name = stmt.target.id
+                        if used[name] - own[name] < 1:
+                            yield node.name, name
+
+
+def test_every_dataclass_field_is_read_outside_its_class():
+    unread = [pair for pair in unread_fields(package_trees()) if pair not in FIELD_ALLOWED]
+    assert unread == [], f"dataclass fields that nothing outside their class reads in src/micas: {unread}"
+
+
+def test_unread_field_scan_finds_an_unread_field():
+    tree = ast.parse(
+        "@dataclass\nclass A:\n    kept: int\n    only_self: int\n\n"
+        "    def total(self):\n        return self.only_self\n\n"
+        "class B:\n    ignored: int\n\n"
+        "def use(a):\n    return a.kept\n"
+    )
+    assert list(unread_fields([tree])) == [("A", "only_self")]

@@ -5,7 +5,6 @@ import pytest
 
 from micas.errors import FormatError
 from micas.geometry import (
-    PatchSet,
     PointCloud,
     chamfer_distance,
     chamfer_distance_stack,
@@ -190,19 +189,18 @@ def test_knn_patches_match_brute_force_order():
     rng = np.random.default_rng(6)
     pts = rng.uniform(size=(50, 3))
     centers = rng.uniform(size=(7, 3))
-    ps = knn_patches(pts, centers, 9)
-    assert ps.patches.shape == (7, 9, 3)
+    patches = knn_patches(pts, centers, 9)
+    assert patches.shape == (7, 9, 3)
     d2 = np.sum((centers[:, None, :] - pts[None, :, :]) ** 2, axis=2)
     for i in range(7):
         expect = np.argsort(d2[i], kind="stable")[:9]
-        assert np.array_equal(ps.source_indices[i], expect)
-        assert np.array_equal(ps.patches[i], pts[expect])
+        assert np.array_equal(patches[i], pts[expect])
 
 
 def test_knn_patches_center_on_cloud_is_own_first_neighbor():
     pts = np.random.default_rng(7).uniform(size=(20, 3))
-    ps = knn_patches(pts, pts[[4]], 3)
-    assert ps.source_indices[0, 0] == 4
+    patches = knn_patches(pts, pts[[4]], 3)
+    assert np.array_equal(patches[0, 0], pts[4])
 
 
 def test_knn_patches_m_bounds():
@@ -303,15 +301,6 @@ def test_pointcloud_validation():
         PointCloud(np.zeros((4, 3)), labels=np.full(4, -1))
     with pytest.raises(ValueError):
         PointCloud(np.zeros((4, 3)), noise_mask=np.zeros(5, dtype=bool))
-
-
-def test_patchset_validation():
-    with pytest.raises(ValueError):
-        PatchSet(np.zeros((2, 3)), np.zeros((3, 4, 3)))
-    with pytest.raises(ValueError):
-        PatchSet(np.zeros((2, 3)), np.zeros((2, 4, 2)))
-    with pytest.raises(ValueError):
-        PatchSet(np.zeros((2, 3)), np.zeros((2, 4, 3)), source_indices=np.zeros((2, 3), dtype=np.int64))
 
 
 def test_cloud_bytes_round_trip():

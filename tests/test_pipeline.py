@@ -121,15 +121,36 @@ def test_item_loss_frozen_rebuild_is_bitwise():
     assert float(again.value) == float(loss.value)
 
 
+def test_item_loss_context_is_the_visible_patches_mean_or_zeros():
+    s_cfg, sur_cfg = pipeline.sampler_config(TINY), pipeline.surrogate_config(TINY)
+    stores = (init_sampler_params(s_cfg, np.random.default_rng(0)),
+              init_surrogate_params(sur_cfg, np.random.default_rng(1)))
+    query = gen_pair("denoising", 3, TINY.s_points, 12)
+    prompt = gen_pair("denoising", 3, TINY.s_points, 13)
+    for ratio, n_hidden in ((TINY.mask_ratio, 2), (1.0, TINY.n_centers)):
+        res, _, (hidden, gt_masked, context) = pipeline.item_loss(
+            *stores, s_cfg, sur_cfg, ratio, query, prompt, 0.5, None, mask_rng=np.random.default_rng(3))
+        expect = np.sort(np.random.default_rng(3).choice(TINY.n_centers, size=n_hidden, replace=False))
+        assert np.array_equal(hidden, expect)
+        centers = res.soft_query.value.T @ query.target.points
+        patches = geometry.knn_patches(query.target.points, centers, sur_cfg.m_neighbors)
+        assert np.array_equal(gt_masked, patches[hidden])
+        visible = [i for i in range(TINY.n_centers) if i not in hidden]
+        if visible:
+            assert np.array_equal(context, patches[visible].reshape(-1, 3).mean(axis=0))
+        else:
+            assert np.array_equal(context, np.zeros(3))
+
+
 def per_patch_item_loss(sampler_store, surrogate_store, s_cfg, sur_cfg, query, prompt, tau,
                         noise, frozen):
     """item_loss built patch by patch: a gather/reshape/add_row chain and a
     Tape.chamfer node for every masked patch, the reference for the batched
     patch node."""
-    pattern, gt_masked, context = frozen
+    hidden, gt_masked, context = frozen
     res = sample(sampler_store, query.input.points, prompt.input.points, prompt.target.points, tau, noise)
     tape = res.tape
-    centers = tape.gather_rows(res.centers_query, pattern.indices)
+    centers = tape.gather_rows(res.centers_query, hidden)
     k = centers.shape[0]
     rows = tape.concat_cols(centers, tape.tile_rows(res.task_feature, k))
     rows = tape.concat_cols(rows, tape.tile_rows(tape.const(context), k))

@@ -5,23 +5,21 @@ import pytest
 
 from micas import surrogate as sur_mod
 from micas.autodiff import ParamStore, Tape, finite_diff_check
-from micas.geometry import PatchSet, chamfer_distance
+from micas.geometry import chamfer_distance
 from micas.sampler import SamplerConfig, init_sampler_params, sample_inference
 from micas.surrogate import (
     OFFSET_SPAN,
     ORACLE_CENTER_GAIN,
     ORACLE_PROMPT_GAIN,
     ORACLE_SIGMA0,
-    MaskPattern,
     OracleModel,
     SurrogateConfig,
     adaptive_centers_fn,
     init_surrogate_params,
-    mask_patches,
+    mask_indices,
     oracle_predict,
     oracle_sigma,
     surrogate_predict,
-    visible_context,
 )
 from micas.tasks import gen_pair
 
@@ -29,42 +27,22 @@ CFG = SurrogateConfig(d1=8, m_neighbors=4, width=8)
 S_CFG = SamplerConfig(d1=8, d2=8, n_centers=4, width=8)
 
 
-def random_patchset(rng, n=10, m=4):
-    return PatchSet(rng.uniform(size=(n, 3)), rng.uniform(size=(n, m, 3)))
-
-
-def test_mask_pattern_counts():
-    rng = np.random.default_rng(0)
-    ps = random_patchset(rng)
+def test_mask_indices_counts():
     for ratio, expect in ((0.0, 0), (0.6, 6), (1.0, 10)):
-        masked, pattern = mask_patches(ps, ratio, np.random.default_rng(1))
-        assert len(pattern.indices) == expect
-        assert len(np.unique(pattern.indices)) == expect
-        assert (masked.patches[pattern.indices] == 0.0).all()
-        keep = pattern.visible
-        assert np.array_equal(masked.patches[keep], ps.patches[keep])
-        assert np.array_equal(masked.centers, ps.centers)
+        hidden = mask_indices(10, ratio, np.random.default_rng(1))
+        assert len(hidden) == expect
+        assert np.array_equal(hidden, np.unique(hidden))  # sorted, no repeats
+        assert ((0 <= hidden) & (hidden < 10)).all()
+        if expect:
+            # exactly one rng.choice draw: the rest of a training epoch's rng stream depends on it
+            assert np.array_equal(hidden, np.sort(np.random.default_rng(1).choice(10, size=expect, replace=False)))
+
+
+def test_mask_indices_rejects_ratio_out_of_range():
     with pytest.raises(ValueError):
-        mask_patches(ps, 1.5, np.random.default_rng(1))
-
-
-def test_mask_pattern_validation():
+        mask_indices(10, 1.5, np.random.default_rng(1))
     with pytest.raises(ValueError):
-        MaskPattern(np.array([0, 0]), 4)
-    with pytest.raises(ValueError):
-        MaskPattern(np.array([4]), 4)
-    pattern = MaskPattern(np.array([3, 1]), 5)
-    assert np.array_equal(pattern.indices, [1, 3])
-    assert np.array_equal(pattern.visible, [0, 2, 4])
-
-
-def test_visible_context_mean_and_empty():
-    rng = np.random.default_rng(2)
-    ps = random_patchset(rng, n=5)
-    pattern = MaskPattern(np.array([0, 2]), 5)
-    expect = ps.patches[[1, 3, 4]].reshape(-1, 3).mean(axis=0)
-    assert np.abs(visible_context(ps, pattern) - expect).max() < 1e-15
-    assert np.array_equal(visible_context(ps, MaskPattern(np.arange(5), 5)), np.zeros(3))
+        mask_indices(10, -0.1, np.random.default_rng(1))
 
 
 def test_zero_parameters_predict_center_copies():
