@@ -409,49 +409,61 @@ def init_mlp(store: ParamStore, prefix: str, widths, rng) -> None:
 def forward_mlp(tape: Tape, store: ParamStore, prefix: str, x: Node, final="linear", hidden="relu") -> Node:
     """Run the affine stack under `prefix` with `hidden` activations between layers.
 
-    `hidden` is "relu", "tanh", or "sin"; `final` selects the activation
-    after the last layer: "linear", "relu", or "tanh".
+    `hidden` is "relu" or "tanh"; `final` selects the activation after the
+    last layer: "linear" or "relu".
     """
-    acts = {"relu": tape.relu, "tanh": tape.tanh, "sin": tape.sin}
-    if final not in ("linear", "relu", "tanh"):
+    acts = {"relu": tape.relu, "tanh": tape.tanh}
+    if final not in ("linear", "relu"):
         raise ValueError(f"unknown final activation {final!r}")
     if hidden not in acts:
         raise ValueError(f"unknown hidden activation {hidden!r}")
-    i = 0
-    h = x
+    i, h = 0, x
     while f"{prefix}.{i}.w" in store:
-        h = affine(tape, store, f"{prefix}.{i}", h)
-        last = f"{prefix}.{i + 1}.w" not in store
-        if not last:
-            h = acts[hidden](h)
-        elif final != "linear":
-            h = acts[final](h)
+        h = affine(tape, store, f"{prefix}.{i}", acts[hidden](h) if i else h)
         i += 1
     if i == 0:
         raise ValueError(f"no layers found under prefix {prefix!r}")
-    return h
+    return tape.relu(h) if final == "relu" else h
 
 
-def row_sparse_maxpool(tape: Tape, pts, starts, values, chain) -> Node:
-    """`maxpool_segments(chain(pts), starts)`, with the chain recorded only on the rows that win.
+def mlp_values(store: ParamStore, prefix: str, x, hidden: str) -> np.ndarray:
+    """`forward_mlp(tape, store, prefix, const(x), final="relu", hidden=hidden)`'s value without a tape.
 
-    `values(x, b)` gives block b's per-row features in plain numpy, and
-    `chain(x, owner)` records the same ops in the same order for rows x
-    of blocks owner, so both agree bit for bit. A max-pool's gradient
-    reaches only each column's first maximizer, so a recording tape runs
-    each block through `values` once, keeps the rows that first maximize
-    a column (lowest row on ties) in ascending order, and records `chain`
-    and the pool over those rows only. A non-recording tape gets the
-    values pass's maxima as a constant.
+    Plain numpy in `forward_mlp`'s op order, activations applied in place,
+    so the two agree bit for bit.
+    """
+    acts = {"relu": lambda h: np.maximum(h, 0.0, out=h), "tanh": lambda h: np.tanh(h, out=h)}
+    if hidden not in acts:
+        raise ValueError(f"unknown hidden activation {hidden!r}")
+    if f"{prefix}.0.w" not in store:
+        raise ValueError(f"no layers found under prefix {prefix!r}")
+    i, h = 0, x
+    while f"{prefix}.{i}.w" in store:
+        h = (acts[hidden](h) if i else h) @ store[f"{prefix}.{i}.w"].value
+        h += store[f"{prefix}.{i}.b"].value
+        i += 1
+    return np.maximum(h, 0.0, out=h)
+
+
+def row_sparse_maxpool(tape: Tape, store: ParamStore, prefix: str, pts, starts, hidden: str) -> Node:
+    """`maxpool_segments` of the ReLU-capped MLP under `prefix` over `pts`, recorded only on the rows that win.
+
+    A max-pool's gradient reaches only each column's first maximizer, so a
+    recording tape runs each block through `mlp_values` once, keeps the
+    rows that first maximize a column (lowest row on ties) in ascending
+    order, and records `forward_mlp(..., final="relu", hidden=hidden)` and
+    the pool over those rows only; both passes agree bit for bit. A
+    non-recording tape gets the values pass's maxima as a constant.
     """
     bounds = [0, len(pts)] if starts is None else [*starts, len(pts)]
-    blocks = [(b, lo, pts[lo:hi]) for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    blocks = [(lo, pts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if not tape.record:
-        pooled = np.stack([values(x, b).max(axis=0) for b, _, x in blocks])
+        pooled = np.stack([mlp_values(store, prefix, x, hidden).max(axis=0) for _, x in blocks])
         return tape.const(pooled[0] if starts is None else pooled)
-    kept = [lo + np.flatnonzero(np.bincount(np.argmax(values(x, b), axis=0), minlength=len(x))) for b, lo, x in blocks]
+    kept = [lo + np.flatnonzero(np.bincount(np.argmax(mlp_values(store, prefix, x, hidden), axis=0),
+                                            minlength=len(x))) for lo, x in blocks]
     counts = [len(rows) for rows in kept]
-    chained = chain(pts[np.concatenate(kept)], np.repeat(np.arange(len(kept)), counts))
+    chained = forward_mlp(tape, store, prefix, tape.const(pts[np.concatenate(kept)]), final="relu", hidden=hidden)
     return tape.maxpool_segments(chained, None if starts is None else np.cumsum([0] + counts[:-1]))
 
 

@@ -161,8 +161,8 @@ def chamfer_distance_stack(stack, b) -> np.ndarray:
     return d2_ab.mean(axis=1) + d2_ba.mean(axis=1)
 
 
-def fps_select(cloud, n: int, seed_index: int = 0) -> np.ndarray:
-    """Greedy farthest-point subset of size n, starting at seed_index.
+def fps_select(cloud, n: int) -> np.ndarray:
+    """Greedy farthest-point subset of size n, starting at index 0.
 
     Each step picks the point maximizing the minimum squared distance to
     the already chosen set; ties go to the lowest index.
@@ -171,11 +171,8 @@ def fps_select(cloud, n: int, seed_index: int = 0) -> np.ndarray:
     s = len(pts)
     if not 1 <= n <= s:
         raise ValueError(f"n must be in [1, {s}], got {n}")
-    if not 0 <= seed_index < s:
-        raise ValueError(f"seed_index must be in [0, {s}), got {seed_index}")
-    chosen = np.empty(n, dtype=np.int64)
-    chosen[0] = seed_index
-    min_d2 = np.sum((pts - pts[seed_index]) ** 2, axis=1)
+    chosen = np.zeros(n, dtype=np.int64)
+    min_d2 = np.sum((pts - pts[0]) ** 2, axis=1)
     for k in range(1, n):
         nxt = int(np.argmax(min_d2))  # argmax returns the first (lowest) maximizer
         chosen[k] = nxt

@@ -63,6 +63,8 @@ VOLATILE_REPORT_KEYS = ("wall_time_seconds", "generated_unix")
 SAMPLER_VARIANTS = ("adaptive", "fps")
 PROMPT_VARIANTS = ("ranked", "random")
 NEAR_HARD_THRESHOLD = 0.9
+# Each task's report metric and the scale from its raw performance to that metric.
+REPORT_METRICS = {task: ("miou", 1.0) if task == "partseg" else ("cd_x1000", 1000.0) for task in TASKS}
 # One oracle draw is a high-variance sample of a prompt's worth: the noise it
 # adds to a 256-point cloud swamps the std differences between candidates.
 # Pseudo-labels therefore average this many draws per (query, candidate), a
@@ -97,7 +99,7 @@ def surrogate_config(cfg: RunConfig) -> SurrogateConfig:
 
 
 def ranker_config(cfg: RunConfig) -> RankerConfig:
-    return RankerConfig(width=cfg.ranker_width, k_candidates=cfg.k_candidates)
+    return RankerConfig(width=cfg.ranker_width)
 
 
 # ---- data ----
@@ -437,7 +439,8 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
     def eval_one(query, cands, pick, rng):
         prompt = cands.prompts[pick]
         key = (query.task, int(cands.indices[pick]))
-        soft = None
+        # hard: the input rows the centers pick outright, the near-hard
+        # columns' argmax rows or the FPS picks
         if sampler_variant == "adaptive":
             store, s_cfg = sampler_art
             if key not in task_features:
@@ -446,29 +449,18 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
             res = infer_from_task(store, s_cfg, query.input.points, task_features[key])
             centers = res.centers_query.value
             soft = res.soft_query.value
-            picked_indices = None
+            hard = soft.argmax(axis=0)[soft.max(axis=0) >= NEAR_HARD_THRESHOLD]
         else:
-            picked_indices = geometry.fps_select(query.input.points, cfg.n_centers)
-            centers = query.input.points[picked_indices]
+            hard = geometry.fps_select(query.input.points, cfg.n_centers)
+            centers = query.input.points[hard]
         predicted = oracle_predict(query.input.points, query.target.points,
                                    prompt.input.points, centers, rng)
         raw = float(raw_performance(query.task, predicted, query)[0])
-        row = {
-            "task": query.task,
-            "level": query.level,
-            "metric": "miou" if query.task == "partseg" else "cd_x1000",
-            "value": raw if query.task == "partseg" else raw * 1000.0,
-        }
+        metric, scale = REPORT_METRICS[query.task]
+        row = {"task": query.task, "level": query.level, "metric": metric, "value": raw * scale}
         if query.task == "denoising" and query.input.noise_mask is not None:
-            mask = query.input.noise_mask
-            if soft is not None:
-                near = soft.max(axis=0) >= NEAR_HARD_THRESHOLD
-                rows = soft.argmax(axis=0)[near]
-                row["outlier_hits"] = int(mask[rows].sum())
-                row["outlier_total"] = int(near.sum())
-            else:
-                row["outlier_hits"] = int(mask[picked_indices].sum())
-                row["outlier_total"] = int(len(picked_indices))
+            row["outlier_hits"] = int(query.input.noise_mask[hard].sum())
+            row["outlier_total"] = len(hard)
         return row
 
     rows = [eval_one(*args) for args in zip(test_pairs, drawn, picks, rngs)]
@@ -480,14 +472,14 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
             values = [r["value"] for r in rows if r["task"] == task and r["level"] == level]
             if values:
                 cells[task][str(level)] = {
-                    "metric": "miou" if task == "partseg" else "cd_x1000",
+                    "metric": REPORT_METRICS[task][0],
                     "mean": float(np.mean(values)),
                     "count": len(values),
                     "values": [float(v) for v in values],
                 }
     task_means = {
         task: {
-            "metric": "miou" if task == "partseg" else "cd_x1000",
+            "metric": REPORT_METRICS[task][0],
             "mean": float(np.mean([v for lvl in levels.values() for v in lvl["values"]])),
         }
         for task, levels in cells.items()

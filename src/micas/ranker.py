@@ -1,7 +1,8 @@
 """Query-specific prompt ranking.
 
 Candidates are scored by a small permutation-invariant network over the
-(query, prompt input, prompt output) clouds and trained list-wise
+(query, prompt input, prompt output) clouds, each point tagged with its
+cloud's one-hot segment columns, and trained list-wise
 against pseudo-labels: oracle performances min-max normalized per task and
 oriented so that 1 is always best. Rank weighting follows reciprocal
 competition ranks, so confusing the top of the list costs more than
@@ -62,39 +63,24 @@ def fuse(query_in_pts, prompt: TaskPair) -> FusedCloud:
 @dataclass
 class RankerConfig:
     width: int = 64
-    k_candidates: int = 8
 
     def __post_init__(self):
-        if self.width < 1 or self.k_candidates < 1:
-            raise ValueError("width and k_candidates must be positive")
+        if self.width < 1:
+            raise ValueError("width must be positive")
 
 
 def init_ranker_params(cfg: RankerConfig, rng) -> ParamStore:
+    """He-normal weights and zero biases, except that rows 3-5 of `score.point.0.w`,
+    which read the one-hot segment columns, are drawn from N(0, 0.1) after its xyz rows."""
     store = ParamStore()
     w = cfg.width
-    autodiff.init_affine(store, "score.l0", 3, w, rng)
-    store.add("score.tags", rng.normal(0.0, 0.1, size=(3, w)))
-    autodiff.init_affine(store, "score.l1", w, w, rng)
+    store.add("score.point.0.w", np.vstack([rng.normal(0.0, np.sqrt(2.0 / 3), size=(3, w)),
+                                            rng.normal(0.0, 0.1, size=(3, w))]))
+    store.add("score.point.0.b", np.zeros(w))
+    autodiff.init_affine(store, "score.point.1", w, w, rng)
     autodiff.init_affine(store, "score.h0", w, w, rng)
     autodiff.init_affine(store, "score.h1", w, 1, rng)
     return store
-
-
-def _point_stack(t: Tape, store: ParamStore, pts, segments) -> Node:
-    tag_rows = t.gather_rows(t.param(store, "score.tags"), segments)
-    h = t.add(autodiff.affine(t, store, "score.l0", t.const(pts)), tag_rows)
-    return t.relu(autodiff.affine(t, store, "score.l1", t.relu(h)))
-
-
-def _point_block(store: ParamStore, pts, segment: int) -> np.ndarray:
-    """One cloud's (S, width) `_point_stack` output under one segment tag, without a tape, in its op order."""
-    h = np.asarray(pts, dtype=np.float64) @ store["score.l0.w"].value
-    h += store["score.l0.b"].value
-    h += store["score.tags"].value[segment]
-    np.maximum(h, 0.0, out=h)
-    out = h @ store["score.l1.w"].value
-    out += store["score.l1.b"].value
-    return np.maximum(out, 0.0, out=out)
 
 
 def _row_affine(tape: Tape, store: ParamStore, name: str, x: Node) -> Node:
@@ -105,10 +91,10 @@ def score_prompts(tape: Tape, store: ParamStore, queries, prompts) -> Node:
     """The (B, K) affinities of K (prompt input, prompt output) pairs for each of B queries, as one node.
 
     prompts[b] holds query b's K pairs; one query is the B = 1 case, and
-    row b equals that case's scores for query b, bit for bit. Points pass
-    through a shared per-point stack with an additive learned embedding
-    per segment tag, and a row max-pool collapses each cloud. One
-    elementwise maximum of a prompt's query, input and output rows gives
+    row b equals that case's scores for query b, bit for bit. Each point,
+    as its xyz followed by the one-hot columns of its segment tag, passes
+    through a shared 2-layer ReLU MLP, and a row max-pool collapses each
+    cloud. One elementwise maximum of a prompt's query, input and output rows gives
     its joint descriptor; that equals a max-pool over the prompt's fused
     rows, with ties going to the query, then the prompt input, then the
     prompt output. The head runs once over all joint rows, but its
@@ -118,20 +104,17 @@ def score_prompts(tape: Tape, store: ParamStore, queries, prompts) -> Node:
     parameters score 0.
 
     Each distinct (cloud, segment) block, told apart by array identity, is
-    pooled once per call by `autodiff.row_sparse_maxpool` with
-    `_point_block` as its values pass; a recording tape runs only each
-    block's first column maximizers, the lowest row on ties, through
-    `_point_stack`.
+    pooled once per call by `autodiff.row_sparse_maxpool`; a recording tape
+    records the MLP only on each block's first column maximizers, the
+    lowest row on ties.
     """
     blocks = {}  # (id(cloud), segment) -> (block index, cloud, segment), in first-use order
     joint = np.array([[[blocks.setdefault((id(pts), seg), (len(blocks), pts, seg))[0]
                         for pts, seg in ((query, SEGMENT_QUERY), (p_in, SEGMENT_PROMPT_IN), (p_out, SEGMENT_PROMPT_OUT))]
                        for p_in, p_out in pairs] for query, pairs in zip(queries, prompts, strict=True)])
-    _, clouds, segments = zip(*blocks.values())
-    pooled = autodiff.row_sparse_maxpool(
-        tape, np.vstack(clouds), np.cumsum([0] + [len(pts) for pts in clouds[:-1]]),
-        lambda pts, b: _point_block(store, pts, segments[b]),
-        lambda pts, b: _point_stack(tape, store, pts, np.take(segments, b)))
+    tagged = [np.hstack([pts, np.tile(np.eye(3)[seg], (len(pts), 1))]) for _, pts, seg in blocks.values()]
+    pooled = autodiff.row_sparse_maxpool(tape, store, "score.point", np.vstack(tagged),
+                                         np.cumsum([0] + [len(x) for x in tagged[:-1]]), "relu")
     rows = tape.maximum([tape.gather_rows(pooled, joint[..., s].ravel()) for s in range(3)])
     head = tape.relu(_row_affine(tape, store, "score.h0", rows))
     return tape.reshape(_row_affine(tape, store, "score.h1", head), joint.shape[:2])
@@ -283,7 +266,6 @@ def save_ranker(store: ParamStore, cfg: RankerConfig, normalizer: TaskNormalizer
     meta = {
         "kind": "ranker",
         "width": cfg.width,
-        "k_candidates": cfg.k_candidates,
         "normalizer": normalizer.to_dict(),
     }
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
@@ -294,7 +276,7 @@ def save_ranker(store: ParamStore, cfg: RankerConfig, normalizer: TaskNormalizer
 def load_ranker(path) -> tuple[ParamStore, RankerConfig, TaskNormalizer]:
     """Read a ranker checkpoint; its parameters must match the sidecar's architecture."""
     store = autodiff.load_params(path)
-    meta = autodiff.read_sidecar(path, "ranker", {"width": int, "k_candidates": int, "normalizer": dict})
-    cfg = RankerConfig(width=meta["width"], k_candidates=meta["k_candidates"])
+    meta = autodiff.read_sidecar(path, "ranker", {"width": int, "normalizer": dict})
+    cfg = RankerConfig(width=meta["width"])
     autodiff.check_layout(store, init_ranker_params(cfg, np.random.default_rng(0)))
     return store, cfg, TaskNormalizer.from_dict(meta["normalizer"])

@@ -72,7 +72,7 @@ def heldout_ranking(desk_cfg, run_a):
     test_pairs = load_dataset(run_a.work / "data" / pipeline.TEST_DATASET)
     sampler_store, s_cfg = load_sampler(run_a.work / "artifacts" / pipeline.SAMPLER_CHECKPOINT)
     ranker_store, r_cfg, normalizer = load_ranker(run_a.work / "artifacts" / pipeline.RANKER_CHECKPOINT)
-    assert r_cfg.k_candidates == 8
+    assert desk_cfg.k_candidates == 8 and r_cfg.width == desk_cfg.ranker_width
     oracle = OracleModel(adaptive_centers_fn(sampler_store, s_cfg))
     bank = PromptBank.from_pairs(train_pairs)
     per_query = []

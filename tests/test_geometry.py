@@ -176,13 +176,11 @@ def test_fps_full_selection_is_a_permutation():
 
 def test_fps_seed_and_range_errors():
     pts = np.random.default_rng(5).uniform(size=(8, 3))
-    assert list(fps_select(pts, 1, seed_index=3)) == [3]
+    assert list(fps_select(pts, 1)) == [0]
     with pytest.raises(ValueError):
         fps_select(pts, 0)
     with pytest.raises(ValueError):
         fps_select(pts, 9)
-    with pytest.raises(ValueError):
-        fps_select(pts, 2, seed_index=8)
 
 
 def test_knn_patches_match_brute_force_order():

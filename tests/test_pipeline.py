@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import micas
-from micas import cli, geometry, pipeline
-from micas import ranker as ranker_mod
+from micas import autodiff, cli, geometry, pipeline
 from micas import sampler as sampler_mod
 from micas import surrogate as sur_mod
 from micas.autodiff import Tape, forward_mlp
@@ -259,7 +258,7 @@ def test_ranker_training_artifacts_and_hash_contract(tiny_run):
     assert meta["sampler_sha256"] == meta["sampler_sha256_after"]
     assert len(meta["history"]) == TINY.ranker_epochs
     store, r_cfg, normalizer = load_ranker(tiny_run.ranked.ranker_path)
-    assert r_cfg.k_candidates == TINY.k_candidates
+    assert r_cfg.width == TINY.ranker_width
     assert set(normalizer.bounds) == set(TASKS)
 
 
@@ -458,12 +457,13 @@ def test_evaluate_equals_a_per_query_reference_loop(tiny_run, sampler_variant, p
 
 def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch):
     pooled, encoded, drawn, oracle_prompts = [], [], [], []
-    point_block, encode_task = ranker_mod._point_block, sampler_mod.encode_task
+    mlp_values, encode_task = autodiff.mlp_values, sampler_mod.encode_task
     build_candidate_pool, oracle = pipeline.build_candidate_pool, pipeline.oracle_predict
 
-    def block_spy(store, pts, segment):  # pts is a view into the call's stacked clouds, so match by value
-        pooled.append((pts.tobytes(), segment))
-        return point_block(store, pts, segment)
+    def values_spy(store, prefix, x, hidden):  # x is a view into the call's stacked clouds, so match by value
+        if prefix == "score.point":  # xyz, then the one-hot segment columns
+            pooled.append((x[:, :3].tobytes(), int(np.argmax(x[0, 3:]))))
+        return mlp_values(store, prefix, x, hidden)
 
     def encode_spy(tape, store, p_in, p_out):
         encoded.append((p_in, p_out))
@@ -477,7 +477,7 @@ def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch)
         oracle_prompts.append(prompt_in)
         return oracle(query_in, query_target, prompt_in, *args)
 
-    monkeypatch.setattr(ranker_mod, "_point_block", block_spy)
+    monkeypatch.setattr(autodiff, "mlp_values", values_spy)
     monkeypatch.setattr(sampler_mod, "encode_task", encode_spy)
     monkeypatch.setattr(pipeline, "encode_task", encode_spy)
     monkeypatch.setattr(pipeline, "build_candidate_pool", draw_spy)

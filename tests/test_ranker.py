@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from micas import ranker as ranker_mod
-from micas.autodiff import ParamStore, Tape, affine, finite_diff_check, save_params
+from micas import autodiff
+from micas.autodiff import ParamStore, Tape, affine, finite_diff_check, mlp_values, save_params
 from micas.errors import FormatError
 from micas.geometry import chamfer_distance, miou
 from micas.ranker import (
@@ -31,7 +31,7 @@ from micas.ranker import (
 from micas.sampler import SamplerConfig, save_sampler
 from micas.tasks import TASKS, PromptBank, gen_pair
 
-CFG = RankerConfig(width=8, k_candidates=4)
+CFG = RankerConfig(width=8)
 
 
 def make_bank(n=6, s=16, task="denoising"):
@@ -95,7 +95,7 @@ def test_score_invariant_to_within_segment_permutation():
 def test_score_gradient_matches_finite_differences():
     # central differences are only valid away from relu kinks and max-pool
     # argmax switches; this seed gives a generic point with margin >> epsilon
-    cfg = RankerConfig(width=4, k_candidates=2)
+    cfg = RankerConfig(width=4)
     store = init_ranker_params(cfg, np.random.default_rng(4))
     fused = fuse(np.random.default_rng(9).uniform(size=(6, 3)), gen_pair("denoising", 1, 6, 10))
 
@@ -123,7 +123,7 @@ def tie_case(seed, s=4, k=3):
 
 
 def test_shared_query_scoring_gradient_matches_finite_differences():
-    cfg = RankerConfig(width=4, k_candidates=3)
+    cfg = RankerConfig(width=4)
     store = init_ranker_params(cfg, np.random.default_rng(31))
     q, prompts = tie_case(32)
     labels = [0.2, 0.9, 0.5]
@@ -137,7 +137,7 @@ def test_shared_query_scoring_gradient_matches_finite_differences():
 
 
 def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
-    cfg = RankerConfig(width=8, k_candidates=4)
+    cfg = RankerConfig(width=8)
     store = init_ranker_params(cfg, np.random.default_rng(33))
     q, prompts = tie_case(34, s=12, k=4)
     labels = [0.1, 0.7, 0.7, 0.3]
@@ -163,6 +163,13 @@ def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
         assert np.abs(p.grad - joint[name]).max() <= 1e-12 * scale, name
 
 
+def tagged(pts, segment):
+    """A cloud's rows as xyz followed by the one-hot columns of its segment tag."""
+    onehot = np.zeros((len(pts), 3))
+    onehot[:, segment] = 1.0
+    return np.hstack([pts, onehot])
+
+
 def dense_scores(tape, store, cfg, q, prompts):
     """Reference scorer: the per-point stack and max-pool over every row of every cloud.
 
@@ -170,12 +177,10 @@ def dense_scores(tape, store, cfg, q, prompts):
     (1, K) node by exact column concatenation, as score_prompts returns
     for one query.
     """
-    tags = tape.param(store, "score.tags")
 
     def pooled(pts, segment):
-        tag = tape.reshape(tape.gather_rows(tags, [segment]), (cfg.width,))
-        h = tape.add_row(affine(tape, store, "score.l0", tape.const(pts)), tag)
-        return tape.maxpool_segments(tape.relu(affine(tape, store, "score.l1", tape.relu(h))))
+        h = affine(tape, store, "score.point.0", tape.const(tagged(pts, segment)))
+        return tape.maxpool_segments(tape.relu(affine(tape, store, "score.point.1", tape.relu(h))))
 
     query = pooled(q, 0)
     scores = []
@@ -221,11 +226,11 @@ def sparse_cases():
 
 
 def test_row_sparse_pooling_equals_full_block_maxpool():
-    cfg = RankerConfig(width=16, k_candidates=3)
+    cfg = RankerConfig(width=16)
     for seed, (q, prompts) in enumerate(sparse_cases()):
         rng = np.random.default_rng(50 + seed)
         store = init_ranker_params(cfg, rng)
-        for name in ("score.l0.b", "score.l1.b", "score.h0.b"):  # biases a trained ranker has
+        for name in ("score.point.0.b", "score.point.1.b", "score.h0.b"):  # biases a trained ranker has
             store[name].value[...] = rng.normal(0.0, 0.1, size=cfg.width)
         sparse_tape, dense_tape = Tape(), Tape()
         sparse_pools = spy_pools(sparse_tape, "maxpool_segments")
@@ -240,13 +245,14 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
         clouds = [(q, 0)] + [(pts, seg) for pair in prompts for pts, seg in zip(pair, (1, 2))]
         for row, (_, full), (pts, segment) in zip(pooled, dense_pools, clouds):
             assert np.array_equal(row, full)
-            assert np.array_equal(ranker_mod._point_block(store, pts, segment).max(axis=0), full)  # tape-free
+            assert np.array_equal(mlp_values(store, "score.point", tagged(pts, segment), "relu").max(axis=0),
+                                  full)  # tape-free
         assert np.array_equal(sparse.value, dense.value)
         assert np.array_equal(score_prompts(Tape(record=False), store, [q], [prompts]).value, sparse.value)
 
 
 def test_row_sparse_train_step_gradient_matches_dense_reference():
-    cfg = RankerConfig(width=16, k_candidates=3)
+    cfg = RankerConfig(width=16)
     for seed, (q, prompts) in enumerate(sparse_cases()):
         store = init_ranker_params(cfg, np.random.default_rng(60 + seed))
         labels = np.linspace(0.9, 0.1, len(prompts))
@@ -262,24 +268,29 @@ def test_row_sparse_train_step_gradient_matches_dense_reference():
             assert np.abs(grads[0][name] - grads[1][name]).max() <= 1e-12 * scale, name
 
 
+def values_spy(calls, record):
+    """A stand-in for `autodiff.mlp_values` that appends record(x) of each block to calls."""
+    real = autodiff.mlp_values
+
+    def spy(store, prefix, x, hidden):
+        calls.append(record(x))
+        return real(store, prefix, x, hidden)
+
+    return spy
+
+
 def test_recording_pass_feeds_only_argmax_rows_to_first_layer(monkeypatch):
-    cfg = RankerConfig(width=16, k_candidates=3)
+    cfg = RankerConfig(width=16)
     store = init_ranker_params(cfg, np.random.default_rng(70))
-    w0 = store["score.l0.w"].value
+    w0 = store["score.point.0.w"].value
     values_pass = []
-    point_block = ranker_mod._point_block
-
-    def block_spy(store, pts, segment):
-        values_pass.append(len(pts))
-        return point_block(store, pts, segment)
-
-    monkeypatch.setattr(ranker_mod, "_point_block", block_spy)
+    monkeypatch.setattr(autodiff, "mlp_values", values_spy(values_pass, len))
     for q, prompts in sparse_cases():
         clouds = [(q, 0)] + [(pts, seg) for pair in prompts for pts, seg in zip(pair, (1, 2))]
         distinct = []
         for pts, segment in clouds:
-            h = np.maximum(pts @ w0 + store["score.l0.b"].value + store["score.tags"].value[segment], 0.0)
-            h = np.maximum(h @ store["score.l1.w"].value + store["score.l1.b"].value, 0.0)
+            h = np.maximum(tagged(pts, segment) @ w0 + store["score.point.0.b"].value, 0.0)
+            h = np.maximum(h @ store["score.point.1.w"].value + store["score.point.1.b"].value, 0.0)
             distinct.append(len(np.unique(np.argmax(h, axis=0))))
         for record in (True, False):
             tape = Tape(record=record)
@@ -304,7 +315,7 @@ def test_recording_pass_feeds_only_argmax_rows_to_first_layer(monkeypatch):
 
 
 def test_ranker_step_records_the_same_small_graph_for_any_k():
-    cfg = RankerConfig(width=16, k_candidates=8)
+    cfg = RankerConfig(width=16)
     store = init_ranker_params(cfg, np.random.default_rng(71))
     rng = np.random.default_rng(72)
     recorded = {}
@@ -331,22 +342,22 @@ def batch_case(seed, b=4, k=3, s=24):
 
 
 def test_batch_scores_equal_one_query_scores_bit_for_bit():
-    cfg = RankerConfig(width=16, k_candidates=3)
+    cfg = RankerConfig(width=16)
     for seed in range(3):
         store = init_ranker_params(cfg, np.random.default_rng(100 + seed))
         queries, prompts, _, _ = batch_case(110 + seed)
         for record in (True, False):
             batch = score_prompts(Tape(record=record), store, queries, prompts).value
-            assert batch.shape == (len(queries), cfg.k_candidates)
+            assert batch.shape == (len(queries), len(prompts[0]))
             for q, pairs, row in zip(queries, prompts, batch):
                 assert np.array_equal(row, score_prompts(Tape(record=record), store, [q], [pairs]).value[0])
 
 
 def test_batch_tape_gradient_equals_sum_of_per_query_tapes():
-    cfg = RankerConfig(width=16, k_candidates=3)
+    cfg = RankerConfig(width=16)
     store = init_ranker_params(cfg, np.random.default_rng(120))
     queries, prompts, _, _ = batch_case(121)
-    labels = np.random.default_rng(122).uniform(size=(len(queries), cfg.k_candidates))
+    labels = np.random.default_rng(122).uniform(size=(len(queries), len(prompts[0])))
     tape = Tape()
     listwise_rank_loss(tape, score_prompts(tape, store, queries, prompts), labels)
     tape.backward(0.25)
@@ -365,21 +376,15 @@ def test_batch_tape_gradient_equals_sum_of_per_query_tapes():
 
 
 def test_batch_pools_each_distinct_cloud_and_segment_once(monkeypatch):
-    cfg = RankerConfig(width=16, k_candidates=3)
+    cfg = RankerConfig(width=16)
     store = init_ranker_params(cfg, np.random.default_rng(130))
     queries, prompts, _, _ = batch_case(131)
     queries[2] = queries[0]  # one query cloud ranked twice in the batch
     blocks = {(id(q), 0) for q in queries}
     blocks |= {(id(pts), seg) for pairs in prompts for pair in pairs for pts, seg in zip(pair, (1, 2))}
-    assert len(blocks) < len(queries) * (1 + 2 * cfg.k_candidates)  # the case shares clouds
+    assert len(blocks) < len(queries) * (1 + 2 * len(prompts[0]))  # the case shares clouds
     values_pass = []
-    point_block = ranker_mod._point_block
-
-    def block_spy(store, pts, segment):
-        values_pass.append(segment)
-        return point_block(store, pts, segment)
-
-    monkeypatch.setattr(ranker_mod, "_point_block", block_spy)
+    monkeypatch.setattr(autodiff, "mlp_values", values_spy(values_pass, lambda x: int(np.argmax(x[0, 3:]))))
     for record in (True, False):
         values_pass.clear()
         score_prompts(Tape(record=record), store, queries, prompts)
@@ -586,11 +591,11 @@ def test_select_pooled_ties_and_empty():
 
 def test_bank_pooled_scores_equal_graph_free_scoring_bit_for_bit():
     # as evaluate ranks: one call over a task's queries, whose candidates share the bank's arrays
-    cfg = RankerConfig(width=16, k_candidates=4)
+    cfg = RankerConfig(width=16)
     for seed, task in enumerate(TASKS):
         bank = PromptBank.from_pairs([gen_pair(task, 1 + i % 5, 32, 300 + 10 * seed + i) for i in range(7)])
         store = init_ranker_params(cfg, np.random.default_rng(80 + seed))
-        drawn = [build_candidate_pool(bank, task, cfg.k_candidates, np.random.default_rng(90 + draw))
+        drawn = [build_candidate_pool(bank, task, 4, np.random.default_rng(90 + draw))
                  for draw in range(4)]
         queries = [gen_pair(task, 3, 32, 400 + draw).input.points for draw in range(4)]
         prompts = [[(p.input.points, p.target.points) for p in cand.prompts] for cand in drawn]
@@ -649,6 +654,7 @@ NORM_ENTRY = {"lo": 0.1, "hi": 0.7, "higher_is_better": False}
     (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "higher_is_better": True}}}, "entry 'denoising'"),
     (lambda meta: {**meta, "normalizer": {"sorting": NORM_ENTRY}}, "entry 'sorting'"),
     (lambda meta: {**meta, "seed": 0}, "unknown field 'seed'"),
+    (lambda meta: {**meta, "k_candidates": 8}, "unknown field 'k_candidates'"),
     (lambda meta: [meta], "must be a JSON object"),
 ])
 def test_ranker_sidecar_refuses_a_malformed_field(tmp_path, edit, message):
@@ -670,9 +676,9 @@ def test_ranker_rejects_foreign_sidecar(tmp_path):
 def test_ranker_refuses_parameters_that_disagree_with_the_sidecar(tmp_path):
     norm = TaskNormalizer({"denoising": (0.1, 0.7)})
     path = tmp_path / "ranker.micasnn"
-    narrow = RankerConfig(width=32, k_candidates=4)
+    narrow = RankerConfig(width=32)
     save_ranker(init_ranker_params(narrow, np.random.default_rng(0)), RankerConfig(width=64), norm, path)
-    with pytest.raises(FormatError, match="score.l0.w"):
+    with pytest.raises(FormatError, match="score.point.0.w"):
         load_ranker(path)
 
     store = init_ranker_params(CFG, np.random.default_rng(1))
@@ -688,6 +694,25 @@ def test_ranker_refuses_parameters_that_disagree_with_the_sidecar(tmp_path):
     store.add("score.extra", np.zeros(2))
     save_params(store, path)
     with pytest.raises(FormatError, match="score.extra"):
+        load_ranker(path)
+
+
+def test_ranker_refuses_the_additive_segment_tag_layout(tmp_path):
+    # the layout before the segment tags became input columns: a (3, width)
+    # first layer and the tags as a (3, width) parameter of their own
+    store = init_ranker_params(CFG, np.random.default_rng(5))
+    first = store["score.point.0.w"].value
+    old = ParamStore()
+    old.add("score.l0.w", first[:3])
+    old.add("score.l0.b", store["score.point.0.b"].value)
+    old.add("score.tags", first[3:])
+    old.add("score.l1.w", store["score.point.1.w"].value)
+    old.add("score.l1.b", store["score.point.1.b"].value)
+    for name in ("score.h0.w", "score.h0.b", "score.h1.w", "score.h1.b"):
+        old.add(name, store[name].value)
+    path = tmp_path / "ranker.micasnn"
+    save_ranker(old, CFG, TaskNormalizer({"denoising": (0.1, 0.7)}), path)
+    with pytest.raises(FormatError, match="score.point.0.w"):
         load_ranker(path)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from micas import autodiff
 from micas import sampler as sampler_mod
 from micas.autodiff import ParamStore, Tape, forward_mlp, save_params
 from micas.errors import FormatError
@@ -332,13 +333,13 @@ def test_task_encoder_gradient_matches_dense_reference():
 
 def test_recording_encoder_feeds_only_argmax_rows_to_first_layer(monkeypatch):
     values_pass = []
-    task_block = sampler_mod._task_block
+    mlp_values = autodiff.mlp_values
 
-    def block_spy(store, pts):
-        values_pass.append(len(pts))
-        return task_block(store, pts)
+    def values_spy(store, prefix, x, hidden):
+        values_pass.append(len(x))
+        return mlp_values(store, prefix, x, hidden)
 
-    monkeypatch.setattr(sampler_mod, "_task_block", block_spy)
+    monkeypatch.setattr(autodiff, "mlp_values", values_spy)
     store = encoder_store(60)
     w0 = store["task_enc.0.w"].value
     for p_in, p_out in encoder_cases():
@@ -432,7 +433,7 @@ def test_sampler_sidecar_refuses_a_malformed_field(tmp_path, edit, message):
 
 def test_sampler_rejects_foreign_sidecar(tmp_path):
     path = tmp_path / "model.micasnn"
-    save_ranker(ParamStore(), RankerConfig(width=8, k_candidates=3), TaskNormalizer(), path)
+    save_ranker(ParamStore(), RankerConfig(width=8), TaskNormalizer(), path)
     with pytest.raises(ValueError):
         load_sampler(path)
 
