@@ -426,42 +426,28 @@ def forward_mlp(tape: Tape, store: ParamStore, prefix: str, x: Node, final="line
     return tape.relu(h) if final == "relu" else h
 
 
-def mlp_values(store: ParamStore, prefix: str, x, hidden: str) -> np.ndarray:
-    """`forward_mlp(tape, store, prefix, const(x), final="relu", hidden=hidden)`'s value without a tape.
-
-    Plain numpy in `forward_mlp`'s op order, activations applied in place,
-    so the two agree bit for bit.
-    """
-    acts = {"relu": lambda h: np.maximum(h, 0.0, out=h), "tanh": lambda h: np.tanh(h, out=h)}
-    if hidden not in acts:
-        raise ValueError(f"unknown hidden activation {hidden!r}")
-    if f"{prefix}.0.w" not in store:
-        raise ValueError(f"no layers found under prefix {prefix!r}")
-    i, h = 0, x
-    while f"{prefix}.{i}.w" in store:
-        h = (acts[hidden](h) if i else h) @ store[f"{prefix}.{i}.w"].value
-        h += store[f"{prefix}.{i}.b"].value
-        i += 1
-    return np.maximum(h, 0.0, out=h)
-
-
 def row_sparse_maxpool(tape: Tape, store: ParamStore, prefix: str, pts, starts, hidden: str) -> Node:
     """`maxpool_segments` of the ReLU-capped MLP under `prefix` over `pts`, recorded only on the rows that win.
 
     A max-pool's gradient reaches only each column's first maximizer, so a
-    recording tape runs each block through `mlp_values` once, keeps the
-    rows that first maximize a column (lowest row on ties) in ascending
-    order, and records `forward_mlp(..., final="relu", hidden=hidden)` and
-    the pool over those rows only; both passes agree bit for bit. A
+    values pass runs each block through `forward_mlp(..., final="relu",
+    hidden=hidden)` on a non-recording tape once. A recording tape keeps
+    the rows that first maximize a column (lowest row on ties) in ascending
+    order and records the same `forward_mlp` and the pool over those rows
+    only; both passes run one function, so they agree bit for bit. A
     non-recording tape gets the values pass's maxima as a constant.
     """
     bounds = [0, len(pts)] if starts is None else [*starts, len(pts)]
     blocks = [(lo, pts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    free = Tape(record=False)
+
+    def values(x):
+        return forward_mlp(free, store, prefix, free.const(x), final="relu", hidden=hidden).value
+
     if not tape.record:
-        pooled = np.stack([mlp_values(store, prefix, x, hidden).max(axis=0) for _, x in blocks])
+        pooled = np.stack([values(x).max(axis=0) for _, x in blocks])
         return tape.const(pooled[0] if starts is None else pooled)
-    kept = [lo + np.flatnonzero(np.bincount(np.argmax(mlp_values(store, prefix, x, hidden), axis=0),
-                                            minlength=len(x))) for lo, x in blocks]
+    kept = [lo + np.flatnonzero(np.bincount(np.argmax(values(x), axis=0), minlength=len(x))) for lo, x in blocks]
     counts = [len(rows) for rows in kept]
     chained = forward_mlp(tape, store, prefix, tape.const(pts[np.concatenate(kept)]), final="relu", hidden=hidden)
     return tape.maxpool_segments(chained, None if starts is None else np.cumsum([0] + counts[:-1]))

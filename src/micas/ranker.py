@@ -70,13 +70,13 @@ class RankerConfig:
 
 
 def init_ranker_params(cfg: RankerConfig, rng) -> ParamStore:
-    """He-normal weights and zero biases, except that rows 3-5 of `score.point.0.w`,
+    """`autodiff.init_affine` layers, except that rows 3-5 of `score.point.0.w`,
     which read the one-hot segment columns, are drawn from N(0, 0.1) after its xyz rows."""
-    store = ParamStore()
+    store, xyz = ParamStore(), ParamStore()
     w = cfg.width
-    store.add("score.point.0.w", np.vstack([rng.normal(0.0, np.sqrt(2.0 / 3), size=(3, w)),
-                                            rng.normal(0.0, 0.1, size=(3, w))]))
-    store.add("score.point.0.b", np.zeros(w))
+    autodiff.init_affine(xyz, "xyz", 3, w, rng)
+    store.add("score.point.0.w", np.vstack([xyz["xyz.w"].value, rng.normal(0.0, 0.1, size=(3, w))]))
+    store.add("score.point.0.b", xyz["xyz.b"].value)
     autodiff.init_affine(store, "score.point.1", w, w, rng)
     autodiff.init_affine(store, "score.h0", w, w, rng)
     autodiff.init_affine(store, "score.h1", w, 1, rng)

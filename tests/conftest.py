@@ -6,6 +6,32 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import sys  # noqa: E402
 
+import pytest  # noqa: E402
+
+
+@pytest.fixture
+def spy_values_pass(monkeypatch):
+    """Watch `autodiff.row_sparse_maxpool`'s values pass.
+
+    spy_values_pass(prefix, record) returns a list that gets record(x) for each
+    block run through `forward_mlp` under `prefix` on a non-recording tape,
+    which is how the values pass runs every block, recording or not.
+    """
+    from micas import autodiff
+
+    def watch(prefix, record):
+        calls, real = [], autodiff.forward_mlp
+
+        def spy(tape, store, name, x, *args, **kwargs):
+            if not tape.record and name == prefix:
+                calls.append(record(x.value))
+            return real(tape, store, name, x, *args, **kwargs)
+
+        monkeypatch.setattr(autodiff, "forward_mlp", spy)
+        return calls
+
+    return watch
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance scorecard after the run.

@@ -14,7 +14,6 @@ from micas.autodiff import (
     init_affine,
     init_mlp,
     load_params,
-    mlp_values,
     save_params,
     sgd_cosine_step,
 )
@@ -532,25 +531,6 @@ def test_forward_mlp_activation_selection():
             forward_mlp(t, store, "net", t.const(x), final=final, hidden=hidden)
     with pytest.raises(ValueError):
         forward_mlp(t, store, "missing", t.const(x))
-
-
-@pytest.mark.parametrize("hidden", ["relu", "tanh"])
-def test_mlp_values_equals_forward_mlp_bit_for_bit(hidden):
-    store = ParamStore()
-    rng = np.random.default_rng(13)
-    init_mlp(store, "net", [6, 16, 16, 8], rng)
-    for i in range(3):
-        store[f"net.{i}.b"].value[...] = rng.normal(0.0, 0.1, size=store[f"net.{i}.b"].value.shape)
-    for rows in (1, 7, 256):
-        x = rng.normal(size=(rows, 6))
-        t = Tape(record=False)
-        want = forward_mlp(t, store, "net", t.const(x), final="relu", hidden=hidden).value
-        got = mlp_values(store, "net", x, hidden)
-        assert got.shape == (rows, 8) and np.array_equal(got, want)
-    with pytest.raises(ValueError):
-        mlp_values(store, "net", x, "sin")
-    with pytest.raises(ValueError):
-        mlp_values(store, "missing", x, hidden)
 
 
 def test_grad_full_mlp():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import micas
-from micas import autodiff, cli, geometry, pipeline
+from micas import cli, geometry, pipeline
 from micas import sampler as sampler_mod
 from micas import surrogate as sur_mod
 from micas.autodiff import Tape, forward_mlp
@@ -455,15 +455,12 @@ def test_evaluate_equals_a_per_query_reference_loop(tiny_run, sampler_variant, p
         == (hits, total)
 
 
-def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch):
-    pooled, encoded, drawn, oracle_prompts = [], [], [], []
-    mlp_values, encode_task = autodiff.mlp_values, sampler_mod.encode_task
+def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch, spy_values_pass):
+    # each block is a view into the call's stacked clouds, so match by value: xyz, then the one-hot segment
+    pooled = spy_values_pass("score.point", lambda x: (x[:, :3].tobytes(), int(np.argmax(x[0, 3:]))))
+    encoded, drawn, oracle_prompts = [], [], []
+    encode_task = sampler_mod.encode_task
     build_candidate_pool, oracle = pipeline.build_candidate_pool, pipeline.oracle_predict
-
-    def values_spy(store, prefix, x, hidden):  # x is a view into the call's stacked clouds, so match by value
-        if prefix == "score.point":  # xyz, then the one-hot segment columns
-            pooled.append((x[:, :3].tobytes(), int(np.argmax(x[0, 3:]))))
-        return mlp_values(store, prefix, x, hidden)
 
     def encode_spy(tape, store, p_in, p_out):
         encoded.append((p_in, p_out))
@@ -477,7 +474,6 @@ def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch)
         oracle_prompts.append(prompt_in)
         return oracle(query_in, query_target, prompt_in, *args)
 
-    monkeypatch.setattr(autodiff, "mlp_values", values_spy)
     monkeypatch.setattr(sampler_mod, "encode_task", encode_spy)
     monkeypatch.setattr(pipeline, "encode_task", encode_spy)
     monkeypatch.setattr(pipeline, "build_candidate_pool", draw_spy)

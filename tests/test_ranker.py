@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from micas import autodiff
-from micas.autodiff import ParamStore, Tape, affine, finite_diff_check, mlp_values, save_params
+from micas.autodiff import ParamStore, Tape, affine, finite_diff_check, save_params
 from micas.errors import FormatError
 from micas.geometry import chamfer_distance, miou
 from micas.ranker import (
@@ -245,8 +245,9 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
         clouds = [(q, 0)] + [(pts, seg) for pair in prompts for pts, seg in zip(pair, (1, 2))]
         for row, (_, full), (pts, segment) in zip(pooled, dense_pools, clouds):
             assert np.array_equal(row, full)
-            assert np.array_equal(mlp_values(store, "score.point", tagged(pts, segment), "relu").max(axis=0),
-                                  full)  # tape-free
+            free = autodiff.row_sparse_maxpool(Tape(record=False), store, "score.point", tagged(pts, segment),
+                                               None, "relu")
+            assert np.array_equal(free.value, full)  # tape-free
         assert np.array_equal(sparse.value, dense.value)
         assert np.array_equal(score_prompts(Tape(record=False), store, [q], [prompts]).value, sparse.value)
 
@@ -268,23 +269,11 @@ def test_row_sparse_train_step_gradient_matches_dense_reference():
             assert np.abs(grads[0][name] - grads[1][name]).max() <= 1e-12 * scale, name
 
 
-def values_spy(calls, record):
-    """A stand-in for `autodiff.mlp_values` that appends record(x) of each block to calls."""
-    real = autodiff.mlp_values
-
-    def spy(store, prefix, x, hidden):
-        calls.append(record(x))
-        return real(store, prefix, x, hidden)
-
-    return spy
-
-
-def test_recording_pass_feeds_only_argmax_rows_to_first_layer(monkeypatch):
+def test_recording_pass_feeds_only_argmax_rows_to_first_layer(spy_values_pass):
     cfg = RankerConfig(width=16)
     store = init_ranker_params(cfg, np.random.default_rng(70))
     w0 = store["score.point.0.w"].value
-    values_pass = []
-    monkeypatch.setattr(autodiff, "mlp_values", values_spy(values_pass, len))
+    values_pass = spy_values_pass("score.point", len)
     for q, prompts in sparse_cases():
         clouds = [(q, 0)] + [(pts, seg) for pair in prompts for pts, seg in zip(pair, (1, 2))]
         distinct = []
@@ -375,7 +364,7 @@ def test_batch_tape_gradient_equals_sum_of_per_query_tapes():
         assert np.abs(batch[name] - p.grad).max() <= 1e-12 * scale, name
 
 
-def test_batch_pools_each_distinct_cloud_and_segment_once(monkeypatch):
+def test_batch_pools_each_distinct_cloud_and_segment_once(spy_values_pass):
     cfg = RankerConfig(width=16)
     store = init_ranker_params(cfg, np.random.default_rng(130))
     queries, prompts, _, _ = batch_case(131)
@@ -383,8 +372,7 @@ def test_batch_pools_each_distinct_cloud_and_segment_once(monkeypatch):
     blocks = {(id(q), 0) for q in queries}
     blocks |= {(id(pts), seg) for pairs in prompts for pair in pairs for pts, seg in zip(pair, (1, 2))}
     assert len(blocks) < len(queries) * (1 + 2 * len(prompts[0]))  # the case shares clouds
-    values_pass = []
-    monkeypatch.setattr(autodiff, "mlp_values", values_spy(values_pass, lambda x: int(np.argmax(x[0, 3:]))))
+    values_pass = spy_values_pass("score.point", lambda x: int(np.argmax(x[0, 3:])))
     for record in (True, False):
         values_pass.clear()
         score_prompts(Tape(record=record), store, queries, prompts)

@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from micas import autodiff
 from micas import sampler as sampler_mod
 from micas.autodiff import ParamStore, Tape, forward_mlp, save_params
 from micas.errors import FormatError
@@ -331,15 +330,8 @@ def test_task_encoder_gradient_matches_dense_reference():
             assert np.abs(grads[0][name] - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
-def test_recording_encoder_feeds_only_argmax_rows_to_first_layer(monkeypatch):
-    values_pass = []
-    mlp_values = autodiff.mlp_values
-
-    def values_spy(store, prefix, x, hidden):
-        values_pass.append(len(x))
-        return mlp_values(store, prefix, x, hidden)
-
-    monkeypatch.setattr(autodiff, "mlp_values", values_spy)
+def test_recording_encoder_feeds_only_argmax_rows_to_first_layer(spy_values_pass):
+    values_pass = spy_values_pass("task_enc", len)
     store = encoder_store(60)
     w0 = store["task_enc.0.w"].value
     for p_in, p_out in encoder_cases():
