@@ -9,15 +9,9 @@ path.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-# Set before the package imports numpy: one BLAS thread per process. The
-# desk-sized matmuls gain no wall time from more, and extra threads only
-# burn CPU. An explicit OPENBLAS_NUM_THREADS still wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import pipeline
 from .config import RunConfig, load_config, profile_config

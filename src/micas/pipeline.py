@@ -4,7 +4,10 @@ Training is strictly staged. The sampler (plus its surrogate) trains
 first; ranker training refuses to start without the sampler checkpoint,
 reads it, and proves on exit that the file bytes never changed. Every
 random decision derives from the run seed and stable identifiers, never
-from global or wall-clock state, so equal seeds reproduce equal results.
+from global or wall-clock state, so equal seeds reproduce equal bytes on
+one BLAS build. That holds under the package's one-thread BLAS pin (see
+`micas/__init__.py`): a threaded BLAS can round a reduction differently
+on another core count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff, geometry
+from . import autodiff, geometry, surrogate
 from .config import RunConfig, config_hash
 from .errors import ConfigurationError, TrainingDiverged
 from .ranker import (
@@ -70,6 +73,10 @@ REPORT_METRICS = {task: ("miou", 1.0) if task == "partseg" else ("cd_x1000", 100
 # Pseudo-labels therefore average this many draws per (query, candidate), a
 # Monte-Carlo estimate of expected downstream performance.
 LABEL_DRAWS = 16
+# How a label's draws get their noise: each (query, candidate) label from a
+# random stream of its own. The label cache's sidecar names it, so labels of
+# another scheme are recomputed, not reused.
+LABEL_SCHEME = "independent-draws"
 
 TRAIN_DATASET = "train.micasds"
 TEST_DATASET = "test.micasds"
@@ -320,9 +327,13 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     labels_path = out / LABEL_CACHE
     provenance_path = Path(str(labels_path) + ".json")
     provenance = {"sampler_sha256": sha_before, "seed": cfg.seed, "label_draws": LABEL_DRAWS,
-                  "train_sha256": _pairs_sha256(train_pairs)}
+                  "label_scheme": LABEL_SCHEME, "train_sha256": _pairs_sha256(train_pairs),
+                  "oracle": {"sigma0": surrogate.ORACLE_SIGMA0,
+                             "center_gain": surrogate.ORACLE_CENTER_GAIN,
+                             "prompt_gain": surrogate.ORACLE_PROMPT_GAIN}}
     # Cached labels are reused only if they were computed from this exact
-    # sampler, seed, draw count and train split; otherwise all are redone.
+    # sampler, seed, draw count, label scheme, oracle and train split;
+    # otherwise all are redone.
     try:
         stale = json.loads(provenance_path.read_text(encoding="utf-8")) != provenance
     except (OSError, ValueError):

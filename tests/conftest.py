@@ -1,12 +1,10 @@
-import os
+# Imported before anything imports numpy, so that the package's one-thread
+# BLAS pin takes effect in the test process.
+import micas  # noqa: F401
 
-# One BLAS thread, set before anything imports numpy: the suite's matrices
-# are small, and extra OpenBLAS threads only burn CPU beside it.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import sys
 
-import sys  # noqa: E402
-
-import pytest  # noqa: E402
+import pytest
 
 
 @pytest.fixture

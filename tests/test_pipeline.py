@@ -321,6 +321,30 @@ def test_label_cache_recomputed_after_sampler_retrain(tiny_run, tmp_path):
     assert provenance == json.loads((fresh / "labels.micaslc.json").read_text())
 
 
+def test_label_cache_recomputed_for_another_oracle(tiny_run, tmp_path, monkeypatch):
+    # Labels cached under another label scheme or oracle must not be reused.
+    art = tmp_path / "artifacts"
+    shutil.copytree(tiny_run.work / "artifacts", art)
+    cache_path = art / "labels.micaslc"
+    sidecar = art / "labels.micaslc.json"
+    blob = cache_path.read_bytes()
+
+    meta = json.loads(sidecar.read_text())
+    meta["label_scheme"] = "another-scheme"
+    sidecar.write_text(json.dumps(meta))
+    save_label_cache({key: raw + 7.5 for key, raw in load_label_cache(cache_path).items()}, cache_path)
+    pipeline.train_ranker(TINY, tiny_run.train, art / "sampler.micasnn", art)
+    assert cache_path.read_bytes() == blob  # every label recomputed, none moved
+
+    gain = 2 * sur_mod.ORACLE_CENTER_GAIN
+    monkeypatch.setattr(sur_mod, "ORACLE_CENTER_GAIN", gain)
+    pipeline.train_ranker(TINY, tiny_run.train, art / "sampler.micasnn", art)
+    fresh = pipeline.train_ranker(TINY, tiny_run.train, art / "sampler.micasnn", tmp_path / "fresh")
+    assert blob != cache_path.read_bytes() == fresh.labels_path.read_bytes()
+    assert json.loads(sidecar.read_text())["oracle"] == {
+        "sigma0": sur_mod.ORACLE_SIGMA0, "center_gain": gain, "prompt_gain": sur_mod.ORACLE_PROMPT_GAIN}
+
+
 # ---- pseudo-labels ----
 
 def label_cases():
@@ -677,17 +701,63 @@ def test_cli_seed_override_changes_data(tmp_path):
     assert blob_a != blob_b
 
 
-def test_cli_pins_blas_threads_unless_set():
-    src = str(Path(micas.__file__).resolve().parents[1])
-    probe = "import os, micas.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+def run_python(code, *args, threads=None) -> str:
+    """Stdout of `code` run by a fresh interpreter on this package, with
+    OPENBLAS_NUM_THREADS unset or, given `threads`, set to it."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(micas.__file__).resolve().parents[1])
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+# Prints the variable and whether numpy is loaded right after `import micas`,
+# then the variable as it read when the package's first numpy import began.
+BLAS_PIN_PROBE = """\
+import os, sys
+at_numpy = []
+
+def hook(event, args):
+    if event == "import" and args[0] == "numpy" and not at_numpy:
+        at_numpy.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.addaudithook(hook)
+import micas
+print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
+import micas.cli
+print(at_numpy)
+"""
+
+
+def test_package_pins_blas_threads_unless_set():
     for preset, expect in ((None, "1"), ("2", "2")):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = src
-        if preset is not None:
-            env["OPENBLAS_NUM_THREADS"] = preset
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == expect
+        lines = run_python(BLAS_PIN_PROBE, threads=preset).splitlines()
+        assert lines == [f"{expect} False", f"[{expect!r}]"]
+
+
+# Trains a sampler and a ranker into argv[2] under the config text argv[1].
+TRAIN_PROBE = """\
+import sys
+from micas import pipeline
+from micas.config import parse_config_text
+
+cfg = parse_config_text(sys.argv[1])
+train, _ = pipeline.generate_pairs(cfg)
+trained = pipeline.train_sampler(cfg, train, sys.argv[2])
+pipeline.train_ranker(cfg, train, trained.sampler_path, sys.argv[2])
+"""
+
+
+def test_checkpoints_independent_of_blas_threads(tmp_path):
+    # At ranker width 64 a batch's weight gradients are (n, 64)^T @ (n, 64)
+    # products, which a threaded OpenBLAS reduces with different rounding.
+    # Unset, the variable takes the package's pin, not one thread per core.
+    cfg_text = config_text(replace(TINY, train_per_cell=1, ranker_width=64))
+    for name, threads in (("unset", None), ("one", "1")):
+        run_python(TRAIN_PROBE, cfg_text, str(tmp_path / name), threads=threads)
+    for checkpoint in ("sampler.micasnn", "labels.micaslc", "ranker.micasnn"):
+        assert (tmp_path / "unset" / checkpoint).read_bytes() == (tmp_path / "one" / checkpoint).read_bytes()
 
 
 def test_cli_rejects_bad_config_value(tmp_path):
