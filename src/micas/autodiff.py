@@ -12,6 +12,7 @@ keeps no graph: it computes values only, for inference.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -123,12 +124,6 @@ class Tape:
             raise ValueError(f"add shape mismatch {a.shape} vs {b.shape}")
         return self._push(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
 
-    def add_row(self, a: Node, v: Node) -> Node:
-        """Add a width-C row vector to every row of an (R, C) matrix."""
-        if a.value.ndim != 2 or v.shape != (a.value.shape[1],):
-            raise ValueError(f"add_row needs (R, C) and (C,), got {a.shape} and {v.shape}")
-        return self._push(a.value + v.value, (a, v), (lambda g: g, lambda g: g.sum(axis=0)))
-
     def add_const(self, a: Node, c) -> Node:
         c = np.asarray(c, dtype=np.float64)
         if c.shape != () and c.shape != a.shape:
@@ -145,25 +140,24 @@ class Tape:
         return self._push(a.value @ b.value, (a, b), (lambda g: g @ b.value.T, lambda g: a.value.T @ g))
 
     def affine(self, x: Node, w: Node, b: Node) -> Node:
-        """add_row(matmul(x, w), b) as one node, rounded the same, without keeping the bare product."""
+        """x @ w with the width-C row b added to every row, as one node."""
         if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
             raise ValueError(f"affine shape mismatch {x.shape} @ {w.shape} + {b.shape}")
         return self._push(x.value @ w.value + b.value, (x, w, b),
                           (lambda g: g @ w.value.T, lambda g: x.value.T @ g, lambda g: g.sum(axis=0)))
 
-    def matmul_rows(self, a: Node, b: Node) -> Node:
-        """matmul with each row computed on its own: row i is a[i:i+1] @ b.
+    def affine_rows(self, x: Node, w: Node, b: Node) -> Node:
+        """affine with each row computed on its own: row i is x[i:i+1] @ w + b.
 
         A BLAS product may round a row differently depending on how many
-        rows share the call; computing each row alone makes row i of the
-        output depend on a[i] and b only, bit for bit, and likewise row i
-        of a's gradient on the output gradient's row i and b. b's gradient
-        is matmul's, a sum over the rows in one product.
+        rows share the call. Here row i of the output depends bit for bit on
+        x[i], w and b alone, and row i of x's gradient on the output
+        gradient's row i and w. w's and b's gradients are affine's.
         """
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul_rows shape mismatch {a.shape} @ {b.shape}")
-        return self._push(_by_rows(a.value, b.value), (a, b),
-                          (lambda g: _by_rows(g, b.value.T), lambda g: a.value.T @ g))
+        if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+            raise ValueError(f"affine_rows shape mismatch {x.shape} @ {w.shape} + {b.shape}")
+        return self._push(_by_rows(x.value, w.value) + b.value, (x, w, b),
+                          (lambda g: _by_rows(g, w.value.T), lambda g: x.value.T @ g, lambda g: g.sum(axis=0)))
 
     def transpose(self, a: Node) -> Node:
         if a.value.ndim != 2:
@@ -233,29 +227,28 @@ class Tape:
 
         return self._push(y, (a,), (vjp,))
 
-    def maxpool_segments(self, a: Node, starts=None) -> Node:
+    def maxpool_segments(self, a: Node, starts) -> Node:
         """Column-wise max over each block of consecutive rows, yielding (B, C).
 
         starts holds the B block offsets into the rows of an (R, C)
         matrix: block b spans rows starts[b] up to starts[b + 1], the last
         one up to R. The blocks must cover every row, so starts begins at
-        0, strictly increases and stays below R. With starts None all rows
-        form one block and the result is (C,). The gradient of each
-        block's column goes to its first maximizer, the lowest row on ties.
+        0, strictly increases and stays below R; [0] pools all rows into
+        one (1, C) block. The gradient of each block's column goes to its
+        first maximizer, the lowest row on ties.
         """
-        one = starts is None
-        starts = np.zeros(1, dtype=np.int64) if one else np.asarray(starts, dtype=np.int64)
+        starts = np.asarray(starts, dtype=np.int64)
         if a.value.ndim != 2 or starts.ndim != 1:
             raise ValueError("maxpool_segments expects a matrix and 1-D block starts")
         if not len(starts) or starts[0] != 0 or (np.diff(starts) <= 0).any() or starts[-1] >= a.shape[0]:
             raise ValueError("block starts must begin at 0, strictly increase and lie below the row count")
-        pooled = a.value.max(axis=0) if one else np.maximum.reduceat(a.value, starts, axis=0)
+        pooled = np.maximum.reduceat(a.value, starts, axis=0)
 
         def vjp(g):
             ends = np.append(starts[1:], a.shape[0])
             rows = np.stack([s + np.argmax(a.value[s:e], axis=0) for s, e in zip(starts, ends)])
             z = np.zeros_like(a.value)
-            z[rows, np.arange(a.value.shape[1])] = g.reshape(rows.shape)
+            z[rows, np.arange(a.value.shape[1])] = g
             return z
 
         return self._push(pooled, (a,), (vjp,))
@@ -287,35 +280,14 @@ class Tape:
             raise ValueError(f"weighted_sum shape mismatch {a.shape} vs {w.shape}")
         return self._push((a.value * w).sum(), (a,), (lambda g: g * w,))
 
-    def chamfer(self, a: Node, b: Node) -> Node:
-        """Symmetric squared-distance Chamfer divergence as a scalar node.
-
-        Gradients flow to both point sets through the nearest-neighbor
-        matches found in the forward pass (on exact ties, the index
-        geometry.chamfer_nearest returns); the matches themselves are
-        treated as constant.
-        """
-        pa, pb = a.value, b.value
-        d2_ab, idx_ab, d2_ba, idx_ba = geometry.chamfer_nearest(pa, pb)
-        value = d2_ab.mean() + d2_ba.mean()
-        inv_a, inv_b = 2.0 / len(pa), 2.0 / len(pb)
-
-        def vjp_a(g):
-            return float(g) * _add_at(idx_ba, inv_b * (pa[idx_ba] - pb), len(pa), inv_a * (pa - pb[idx_ab]))
-
-        def vjp_b(g):
-            return float(g) * _add_at(idx_ab, inv_a * (pb[idx_ab] - pa), len(pb), inv_b * (pb - pa[idx_ba]))
-
-        return self._push(value, (a, b), (vjp_a, vjp_b))
-
     def chamfer_patches(self, a: Node, targets) -> Node:
         """Per-patch Chamfer divergences of a patch stack node, as a (P,) node.
 
-        Entry p is chamfer's value for the sets a[p] (M, 3) and the
-        constant targets[p] (L, 3), with matches from
-        geometry.chamfer_nearest_patches (on exact ties, the lowest
-        index); the gradient into a is chamfer's, patch by patch, with the
-        matches treated as constant.
+        Entry p is the symmetric squared-distance Chamfer divergence of
+        the sets a[p] (M, 3) and the constant targets[p] (L, 3), with
+        matches from geometry.chamfer_nearest_patches (on exact ties, the
+        lowest index). The gradient flows into a through those matches,
+        which are treated as constant.
         """
         pa, pb = a.value, np.asarray(targets, dtype=np.float64)
         d2_ab, idx_ab, d2_ba, idx_ba = geometry.chamfer_nearest_patches(pa, pb)
@@ -437,20 +409,18 @@ def row_sparse_maxpool(tape: Tape, store: ParamStore, prefix: str, pts, starts, 
     only; both passes run one function, so they agree bit for bit. A
     non-recording tape gets the values pass's maxima as a constant.
     """
-    bounds = [0, len(pts)] if starts is None else [*starts, len(pts)]
-    blocks = [(lo, pts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    blocks = [(lo, pts[lo:hi]) for lo, hi in zip(starts, [*starts[1:], len(pts)])]
     free = Tape(record=False)
 
     def values(x):
         return forward_mlp(free, store, prefix, free.const(x), final="relu", hidden=hidden).value
 
     if not tape.record:
-        pooled = np.stack([values(x).max(axis=0) for _, x in blocks])
-        return tape.const(pooled[0] if starts is None else pooled)
+        return tape.const(np.stack([values(x).max(axis=0) for _, x in blocks]))
     kept = [lo + np.flatnonzero(np.bincount(np.argmax(values(x), axis=0), minlength=len(x))) for lo, x in blocks]
     counts = [len(rows) for rows in kept]
     chained = forward_mlp(tape, store, prefix, tape.const(pts[np.concatenate(kept)]), final="relu", hidden=hidden)
-    return tape.maxpool_segments(chained, None if starts is None else np.cumsum([0] + counts[:-1]))
+    return tape.maxpool_segments(chained, np.cumsum([0] + counts[:-1]))
 
 
 # ---- optimization ----
@@ -551,7 +521,10 @@ def load_params(path) -> ParamStore:
         offset += 4
         if len(buf) - offset < name_len + 4:
             raise FormatError("truncated checkpoint entry")
-        name = buf[offset : offset + name_len].decode("utf-8")
+        try:
+            name = buf[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"checkpoint parameter name is not UTF-8: {exc}") from exc
         offset += name_len
         (rank,) = struct.unpack_from("<I", buf, offset)
         offset += 4
@@ -559,7 +532,7 @@ def load_params(path) -> ParamStore:
             raise FormatError("truncated checkpoint entry")
         shape = struct.unpack_from(f"<{rank}I", buf, offset)
         offset += 4 * rank
-        n = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        n = math.prod(shape)  # exact: a product of 32-bit sizes can overflow int64
         if len(buf) - offset < 8 * n:
             raise FormatError("truncated checkpoint payload")
         value = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).reshape(shape).copy()

@@ -8,6 +8,7 @@ silently fall back to defaults.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigurationError
@@ -52,6 +53,9 @@ class RunConfig:
             raise ConfigurationError(f"unknown profile {self.profile!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in u64")
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         positives = (
             "s_points", "n_centers", "m_neighbors", "d1", "d2", "sampler_width",
             "surrogate_width", "ranker_width", "sampler_batch", "ranker_batch",

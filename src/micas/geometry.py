@@ -23,7 +23,10 @@ what is being matched:
 The two trees of a cloud query cost about as much as brute force at
 16 x 256 points and three to four times more at 16 x 16, while brute
 force is about seven times slower at 256 x 256. So only patch stacks
-are brute-forced: a whole stack of them costs one array pass.
+are brute-forced: a whole stack of them costs one array pass. Every
+differentiable Chamfer is one (the sampler's 16 x 256 center coverage
+is a one-patch stack), so chamfer_nearest's tie choice reaches no
+gradient: the trees serve only the oracle's and the labels' values.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ def init_ranker_params(cfg: RankerConfig, rng) -> ParamStore:
 
 
 def _row_affine(tape: Tape, store: ParamStore, name: str, x: Node) -> Node:
-    return tape.add_row(tape.matmul_rows(x, tape.param(store, f"{name}.w")), tape.param(store, f"{name}.b"))
+    return tape.affine_rows(x, tape.param(store, f"{name}.w"), tape.param(store, f"{name}.b"))
 
 
 def score_prompts(tape: Tape, store: ParamStore, queries, prompts) -> Node:
@@ -98,7 +98,7 @@ def score_prompts(tape: Tape, store: ParamStore, queries, prompts) -> Node:
     its joint descriptor; that equals a max-pool over the prompt's fused
     rows, with ties going to the query, then the prompt input, then the
     prompt output. The head runs once over all joint rows, but its
-    products compute each row on its own (`Tape.matmul_rows`), so a score
+    affine layers compute each row on its own (`Tape.affine_rows`), so a score
     does not depend, not even in rounding, on which others share the
     call. Permuting points within a cloud cannot change a score; all-zero
     parameters score 0.
@@ -145,14 +145,12 @@ def listwise_rank_loss(tape: Tape, scores: Node, labels) -> Node:
     """Sum over queries of c[i, j] * log(1 + exp(score_j - score_i)) over each query's ordered pairs.
 
     `scores` is a (B, K) node, such as `score_prompts` returns, with (B, K)
-    labels; a (K,) node with K labels is one query. Built from tape
-    primitives, so it is differentiable end to end; the coefficients
-    depend only on each query's labels and carry no gradient. Adding a
-    constant to a query's scores leaves the loss unchanged.
+    labels. Built from tape primitives, so it is differentiable end to
+    end; the coefficients depend only on each query's labels and carry no
+    gradient. Adding a constant to a query's scores leaves the loss unchanged.
     """
-    scores = tape.reshape(scores, (1, -1)) if scores.value.ndim == 1 else scores
     b, k = scores.shape  # a ValueError unless (B, K)
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
+    labels = np.asarray(labels, dtype=np.float64)
     if k < 2 or labels.shape != (b, k):
         raise ValueError(f"need K >= 2 candidates and labels shaped as the scores, got {labels.shape} for {(b, k)}")
     coeff = np.vstack([rank_weight_matrix(row) for row in labels])
@@ -254,11 +252,11 @@ def load_label_cache(path) -> dict[tuple[int, int], float]:
     (count,) = struct.unpack_from("<I", buf, 8)
     if len(buf) != 12 + 24 * count:
         raise FormatError("label cache length does not match its header")
-    entries = {}
-    for i in range(count):
-        query_id, candidate_id, label = struct.unpack_from("<QQd", buf, 12 + 24 * i)
-        entries[(query_id, candidate_id)] = label
-    return entries
+    records = np.frombuffer(buf, dtype=[("query", "<u8"), ("candidate", "<u8"), ("label", "<f8")], offset=12)
+    bad = np.flatnonzero(~np.isfinite(records["label"]))
+    if len(bad):
+        raise FormatError(f"label cache entry {bad[0]} holds a non-finite label {records['label'][bad[0]]}")
+    return {(query_id, candidate_id): label for query_id, candidate_id, label in records.tolist()}
 
 
 def save_ranker(store: ParamStore, cfg: RankerConfig, normalizer: TaskNormalizer, path) -> None:

@@ -34,6 +34,9 @@ class SamplerConfig:
     def __post_init__(self):
         if min(self.d1, self.d2, self.n_centers, self.width) < 1:
             raise ValueError("architecture sizes must be positive")
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.tau_start >= self.tau_end > 0.0):
             raise ValueError("need tau_start >= tau_end > 0")
         if self.alpha < 0.0:
@@ -68,7 +71,7 @@ def encode_task(tape: Tape, store: ParamStore, prompt_in_pts, prompt_out_pts) ->
     """
     pts = np.vstack([np.asarray(prompt_in_pts, dtype=np.float64),
                      np.asarray(prompt_out_pts, dtype=np.float64)])
-    return autodiff.row_sparse_maxpool(tape, store, "task_enc", pts, None, "tanh")
+    return tape.reshape(autodiff.row_sparse_maxpool(tape, store, "task_enc", pts, [0], "tanh"), (-1,))
 
 
 def encode_points(tape: Tape, store: ParamStore, pts) -> Node:
@@ -76,7 +79,7 @@ def encode_points(tape: Tape, store: ParamStore, pts) -> Node:
     x = tape.const(np.asarray(pts, dtype=np.float64))
     h = tape.sin(autodiff.affine(tape, store, "point_local.0", x))
     local = tape.tanh(autodiff.affine(tape, store, "point_local.1", h))
-    global_feat = tape.maxpool_segments(local)
+    global_feat = tape.reshape(tape.maxpool_segments(local, [0]), (-1,))
     joined = tape.concat_cols(local, tape.tile_rows(global_feat, x.shape[0]))
     return autodiff.affine(tape, store, "point_proj", joined)
 
@@ -198,13 +201,13 @@ def sampling_loss(tape: Tape, predicted_patches: Node, target_patches, centers: 
 
     The first term averages the Chamfer divergence between each patch of
     the (P, M, 3) predicted node and its target patch in the (P, M, 3)
-    targets; the second is the Chamfer divergence between the centers
-    and the full input cloud.
+    targets; the second is the Chamfer divergence between the (N, 3)
+    centers and the full input cloud, scored as a one-patch stack.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be non-negative")
     recon = tape.mean_all(tape.chamfer_patches(predicted_patches, target_patches))
-    coverage = tape.chamfer(centers, tape.const(np.asarray(cloud_pts, dtype=np.float64)))
+    coverage = tape.reshape(tape.chamfer_patches(tape.reshape(centers, (1, *centers.shape)), [cloud_pts]), ())
     return tape.add(recon, tape.scale(coverage, alpha))
 
 

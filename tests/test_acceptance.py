@@ -285,11 +285,11 @@ def test_criterion_7b_top1_margin(heldout_ranking):
 
 def test_criterion_8_rank_loss_exactness():
     tape = Tape()
-    pair_loss = listwise_rank_loss(tape, tape.const(np.array([1.3, 1.3])), [0.9, 0.2])
+    pair_loss = listwise_rank_loss(tape, tape.const(np.array([[1.3, 1.3]])), [[0.9, 0.2]])
     exact_gap = abs(float(pair_loss.value) - 0.5 * np.log(2.0))
     rng = np.random.default_rng(3)
-    scores = rng.normal(size=8)
-    labels = rng.uniform(size=8)
+    scores = rng.normal(size=(1, 8))
+    labels = rng.uniform(size=(1, 8))
     base_tape = Tape()
     base = float(listwise_rank_loss(base_tape, base_tape.const(scores), labels).value)
     shift_gap = 0.0

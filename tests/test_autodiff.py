@@ -1,5 +1,7 @@
 """Tape gradients against finite differences, plus stores and checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ def test_grad_arithmetic_chain():
     def loss(s):
         t = Tape()
         x = t.add(t.param(s, "a"), t.param(s, "b"))
-        x = t.add_row(x, t.param(s, "v"))
+        x = t.add(x, t.tile_rows(t.param(s, "v"), 3))
         x = t.add_const(t.scale(x, 1.7), 0.3)
         t.mean_all(x)
         return t
@@ -74,37 +76,39 @@ def test_grad_matmul_transpose_reshape():
     check(loss, store)
 
 
-def test_grad_matmul_rows():
-    store = fd_store({"a": (4, 3), "b": (3, 5)}, 2)
+def test_grad_affine_rows():
+    store = fd_store({"x": (4, 3), "w": (3, 5), "b": (5,)}, 2)
 
     def loss(s):
         t = Tape()
-        t.mean_all(t.tanh(t.matmul_rows(t.param(s, "a"), t.param(s, "b"))))
+        t.mean_all(t.tanh(t.affine_rows(t.param(s, "x"), t.param(s, "w"), t.param(s, "b"))))
         return t
 
     check(loss, store)
 
 
-def test_matmul_rows_computes_each_row_on_its_own():
+def test_affine_rows_computes_each_row_on_its_own():
     rng = np.random.default_rng(3)
     store = ParamStore()
-    a, b = store.add("a", rng.normal(size=(9, 64))).value, store.add("b", rng.normal(size=(64, 64))).value
-    a[5] = a[2]  # a duplicated row
+    x, w = store.add("x", rng.normal(size=(9, 64))).value, store.add("w", rng.normal(size=(64, 64))).value
+    b = store.add("b", rng.normal(size=64)).value
+    x[5] = x[2]  # a duplicated row
     out_grad = rng.normal(size=(9, 64))
     t = Tape()
-    out = t.matmul_rows(t.param(store, "a"), t.param(store, "b"))
+    out = t.affine_rows(*(t.param(store, name) for name in ("x", "w", "b")))
     t.weighted_sum(out, out_grad)
     t.backward()
     assert out.shape == (9, 64)
     assert np.array_equal(out.value[5], out.value[2])
-    for i in range(len(a)):  # row i of the value and of a's gradient from row i alone
-        assert np.array_equal(out.value[i], (a[i : i + 1] @ b)[0]), i
-        assert np.array_equal(store["a"].grad[i], (out_grad[i : i + 1] @ b.T)[0]), i
-    assert np.array_equal(store["b"].grad, a.T @ out_grad)  # b's gradient is matmul's
+    for i in range(len(x)):  # row i of the value and of x's gradient from row i alone
+        assert np.array_equal(out.value[i], (x[i : i + 1] @ w + b)[0]), i
+        assert np.array_equal(store["x"].grad[i], (out_grad[i : i + 1] @ w.T)[0]), i
+    assert np.array_equal(store["w"].grad, x.T @ out_grad)  # w's and b's gradients are affine's
+    assert np.array_equal(store["b"].grad, out_grad.sum(axis=0))
     # a row's value does not depend on how many rows share the call, or on what they hold
     others = rng.normal(size=(4, 64))
-    for rows in (a[2:3], np.vstack([others, a[2:3], others])):
-        alone = t.matmul_rows(t.const(rows), t.const(b)).value
+    for rows in (x[2:3], np.vstack([others, x[2:3], others])):
+        alone = t.affine_rows(t.const(rows), t.const(w), t.const(b)).value
         assert np.array_equal(alone[len(rows) // 2], out.value[2])
 
 
@@ -154,7 +158,7 @@ def test_grad_softmax_and_maxpool():
 
     def loss_pool(s):
         t = Tape()
-        t.mean_all(t.maxpool_segments(t.param(s, "x")))
+        t.mean_all(t.maxpool_segments(t.param(s, "x"), [0]))
         return t
 
     check(loss_pool, store)
@@ -177,10 +181,10 @@ def test_maxpool_segments_equals_one_block_pool_per_block():
     pooled = t.maxpool_segments(t.const(x), starts)
     assert pooled.shape == (4, 4)
     for b, (lo, hi) in enumerate(zip(starts, starts[1:] + [11])):
-        one_block = t.maxpool_segments(t.const(x[lo:hi]))  # starts None: one block, a (C,) row
-        assert one_block.shape == (4,)
-        assert np.array_equal(pooled.value[b], one_block.value)
-        assert np.array_equal(one_block.value, x[lo:hi].max(axis=0))
+        one_block = t.maxpool_segments(t.const(x[lo:hi]), [0])  # one block, a (1, C) row
+        assert one_block.shape == (1, 4)
+        assert np.array_equal(pooled.value[b], one_block.value[0])
+        assert np.array_equal(one_block.value[0], x[lo:hi].max(axis=0))
 
 
 def test_maxpool_segments_ties_go_to_the_lowest_row_of_each_block():
@@ -212,32 +216,9 @@ def test_maxpool_segments_rejects_bad_block_starts():
     for starts in ([], [1, 3], [0, 3, 3], [0, 3, 2], [0, 5], [0, -1], [[0, 2]]):
         with pytest.raises(ValueError):
             t.maxpool_segments(a, starts)
-    with pytest.raises(ValueError):
-        t.maxpool_segments(t.const(np.zeros(5)), [0])
-    for bad in (np.zeros(5), np.zeros((0, 2))):  # the one-block case checks its input too
+    for bad in (np.zeros(5), np.zeros((0, 2))):  # one block needs a matrix with a row
         with pytest.raises(ValueError):
-            t.maxpool_segments(t.const(bad))
-
-
-def test_grad_chamfer_both_sides():
-    store = fd_store({"a": (7, 3), "b": (5, 3)}, 6, scale=1.0)
-
-    def loss(s):
-        t = Tape()
-        t.chamfer(t.param(s, "a"), t.param(s, "b"))
-        return t
-
-    check(loss, store)
-
-
-def test_chamfer_value_matches_geometry():
-    from micas.geometry import chamfer_distance
-
-    rng = np.random.default_rng(8)
-    a, b = rng.uniform(size=(9, 3)), rng.uniform(size=(6, 3))
-    t = Tape()
-    node = t.chamfer(t.const(a), t.const(b))
-    assert node.value == pytest.approx(chamfer_distance(a, b), abs=0.0)
+            t.maxpool_segments(t.const(bad), [0])
 
 
 def test_grad_chamfer_patches():
@@ -275,20 +256,14 @@ def test_add_at_equals_numpy_add_at_bit_for_bit():
 def test_chamfer_gradients_equal_add_at_references_bit_for_bit():
     rng = np.random.default_rng(13)
     a, b = rng.uniform(size=(3, 9, 3)), rng.uniform(size=(3, 5, 3))
+    t = Tape()
+    (d_patch,) = t.chamfer_patches(t.const(a), b).vjps
     for p in range(3):
-        t = Tape()
-        node = t.chamfer(t.const(a[p]), t.const(b[p]))
-        d_a, d_b = (vjp(np.asarray(0.7)) for vjp in node.vjps)
-        patch = t.chamfer_patches(t.const(a), b)
-        (d_patch,) = patch.vjps
         inv_a, inv_b = 2.0 / 9, 2.0 / 5
         dist = ((a[p][:, None] - b[p][None]) ** 2).sum(axis=-1)
         ab, ba = dist.argmin(axis=1), dist.argmin(axis=0)
         ref_a = inv_a * (a[p] - b[p][ab])
         np.add.at(ref_a, ba, inv_b * (a[p][ba] - b[p]))
-        ref_b = inv_b * (b[p] - a[p][ba])
-        np.add.at(ref_b, ab, inv_a * (b[p][ab] - a[p]))
-        assert np.array_equal(d_a, 0.7 * ref_a) and np.array_equal(d_b, 0.7 * ref_b)
         upstream = np.zeros(3)
         upstream[p] = 0.7
         assert np.array_equal(d_patch(upstream)[p], 0.7 * ref_a)
@@ -430,15 +405,14 @@ def test_shape_validation_raises():
     with pytest.raises(ValueError):
         t.add(a, b)
     with pytest.raises(ValueError):
-        t.add_row(a, t.const(np.zeros(2)))
-    with pytest.raises(ValueError):
         t.matmul(a, a)
-    with pytest.raises(ValueError):
-        t.matmul_rows(a, a)
-    with pytest.raises(ValueError):
-        t.matmul_rows(t.const(np.zeros(3)), b)
-    with pytest.raises(ValueError):
-        t.affine(a, b, t.const(np.zeros(3)))  # bias wider than the product
+    for op in (t.affine, t.affine_rows):
+        with pytest.raises(ValueError):
+            op(a, b, t.const(np.zeros(3)))  # bias wider than the product
+        with pytest.raises(ValueError):
+            op(a, a, t.const(np.zeros(3)))
+        with pytest.raises(ValueError):
+            op(t.const(np.zeros(3)), b, t.const(np.zeros(2)))
     with pytest.raises(ValueError):
         t.concat_cols(a, b)
     with pytest.raises(ValueError):
@@ -479,13 +453,14 @@ def test_sgd_step_raises_on_divergence():
 
 
 def test_affine_node_equals_matmul_then_add_row_bit_for_bit():
+    # the unfused reference adds the bias row to every row of the product through tile_rows
     store = fd_store({"x": (6, 4), "w": (4, 5), "b": (5,)}, 14)
     grads = []
     for fused in (True, False):
         store.zero_grads()
         t = Tape()
         x, w, b = (t.param(store, name) for name in ("x", "w", "b"))
-        out = t.affine(x, w, b) if fused else t.add_row(t.matmul(x, w), b)
+        out = t.affine(x, w, b) if fused else t.add(t.matmul(x, w), t.tile_rows(b, 6))
         t.mean_all(t.add(t.tanh(out), t.matmul(x, w)))  # x and w feed a second node too
         t.backward()
         grads.append([out.value] + [store[name].grad.copy() for name in ("x", "w", "b")])
@@ -595,3 +570,24 @@ def test_checkpoint_decode_errors(tmp_path):
     bad.write_bytes(blob + b"\x01")
     with pytest.raises(FormatError):
         load_params(bad)
+
+
+def checkpoint_entry(name: bytes, shape, payload: bytes = b"") -> bytes:
+    """A one-parameter MICASNN1 file with raw name bytes and shape."""
+    return (b"MICASNN1" + struct.pack("<II", 1, len(name)) + name
+            + struct.pack(f"<I{len(shape)}I", len(shape), *shape) + payload)
+
+
+def test_checkpoint_refuses_a_parameter_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.micasnn"
+    path.write_bytes(checkpoint_entry(b"enc\xff.w", (1,), struct.pack("<d", 1.0)))
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_params(path)
+
+
+def test_checkpoint_refuses_a_shape_whose_size_overflows_int64(tmp_path):
+    path = tmp_path / "bad.micasnn"
+    # (2**32 - 1) ** 2 entries wrap to a negative int64 count
+    path.write_bytes(checkpoint_entry(b"x", (2**32 - 1, 2**32 - 1), struct.pack("<d", 1.0)))
+    with pytest.raises(FormatError, match="truncated checkpoint payload"):
+        load_params(path)

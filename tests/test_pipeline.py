@@ -141,11 +141,30 @@ def test_item_loss_context_is_the_visible_patches_mean_or_zeros():
             assert np.array_equal(context, np.zeros(3))
 
 
+def chamfer_node(tape, a, b):
+    """The Chamfer divergence of node a (M, 3) and constant b (L, 3) from tape arithmetic.
+
+    A kernel of its own: brute-force matches (the lowest index on ties),
+    treated as constant, and each direction's mean squared distance as a
+    flat row's product with its own transpose.
+    """
+    d2 = ((a.value[:, None] - b[None]) ** 2).sum(axis=-1)
+    ab, ba = d2.argmin(axis=1), d2.argmin(axis=0)
+
+    def mean_square(d):
+        flat = tape.reshape(d, (1, d.value.size))
+        return tape.scale(tape.reshape(tape.matmul(flat, tape.transpose(flat)), ()), 1.0 / len(d.value))
+
+    node = tape.add(mean_square(tape.add_const(a, -b[ab])), mean_square(tape.add_const(tape.gather_rows(a, ba), -b)))
+    assert abs(float(node.value) - geometry.chamfer_distance(a.value, b)) <= 1e-15 * float(node.value)
+    return node
+
+
 def per_patch_item_loss(sampler_store, surrogate_store, s_cfg, sur_cfg, query, prompt, tau,
                         noise, frozen):
-    """item_loss built patch by patch: a gather/reshape/add_row chain and a
-    Tape.chamfer node for every masked patch, the reference for the batched
-    patch node."""
+    """item_loss built patch by patch: a gather/reshape/add chain and a
+    `chamfer_node` for every masked patch and the coverage, the reference for
+    the batched patch node."""
     hidden, gt_masked, context = frozen
     res = sample(sampler_store, query.input.points, prompt.input.points, prompt.target.points, tau, noise)
     tape = res.tape
@@ -158,13 +177,13 @@ def per_patch_item_loss(sampler_store, surrogate_store, s_cfg, sur_cfg, query, p
     per_patch = []
     for i in range(k):
         offset = tape.reshape(tape.gather_rows(offsets, [i]), (sur_cfg.m_neighbors, 3))
-        anchor = tape.reshape(tape.gather_rows(centers, [i]), (3,))
-        per_patch.append(tape.chamfer(tape.add_row(offset, anchor), tape.const(gt_masked[i])))
+        anchor = tape.tile_rows(tape.reshape(tape.gather_rows(centers, [i]), (3,)), sur_cfg.m_neighbors)
+        per_patch.append(chamfer_node(tape, tape.add(offset, anchor), gt_masked[i]))
     stacked = tape.reshape(per_patch[0], (1, 1))
     for patch in per_patch[1:]:
         stacked = tape.concat_cols(stacked, tape.reshape(patch, (1, 1)))
     recon = tape.mean_all(stacked)
-    coverage = tape.chamfer(res.centers_query, tape.const(query.input.points))
+    coverage = chamfer_node(tape, res.centers_query, query.input.points)
     return tape, tape.add(recon, tape.scale(coverage, s_cfg.alpha))
 
 
@@ -618,6 +637,15 @@ def test_config_validation_errors():
     for name in ("sampler_epochs", "ranker_epochs"):
         with pytest.raises(ConfigurationError, match=name):
             RunConfig(**{name: 1})
+
+
+def test_config_rejects_non_finite_settings():
+    for key, value in (("alpha", "nan"), ("alpha", "inf"), ("sampler_lr0", "inf"), ("tau_start", "inf"),
+                       ("tau_end", "-inf"), ("ranker_lr_min", "nan"), ("mask_ratio", "nan")):
+        with pytest.raises(ConfigurationError, match=f"{key} must be finite"):
+            parse_config_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigurationError, match=f"{key} must be finite"):
+            RunConfig(**{key: float(value)})
 
 
 def test_readme_config_example_parses():

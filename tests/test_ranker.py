@@ -126,7 +126,7 @@ def test_shared_query_scoring_gradient_matches_finite_differences():
     cfg = RankerConfig(width=4)
     store = init_ranker_params(cfg, np.random.default_rng(31))
     q, prompts = tie_case(32)
-    labels = [0.2, 0.9, 0.5]
+    labels = [[0.2, 0.9, 0.5]]
 
     def loss_fn(p):
         tape = Tape()
@@ -140,7 +140,7 @@ def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
     cfg = RankerConfig(width=8)
     store = init_ranker_params(cfg, np.random.default_rng(33))
     q, prompts = tie_case(34, s=12, k=4)
-    labels = [0.1, 0.7, 0.7, 0.3]
+    labels = [[0.1, 0.7, 0.7, 0.3]]
     tape = Tape()
     scores = score_prompts(tape, store, [q], [prompts])
     listwise_rank_loss(tape, scores, labels)
@@ -149,7 +149,7 @@ def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
     store.zero_grads()
     # d(loss)/d(score_k) from the loss alone, then one single-prompt tape per candidate
     s_store = ParamStore()
-    s_store.add("s", scores.value[0])
+    s_store.add("s", scores.value)
     t = Tape()
     listwise_rank_loss(t, t.param(s_store, "s"), labels)
     t.backward()
@@ -157,7 +157,7 @@ def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
         fused = FusedCloud(np.vstack([q, p_in, p_out]), np.repeat([0, 1, 2], len(q)))
         single = Tape()
         predict_score(single, store, cfg, fused)
-        single.backward(s_store["s"].grad[k])
+        single.backward(s_store["s"].grad[0, k])
     for name, p in store.items():
         scale = max(np.abs(joint[name]).max(), 1e-300)
         assert np.abs(p.grad - joint[name]).max() <= 1e-12 * scale, name
@@ -180,13 +180,13 @@ def dense_scores(tape, store, cfg, q, prompts):
 
     def pooled(pts, segment):
         h = affine(tape, store, "score.point.0", tape.const(tagged(pts, segment)))
-        return tape.maxpool_segments(tape.relu(affine(tape, store, "score.point.1", tape.relu(h))))
+        return tape.maxpool_segments(tape.relu(affine(tape, store, "score.point.1", tape.relu(h))), [0])
 
     query = pooled(q, 0)
     scores = []
     for p_in, p_out in prompts:
         joint = tape.maximum([query, pooled(p_in, 1), pooled(p_out, 2)])
-        head = tape.relu(affine(tape, store, "score.h0", tape.reshape(joint, (1, cfg.width))))
+        head = tape.relu(affine(tape, store, "score.h0", joint))
         scores.append(affine(tape, store, "score.h1", head))
     row = scores[0]
     for score in scores[1:]:
@@ -244,9 +244,9 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
         assert pooled.shape == (len(dense_pools), cfg.width)
         clouds = [(q, 0)] + [(pts, seg) for pair in prompts for pts, seg in zip(pair, (1, 2))]
         for row, (_, full), (pts, segment) in zip(pooled, dense_pools, clouds):
-            assert np.array_equal(row, full)
+            assert np.array_equal(row, full[0])
             free = autodiff.row_sparse_maxpool(Tape(record=False), store, "score.point", tagged(pts, segment),
-                                               None, "relu")
+                                               [0], "relu")
             assert np.array_equal(free.value, full)  # tape-free
         assert np.array_equal(sparse.value, dense.value)
         assert np.array_equal(score_prompts(Tape(record=False), store, [q], [prompts]).value, sparse.value)
@@ -256,7 +256,7 @@ def test_row_sparse_train_step_gradient_matches_dense_reference():
     cfg = RankerConfig(width=16)
     for seed, (q, prompts) in enumerate(sparse_cases()):
         store = init_ranker_params(cfg, np.random.default_rng(60 + seed))
-        labels = np.linspace(0.9, 0.1, len(prompts))
+        labels = [np.linspace(0.9, 0.1, len(prompts))]
         grads = []
         for scorer in (score_one, dense_scores):
             store.zero_grads()
@@ -354,7 +354,7 @@ def test_batch_tape_gradient_equals_sum_of_per_query_tapes():
     store.zero_grads()
     for q, pairs, row in zip(queries, prompts, labels):
         single = Tape()
-        listwise_rank_loss(single, score_prompts(single, store, [q], [pairs]), row)
+        listwise_rank_loss(single, score_prompts(single, store, [q], [pairs]), [row])
         single.backward(0.25)
     for name, p in store.items():
         if name == "score.h1.b":  # every query's loss is shift-invariant: zero up to rounding
@@ -406,14 +406,14 @@ def test_rank_weight_matrix_properties():
 
 def test_pairwise_loss_equal_scores_two_candidates():
     tape = Tape()
-    loss = listwise_rank_loss(tape, tape.const(np.array([0.7, 0.7])), [1.0, 0.0])
+    loss = listwise_rank_loss(tape, tape.const(np.array([[0.7, 0.7]])), [[1.0, 0.0]])
     assert abs(float(loss.value) - 0.5 * np.log(2.0)) <= 1e-12
 
 
 def test_pairwise_loss_shift_invariance():
     rng = np.random.default_rng(11)
-    scores = rng.normal(size=5)
-    labels = rng.uniform(size=5)
+    scores = rng.normal(size=(1, 5))
+    labels = rng.uniform(size=(1, 5))
     tape = Tape()
     base = float(listwise_rank_loss(tape, tape.const(scores), labels).value)
     for shift in (-3.0, 0.25, 10.0):
@@ -423,34 +423,35 @@ def test_pairwise_loss_shift_invariance():
 
 
 def test_ranking_loss_ordering_and_ties():
-    labels = [0.9, 0.5, 0.1]
+    labels = [[0.9, 0.5, 0.1]]
     tape = Tape()
-    good = float(listwise_rank_loss(tape, tape.const(np.array([3.0, 2.0, 1.0])), labels).value)
+    good = float(listwise_rank_loss(tape, tape.const(np.array([[3.0, 2.0, 1.0]])), labels).value)
     tape = Tape()
-    bad = float(listwise_rank_loss(tape, tape.const(np.array([1.0, 2.0, 3.0])), labels).value)
+    bad = float(listwise_rank_loss(tape, tape.const(np.array([[1.0, 2.0, 3.0]])), labels).value)
     assert good < bad
     tape = Tape()
-    tied = listwise_rank_loss(tape, tape.const(np.array([0.4, -1.2, 0.0])), [0.5, 0.5, 0.5])
+    tied = listwise_rank_loss(tape, tape.const(np.array([[0.4, -1.2, 0.0]])), [[0.5, 0.5, 0.5]])
     assert float(tied.value) == 0.0
 
 
 def test_ranking_loss_argument_checks():
     tape = Tape()
     with pytest.raises(ValueError):
-        listwise_rank_loss(tape, tape.const(np.array([1.0])), [0.5])
+        listwise_rank_loss(tape, tape.const(np.array([[1.0]])), [[0.5]])
     tape = Tape()
     with pytest.raises(ValueError):
-        listwise_rank_loss(tape, tape.const(np.array([1.0, 2.0])), [0.5, 0.1, 0.9])
+        listwise_rank_loss(tape, tape.const(np.array([[1.0, 2.0]])), [[0.5, 0.1, 0.9]])
 
 
-def test_ranking_loss_takes_a_score_vector_node():
+def test_ranking_loss_takes_only_a_score_matrix_node():
     rng = np.random.default_rng(12)
-    scores, labels = rng.normal(size=4), rng.uniform(size=4)
+    scores, labels = rng.normal(size=(2, 4)), rng.uniform(size=(2, 4))
     tape = Tape()
-    from_vector = listwise_rank_loss(tape, tape.const(scores), labels)
-    want = (np.logaddexp(0.0, scores[None, :] - scores[:, None]) * rank_weight_matrix(labels)).sum()
-    assert float(from_vector.value) == pytest.approx(want, rel=1e-15)
-    for bad in (np.float64(1.0), np.ones((4, 1)), np.ones((2, 2))):  # not a (K,) vector
+    loss = listwise_rank_loss(tape, tape.const(scores), labels)
+    want = sum((np.logaddexp(0.0, row[None, :] - row[:, None]) * rank_weight_matrix(lab)).sum()
+               for row, lab in zip(scores, labels))
+    assert float(loss.value) == pytest.approx(want, rel=1e-15)
+    for bad in (np.float64(1.0), scores[0], np.ones((4, 2)), np.ones((1, 2, 4))):  # not (2, 4)
         tape = Tape()
         with pytest.raises(ValueError):
             listwise_rank_loss(tape, tape.const(bad), labels)
@@ -458,8 +459,8 @@ def test_ranking_loss_takes_a_score_vector_node():
 
 def test_ranking_loss_gradient():
     store = ParamStore()
-    store.add("s", np.array([0.3, -0.2, 0.8]))
-    labels = [0.1, 0.9, 0.4]
+    store.add("s", np.array([[0.3, -0.2, 0.8]]))
+    labels = [[0.1, 0.9, 0.4]]
 
     def loss_fn(p):
         tape = Tape()
@@ -616,6 +617,14 @@ def test_label_cache_format_errors(tmp_path):
     (tmp_path / "long").write_bytes(blob + b"\x00")
     with pytest.raises(FormatError):
         load_label_cache(tmp_path / "long")
+
+
+def test_label_cache_refuses_a_non_finite_label(tmp_path):
+    path = tmp_path / "labels.micaslc"
+    for bad in (np.nan, np.inf, -np.inf):
+        save_label_cache({(1, 2): 0.5, (3, 4): bad}, path)
+        with pytest.raises(FormatError, match="entry 1 holds a non-finite label"):
+            load_label_cache(path)
 
 
 def test_ranker_checkpoint_round_trip(tmp_path):

@@ -321,7 +321,7 @@ def test_task_encoder_gradient_matches_dense_reference():
             if sparse:
                 feature = encode_task(tape, store, p_in, p_out)
             else:
-                feature = tape.maxpool_segments(dense_task_rows(tape, store, p_in, p_out))
+                feature = tape.reshape(tape.maxpool_segments(dense_task_rows(tape, store, p_in, p_out), [0]), (-1,))
             tape.weighted_sum(feature, weights)
             tape.backward()
             grads.append({name: p.grad.copy() for name, p in store.items() if name.startswith("task_enc")})
@@ -386,6 +386,31 @@ def test_sampling_loss_composition():
         sampling_loss(tape, preds, targets, centers, cloud, alpha=-1.0)
 
 
+def test_sampling_loss_coverage_term_and_its_gradient():
+    from micas.geometry import chamfer_distance
+
+    rng = np.random.default_rng(14)
+    base = rng.uniform(size=(30, 3))
+    cloud = np.vstack([base, base[:10]])[rng.permutation(40)]  # ten points appear twice
+    store = ParamStore()
+    store.add("c", cloud[[4, 9, 9, 17, 25, 33]] + rng.normal(0.0, 0.05, size=(6, 3)))
+    c = store["c"].value
+    c[2] = c[1]  # a duplicated center: cloud points nearest to it tie between indices 1 and 2
+    patches = rng.uniform(size=(2, 4, 3))
+    tape = Tape()
+    # identical predicted and target patches zero the reconstruction term, so the loss is the coverage term
+    loss = sampling_loss(tape, tape.const(patches), patches, tape.param(store, "c"), cloud, alpha=1.0)
+    want = chamfer_distance(c, cloud)
+    assert abs(float(loss.value) - want) <= 1e-15 * want
+    tape.backward()
+    d2 = ((c[:, None] - cloud[None]) ** 2).sum(axis=-1)
+    ab, ba = d2.argmin(axis=1), d2.argmin(axis=0)  # argmin: the lowest index on ties
+    assert (ba == 1).any() and not (ba == 2).any()
+    ref = 2.0 / 6 * (c - cloud[ab])
+    np.add.at(ref, ba, 2.0 / 40 * (c[ba] - cloud))
+    assert np.array_equal(store["c"].grad, ref)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(d1=0)
@@ -393,6 +418,9 @@ def test_config_validation():
         SamplerConfig(tau_start=0.1, tau_end=0.5)
     with pytest.raises(ValueError):
         SamplerConfig(alpha=-0.1)
+    for name, value in (("alpha", np.nan), ("alpha", np.inf), ("tau_start", np.inf), ("tau_end", np.nan)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SamplerConfig(**{name: value})
 
 
 def test_sampler_checkpoint_round_trip(tmp_path):
