@@ -245,23 +245,15 @@ class Tape:
         pooled = np.maximum.reduceat(a.value, starts, axis=0)
 
         def vjp(g):
-            ends = np.append(starts[1:], a.shape[0])
-            rows = np.stack([s + np.argmax(a.value[s:e], axis=0) for s, e in zip(starts, ends)])
+            r = a.shape[0]
+            hit = a.value == np.repeat(pooled, np.diff(starts, append=r), axis=0)
+            # each block's first maximizer: the lowest row that equals the block's max
+            rows = np.minimum.reduceat(np.where(hit, np.arange(r)[:, None], r), starts, axis=0)
             z = np.zeros_like(a.value)
             z[rows, np.arange(a.value.shape[1])] = g
             return z
 
         return self._push(pooled, (a,), (vjp,))
-
-    def maximum(self, nodes) -> Node:
-        """Elementwise max of same-shaped nodes; on exact ties the earliest wins."""
-        nodes = list(nodes)
-        if not nodes or any(n.shape != nodes[0].shape for n in nodes):
-            raise ValueError("maximum expects a non-empty list of same-shaped nodes")
-        stacked = np.stack([n.value for n in nodes])
-        winner = np.argmax(stacked, axis=0)  # first maximizer = earliest node on ties
-        vjps = tuple((lambda g, i=i: g * (winner == i)) for i in range(len(nodes)))
-        return self._push(stacked.max(axis=0), tuple(nodes), vjps)
 
     # ---- reductions ----
 
@@ -398,29 +390,28 @@ def forward_mlp(tape: Tape, store: ParamStore, prefix: str, x: Node, final="line
     return tape.relu(h) if final == "relu" else h
 
 
-def row_sparse_maxpool(tape: Tape, store: ParamStore, prefix: str, pts, starts, hidden: str) -> Node:
-    """`maxpool_segments` of the ReLU-capped MLP under `prefix` over `pts`, recorded only on the rows that win.
+def row_sparse_maxpool(tape: Tape, store: ParamStore, prefix: str, blocks, hidden: str) -> Node:
+    """`maxpool_segments` of the ReLU-capped MLP under `prefix` over each of `blocks`, recorded only on winning rows.
 
     A max-pool's gradient reaches only each column's first maximizer, so a
-    values pass runs each block through `forward_mlp(..., final="relu",
-    hidden=hidden)` on a non-recording tape once. A recording tape keeps
-    the rows that first maximize a column (lowest row on ties) in ascending
-    order and records the same `forward_mlp` and the pool over those rows
-    only; both passes run one function, so they agree bit for bit. A
-    non-recording tape gets the values pass's maxima as a constant.
+    values pass runs each (n, C) block through `forward_mlp(...,
+    final="relu", hidden=hidden)` on a non-recording tape once. A recording
+    tape keeps each block's rows that first maximize a column (lowest row
+    on ties) in ascending order and records the same `forward_mlp` over the
+    stack of those rows and one pool; both passes run one function, so
+    they agree bit for bit. A non-recording tape gets the values pass's
+    maxima as a constant. Either way the result is a (B, width) node.
     """
-    blocks = [(lo, pts[lo:hi]) for lo, hi in zip(starts, [*starts[1:], len(pts)])]
     free = Tape(record=False)
 
     def values(x):
         return forward_mlp(free, store, prefix, free.const(x), final="relu", hidden=hidden).value
 
     if not tape.record:
-        return tape.const(np.stack([values(x).max(axis=0) for _, x in blocks]))
-    kept = [lo + np.flatnonzero(np.bincount(np.argmax(values(x), axis=0), minlength=len(x))) for lo, x in blocks]
-    counts = [len(rows) for rows in kept]
-    chained = forward_mlp(tape, store, prefix, tape.const(pts[np.concatenate(kept)]), final="relu", hidden=hidden)
-    return tape.maxpool_segments(chained, np.cumsum([0] + counts[:-1]))
+        return tape.const(np.stack([values(x).max(axis=0) for x in blocks]))
+    kept = [x[np.flatnonzero(np.bincount(np.argmax(values(x), axis=0), minlength=len(x)))] for x in blocks]
+    chained = forward_mlp(tape, store, prefix, tape.const(np.vstack(kept)), final="relu", hidden=hidden)
+    return tape.maxpool_segments(chained, np.cumsum([0] + [len(x) for x in kept[:-1]]))
 
 
 # ---- optimization ----

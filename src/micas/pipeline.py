@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff, geometry, surrogate
 from .config import RunConfig, config_hash
-from .errors import ConfigurationError, TrainingDiverged
+from .errors import ConfigurationError, FormatError, TrainingDiverged
 from .ranker import (
     CandidateSet,
     RankerConfig,
@@ -350,6 +350,7 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
                 computed = True
             raws[key] = raw_cache[key]
     if computed:
+        provenance_path.unlink(missing_ok=True)  # a cache write cut short then leaves no sidecar to match
         save_label_cache(raw_cache, labels_path)
         with open(provenance_path, "w", encoding="utf-8") as fh:
             json.dump(provenance, fh, indent=2, sort_keys=True)
@@ -536,8 +537,12 @@ def write_report(report: dict, out_dir) -> tuple[Path, Path]:
 
 
 def load_report(path) -> dict:
+    """A stored report; FormatError unless the file holds a JSON object of schema REPORT_SCHEMA."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        report = json.load(fh)
+    if not isinstance(report, dict) or report.get("schema") != REPORT_SCHEMA:
+        raise FormatError(f"{path} is not a {REPORT_SCHEMA} report")
+    return report
 
 
 def report_equal(a, b, tol: float = 1e-12) -> bool:

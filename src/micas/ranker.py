@@ -31,33 +31,13 @@ HIGHER_IS_BETTER = {"reconstruction": False, "denoising": False, "registration":
 SEGMENT_QUERY, SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT = 0, 1, 2
 
 
-@dataclass
-class FusedCloud:
-    """Query and prompt clouds stacked with per-point segment tags."""
-
-    points: np.ndarray  # (3S, 3)
-    segments: np.ndarray  # (3S,) in {0, 1, 2}
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        self.segments = np.asarray(self.segments, dtype=np.int64)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ValueError("fused points must have shape (3S, 3)")
-        if self.segments.shape != (self.points.shape[0],):
-            raise ValueError("segment tags must align with fused points")
-        if self.points.shape[0] % 3 != 0:
-            raise ValueError("fused cloud must stack three equal-size clouds")
-
-
-def fuse(query_in_pts, prompt: TaskPair) -> FusedCloud:
-    """Stack query, prompt input, and prompt output in that fixed order."""
+def fuse(query_in_pts, prompt: TaskPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (query, prompt input, prompt output) clouds, which must hold equally many points."""
     q = geometry.as_points(query_in_pts)
     p_in, p_out = prompt.input.points, prompt.target.points
     if not len(q) == len(p_in) == len(p_out):
         raise ValueError("fusion requires equal point counts in all three clouds")
-    points = np.vstack([q, p_in, p_out])
-    segments = np.repeat([SEGMENT_QUERY, SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT], len(q))
-    return FusedCloud(points, segments)
+    return q, p_in, p_out
 
 
 @dataclass
@@ -71,12 +51,11 @@ class RankerConfig:
 
 def init_ranker_params(cfg: RankerConfig, rng) -> ParamStore:
     """`autodiff.init_affine` layers, except that rows 3-5 of `score.point.0.w`,
-    which read the one-hot segment columns, are drawn from N(0, 0.1) after its xyz rows."""
-    store, xyz = ParamStore(), ParamStore()
-    w = cfg.width
-    autodiff.init_affine(xyz, "xyz", 3, w, rng)
-    store.add("score.point.0.w", np.vstack([xyz["xyz.w"].value, rng.normal(0.0, 0.1, size=(3, w))]))
-    store.add("score.point.0.b", xyz["xyz.b"].value)
+    which read the one-hot segment columns, are drawn from N(0, 0.1) after its He-normal xyz rows."""
+    store, w = ParamStore(), cfg.width
+    store.add("score.point.0.w", np.vstack([rng.normal(0.0, np.sqrt(2.0 / 3), size=(3, w)),
+                                            rng.normal(0.0, 0.1, size=(3, w))]))
+    store.add("score.point.0.b", np.zeros(w))
     autodiff.init_affine(store, "score.point.1", w, w, rng)
     autodiff.init_affine(store, "score.h0", w, w, rng)
     autodiff.init_affine(store, "score.h1", w, 1, rng)
@@ -94,14 +73,14 @@ def score_prompts(tape: Tape, store: ParamStore, queries, prompts) -> Node:
     row b equals that case's scores for query b, bit for bit. Each point,
     as its xyz followed by the one-hot columns of its segment tag, passes
     through a shared 2-layer ReLU MLP, and a row max-pool collapses each
-    cloud. One elementwise maximum of a prompt's query, input and output rows gives
-    its joint descriptor; that equals a max-pool over the prompt's fused
-    rows, with ties going to the query, then the prompt input, then the
-    prompt output. The head runs once over all joint rows, but its
-    affine layers compute each row on its own (`Tape.affine_rows`), so a score
-    does not depend, not even in rounding, on which others share the
-    call. Permuting points within a cloud cannot change a score; all-zero
-    parameters score 0.
+    cloud. A second max-pool over each prompt's query, input and output
+    rows, in that order, gives its joint descriptor; that equals one
+    max-pool over the stack of the prompt's three tagged clouds, with ties
+    going to the query, then the prompt input, then the prompt output. The
+    head runs once over all joint rows, but its affine layers compute each
+    row on its own (`Tape.affine_rows`), so a score does not depend, not
+    even in rounding, on which others share the call. Permuting points
+    within a cloud cannot change a score; all-zero parameters score 0.
 
     Each distinct (cloud, segment) block, told apart by array identity, is
     pooled once per call by `autodiff.row_sparse_maxpool`; a recording tape
@@ -113,17 +92,15 @@ def score_prompts(tape: Tape, store: ParamStore, queries, prompts) -> Node:
                         for pts, seg in ((query, SEGMENT_QUERY), (p_in, SEGMENT_PROMPT_IN), (p_out, SEGMENT_PROMPT_OUT))]
                        for p_in, p_out in pairs] for query, pairs in zip(queries, prompts, strict=True)])
     tagged = [np.hstack([pts, np.tile(np.eye(3)[seg], (len(pts), 1))]) for _, pts, seg in blocks.values()]
-    pooled = autodiff.row_sparse_maxpool(tape, store, "score.point", np.vstack(tagged),
-                                         np.cumsum([0] + [len(x) for x in tagged[:-1]]), "relu")
-    rows = tape.maximum([tape.gather_rows(pooled, joint[..., s].ravel()) for s in range(3)])
+    pooled = autodiff.row_sparse_maxpool(tape, store, "score.point", tagged, "relu")
+    rows = tape.maxpool_segments(tape.gather_rows(pooled, joint.ravel()), np.arange(0, joint.size, 3))
     head = tape.relu(_row_affine(tape, store, "score.h0", rows))
     return tape.reshape(_row_affine(tape, store, "score.h1", head), joint.shape[:2])
 
 
-def predict_score(tape: Tape, store: ParamStore, cfg: RankerConfig, fused: FusedCloud) -> Node:
-    """Scalar affinity of one prompt for one query: score_prompts with one prompt."""
-    query, prompt_in, prompt_out = (fused.points[fused.segments == s]
-                                    for s in (SEGMENT_QUERY, SEGMENT_PROMPT_IN, SEGMENT_PROMPT_OUT))
+def predict_score(tape: Tape, store: ParamStore, cfg: RankerConfig, fused) -> Node:
+    """Scalar affinity of one prompt for one query: score_prompts on the `fuse` triple."""
+    query, prompt_in, prompt_out = fused
     return tape.reshape(score_prompts(tape, store, [query], [[(prompt_in, prompt_out)]]), ())
 
 
@@ -204,12 +181,13 @@ class TaskNormalizer:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TaskNormalizer":
-        """Bounds in `to_dict`'s layout; FormatError names the first task whose entry does not fit it."""
+        """Finite bounds with lo < hi in `to_dict`'s layout; FormatError names the first task that breaks it."""
         for task, entry in data.items():
             numeric = isinstance(entry, dict) and all(type(entry.get(key)) in (int, float) for key in ("lo", "hi"))
-            if task not in HIGHER_IS_BETTER or not numeric or entry != {
-                    "lo": entry["lo"], "hi": entry["hi"], "higher_is_better": HIGHER_IS_BETTER[task]}:
-                raise FormatError(f"normalizer entry {task!r} is not a known task's lo, hi and orientation: {entry!r}")
+            if task not in HIGHER_IS_BETTER or not numeric or not -np.inf < entry["lo"] < entry["hi"] < np.inf \
+                    or entry != {"lo": entry["lo"], "hi": entry["hi"], "higher_is_better": HIGHER_IS_BETTER[task]}:
+                raise FormatError(f"normalizer entry {task!r} is not a known task's finite lo < hi and orientation: "
+                                  f"{entry!r}")
         return cls({task: (float(entry["lo"]), float(entry["hi"])) for task, entry in data.items()})
 
 

@@ -71,7 +71,7 @@ def encode_task(tape: Tape, store: ParamStore, prompt_in_pts, prompt_out_pts) ->
     """
     pts = np.vstack([np.asarray(prompt_in_pts, dtype=np.float64),
                      np.asarray(prompt_out_pts, dtype=np.float64)])
-    return tape.reshape(autodiff.row_sparse_maxpool(tape, store, "task_enc", pts, [0], "tanh"), (-1,))
+    return tape.reshape(autodiff.row_sparse_maxpool(tape, store, "task_enc", [pts], "tanh"), (-1,))
 
 
 def encode_points(tape: Tape, store: ParamStore, pts) -> Node:

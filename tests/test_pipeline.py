@@ -364,6 +364,29 @@ def test_label_cache_recomputed_for_another_oracle(tiny_run, tmp_path, monkeypat
         "sigma0": sur_mod.ORACLE_SIGMA0, "center_gain": gain, "prompt_gain": sur_mod.ORACLE_PROMPT_GAIN}
 
 
+def test_label_cache_cut_short_in_its_write_is_never_reused(tiny_run, tmp_path, monkeypatch):
+    # Sampler A's labels and sidecar are on disk; a run with sampler B stops
+    # right after rewriting the cache, before its sidecar. A later run with
+    # sampler A must not take sampler B's labels for its own.
+    art = tmp_path / "artifacts"
+    shutil.copytree(tiny_run.work / "artifacts", art)
+    other = pipeline.train_sampler(replace(TINY, sampler_epochs=3), tiny_run.train, tmp_path / "other")
+    save = pipeline.save_label_cache
+
+    def cut_short(entries, path):
+        save(entries, path)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "save_label_cache", cut_short)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.train_ranker(TINY, tiny_run.train, other.sampler_path, art)
+    assert (art / "labels.micaslc").read_bytes() != tiny_run.ranked.labels_path.read_bytes()
+    monkeypatch.setattr(pipeline, "save_label_cache", save)
+    pipeline.train_ranker(TINY, tiny_run.train, art / "sampler.micasnn", art)
+    assert (art / "labels.micaslc").read_bytes() == tiny_run.ranked.labels_path.read_bytes()
+    assert (art / "ranker.micasnn").read_bytes() == tiny_run.ranked.ranker_path.read_bytes()
+
+
 # ---- pseudo-labels ----
 
 def label_cases():
@@ -499,7 +522,7 @@ def test_evaluate_equals_a_per_query_reference_loop(tiny_run, sampler_variant, p
 
 
 def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch, spy_values_pass):
-    # each block is a view into the call's stacked clouds, so match by value: xyz, then the one-hot segment
+    # the values pass sees each tagged block, a fresh array, so match by value: xyz, then the one-hot segment
     pooled = spy_values_pass("score.point", lambda x: (x[:, :3].tobytes(), int(np.argmax(x[0, 3:]))))
     encoded, drawn, oracle_prompts = [], [], []
     encode_task = sampler_mod.encode_task
@@ -693,6 +716,9 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     assert cli.main(["report", str(report_path)]) == 0
     top = capsys.readouterr().out
     assert "sampling=fps" in top and "denoising" in top
+    for not_a_report in ("ranker.micasnn", "ranker.micasnn.json"):
+        assert cli.main(["report", str(tmp_path / "run" / "artifacts" / not_a_report)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     assert cli.main(["eval", *common, "--ablation", "fps,oracle"]) == 2
     assert cli.main(["eval", "--out", str(tmp_path / "nowhere"), "--ablation", "fps,random"]) == 2

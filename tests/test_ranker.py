@@ -11,7 +11,6 @@ from micas.autodiff import ParamStore, Tape, affine, finite_diff_check, save_par
 from micas.errors import FormatError
 from micas.geometry import chamfer_distance, miou
 from micas.ranker import (
-    FusedCloud,
     RankerConfig,
     TaskNormalizer,
     build_candidate_pool,
@@ -42,29 +41,16 @@ def make_bank(n=6, s=16, task="denoising"):
 
 def test_fuse_layout():
     prompt = gen_pair("denoising", 2, 10, 0)
-    rng = np.random.default_rng(1)
-    q = rng.uniform(size=(10, 3))
-    fused = fuse(q, prompt)
-    assert fused.points.shape == (30, 3)
-    assert np.array_equal(fused.points[:10], q)
-    assert np.array_equal(fused.points[10:20], prompt.input.points)
-    assert np.array_equal(fused.points[20:], prompt.target.points)
-    assert np.array_equal(fused.segments, np.repeat([0, 1, 2], 10))
+    q = np.random.default_rng(1).uniform(size=(10, 3))
+    query, prompt_in, prompt_out = fuse(q, prompt)
+    assert np.array_equal(query, q)
+    assert prompt_in is prompt.input.points and prompt_out is prompt.target.points
 
 
 def test_fuse_requires_equal_sizes():
     prompt = gen_pair("denoising", 2, 10, 0)
     with pytest.raises(ValueError):
         fuse(np.zeros((9, 3)), prompt)
-
-
-def test_fused_cloud_validation():
-    with pytest.raises(ValueError):
-        FusedCloud(np.zeros((4, 3)), np.zeros(4, dtype=np.int64))  # not 3S rows
-    with pytest.raises(ValueError):
-        FusedCloud(np.zeros((6, 3)), np.zeros(5, dtype=np.int64))
-    with pytest.raises(ValueError):
-        FusedCloud(np.zeros((6, 2)), np.zeros(6, dtype=np.int64))
 
 
 # ---- scoring ----
@@ -154,9 +140,8 @@ def test_shared_query_gradient_equals_sum_of_single_prompt_tapes():
     listwise_rank_loss(t, t.param(s_store, "s"), labels)
     t.backward()
     for k, (p_in, p_out) in enumerate(prompts):
-        fused = FusedCloud(np.vstack([q, p_in, p_out]), np.repeat([0, 1, 2], len(q)))
         single = Tape()
-        predict_score(single, store, cfg, fused)
+        predict_score(single, store, cfg, (q, p_in, p_out))
         single.backward(s_store["s"].grad[0, k])
     for name, p in store.items():
         scale = max(np.abs(joint[name]).max(), 1e-300)
@@ -170,22 +155,22 @@ def tagged(pts, segment):
     return np.hstack([pts, onehot])
 
 
+def full_pool(tape, store, rows):
+    """The per-point stack over every one of the tagged `rows` and one max-pool, a (1, width) node."""
+    h = affine(tape, store, "score.point.0", tape.const(rows))
+    return tape.maxpool_segments(tape.relu(affine(tape, store, "score.point.1", tape.relu(h))), [0])
+
+
 def dense_scores(tape, store, cfg, q, prompts):
-    """Reference scorer: the per-point stack and max-pool over every row of every cloud.
+    """Reference scorer: each prompt's joint row is one max-pool over its three clouds' stacked tagged rows.
 
     Each prompt's head runs on its own; the K scores are joined into one
     (1, K) node by exact column concatenation, as score_prompts returns
     for one query.
     """
-
-    def pooled(pts, segment):
-        h = affine(tape, store, "score.point.0", tape.const(tagged(pts, segment)))
-        return tape.maxpool_segments(tape.relu(affine(tape, store, "score.point.1", tape.relu(h))), [0])
-
-    query = pooled(q, 0)
     scores = []
     for p_in, p_out in prompts:
-        joint = tape.maximum([query, pooled(p_in, 1), pooled(p_out, 2)])
+        joint = full_pool(tape, store, np.vstack([tagged(q, 0), tagged(p_in, 1), tagged(p_out, 2)]))
         head = tape.relu(affine(tape, store, "score.h0", joint))
         scores.append(affine(tape, store, "score.h1", head))
     row = scores[0]
@@ -237,17 +222,20 @@ def test_row_sparse_pooling_equals_full_block_maxpool():
         dense_pools = spy_pools(dense_tape, "maxpool_segments")
         sparse = score_prompts(sparse_tape, store, [q], [prompts])
         dense = dense_scores(dense_tape, store, cfg, q, prompts)
-        # one segment pool over the stacked chain, one full-block pool per cloud
-        assert len(sparse_pools) == 1 and len(dense_pools) == 1 + 2 * len(prompts)
-        rows, pooled = sparse_pools[0]
-        assert rows < sum(full_rows for full_rows, _ in dense_pools)
-        assert pooled.shape == (len(dense_pools), cfg.width)
+        # a segment pool over the stacked chain and the join's pool; one full pool per prompt
+        assert len(sparse_pools) == 2 and len(dense_pools) == len(prompts)
+        (rows, per_cloud), (join_rows, joint) = sparse_pools
         clouds = [(q, 0)] + [(pts, seg) for pair in prompts for pts, seg in zip(pair, (1, 2))]
-        for row, (_, full), (pts, segment) in zip(pooled, dense_pools, clouds):
+        assert rows < sum(len(pts) for pts, _ in clouds)
+        assert per_cloud.shape == (len(clouds), cfg.width) and join_rows == 3 * len(prompts)
+        for row, (pts, segment) in zip(per_cloud, clouds):
+            full = full_pool(Tape(), store, tagged(pts, segment)).value
             assert np.array_equal(row, full[0])
-            free = autodiff.row_sparse_maxpool(Tape(record=False), store, "score.point", tagged(pts, segment),
-                                               [0], "relu")
+            free = autodiff.row_sparse_maxpool(Tape(record=False), store, "score.point", [tagged(pts, segment)],
+                                               "relu")
             assert np.array_equal(free.value, full)  # tape-free
+        # the max of the three clouds' maxima is the max over their union
+        assert np.array_equal(joint, np.vstack([full for _, full in dense_pools]))
         assert np.array_equal(sparse.value, dense.value)
         assert np.array_equal(score_prompts(Tape(record=False), store, [q], [prompts]).value, sparse.value)
 
@@ -650,6 +638,9 @@ NORM_ENTRY = {"lo": 0.1, "hi": 0.7, "higher_is_better": False}
     (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "lo": "0.1"}}}, "entry 'denoising'"),
     (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "higher_is_better": True}}}, "entry 'denoising'"),
     (lambda meta: {**meta, "normalizer": {"sorting": NORM_ENTRY}}, "entry 'sorting'"),
+    (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "lo": -np.inf}}}, "entry 'denoising'"),
+    (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "hi": np.nan}}}, "entry 'denoising'"),
+    (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "lo": 5.0}}}, "entry 'denoising'"),
     (lambda meta: {**meta, "seed": 0}, "unknown field 'seed'"),
     (lambda meta: {**meta, "k_candidates": 8}, "unknown field 'k_candidates'"),
     (lambda meta: [meta], "must be a JSON object"),
