@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:  # FormatError and ConfigurationError are ValueErrors
+    except (ValueError, OSError) as exc:  # FormatError and ConfigurationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

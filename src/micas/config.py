@@ -1,8 +1,8 @@
 """Run configuration: profiles, config files, and the settings hash.
 
 Config files are flat "key = value" text, one setting per line, with '#'
-comments. Unknown keys are rejected rather than ignored so typos cannot
-silently fall back to defaults.
+comments. Unknown and repeated keys are rejected rather than ignored or
+overwritten, so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ def profile_config(name: str, **overrides) -> RunConfig:
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse flat key = value lines on top of a base (default desk) profile."""
+    """Parse flat key = value lines on top of a base (default desk) profile; a key may appear once."""
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     field_types = {f.name: f.type for f in fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,6 +135,9 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in field_types:
             raise ConfigurationError(f"line {lineno}: unknown setting {key!r}")
+        if key in first_line:
+            raise ConfigurationError(f"line {lineno}: {key!r} is already set on line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = value
     if "profile" in values:
         named = str(values.pop("profile"))

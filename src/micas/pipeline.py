@@ -25,7 +25,6 @@ from . import autodiff, geometry, surrogate
 from .config import RunConfig, config_hash
 from .errors import ConfigurationError, FormatError, TrainingDiverged
 from .ranker import (
-    CandidateSet,
     RankerConfig,
     TaskNormalizer,
     build_candidate_pool,
@@ -40,9 +39,8 @@ from .ranker import (
 )
 from .sampler import (
     SamplerConfig,
-    encode_task,
     gumbel_noise,
-    infer_from_task,
+    inference_fn,
     init_sampler_params,
     load_sampler,
     sample,
@@ -59,7 +57,7 @@ from .surrogate import (
     oracle_predict,
     surrogate_predict,
 )
-from .tasks import TASKS, PromptBank, TaskPair, gen_pair, load_dataset, save_dataset
+from .tasks import TASKS, TaskPair, gen_pair, load_dataset, save_dataset
 
 REPORT_SCHEMA = "micas-report-v1"
 VOLATILE_REPORT_KEYS = ("wall_time_seconds", "generated_unix")
@@ -137,7 +135,7 @@ def write_datasets(cfg: RunConfig, out_dir) -> tuple[Path, Path]:
 
 
 def _indices_by_task(pairs) -> dict[str, list[int]]:
-    """Each task's pair indices in split order, so entry k is the pair at that task's bank position k."""
+    """Each task's pair indices in split order: the pool a query of that task draws its candidate prompts from."""
     by_task: dict[str, list[int]] = {}
     for i, pair in enumerate(pairs):
         by_task.setdefault(pair.task, []).append(i)
@@ -191,14 +189,8 @@ class SamplerTraining:
     history: list
 
 
-def train_sampler(cfg: RunConfig, train_pairs, out_dir, on_step=None) -> SamplerTraining:
-    """Stage one: fit the sampler and surrogate jointly on the train split.
-
-    on_step, when given, is called after every example with a dict of the
-    query's soft weights, centers and input cloud. Every item builds fresh
-    arrays, but the cloud is the train pair's own, so on_step must not
-    modify it.
-    """
+def train_sampler(cfg: RunConfig, train_pairs, out_dir) -> SamplerTraining:
+    """Stage one: fit the sampler and surrogate jointly on the train split."""
     if int(np.rint(cfg.mask_ratio * cfg.n_centers)) < 1:
         raise ConfigurationError("mask_ratio * n_centers rounds to zero patches")
     out = Path(out_dir)
@@ -233,16 +225,6 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir, on_step=None) -> Sampler
                 losses.append(float(loss.value))
                 loss_scale = 1.0 / len(batch)
                 res.tape.backward(loss_scale)
-                if on_step is not None:
-                    on_step({
-                        "epoch": epoch,
-                        "item": int(item),
-                        "tau": tau,
-                        "loss": float(loss.value),
-                        "soft_query": res.soft_query.value,
-                        "centers_query": res.centers_query.value,
-                        "query_points": query.input.points,
-                    })
             lr = autodiff.sgd_cosine_step(sampler_store, epoch, cfg.sampler_epochs,
                                           cfg.sampler_lr0, cfg.sampler_lr_min)
             autodiff.sgd_cosine_step(surrogate_store, epoch, cfg.sampler_epochs,
@@ -259,19 +241,18 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir, on_step=None) -> Sampler
 # ---- ranker training ----
 
 
-def pseudo_label_raw(oracle: OracleModel, query: TaskPair, prompt: TaskPair, rng,
-                     draws: int = LABEL_DRAWS) -> float:
-    """Mean raw performance of `prompt` on `query` over `draws` oracle draws.
+def pseudo_label_raw(oracle: OracleModel, query: TaskPair, prompt: TaskPair, rng) -> float:
+    """Mean raw performance of `prompt` on `query` over LABEL_DRAWS oracle draws.
 
     Centers and the oracle's sigma depend on (query, prompt) but not on
     the draw, so both are computed once per label: one oracle_predict call
-    returns all `draws` noisy predictions as one stack, and one
+    returns all LABEL_DRAWS noisy predictions as one stack, and one
     raw_performance call scores it. Every draw is scored against the same
     query target, so a Chamfer task builds that target's tree once.
     """
     centers = oracle.centers_fn(query.input.points, prompt)
     preds = oracle_predict(query.input.points, query.target.points, prompt.input.points,
-                           centers, rng, draws)
+                           centers, rng, LABEL_DRAWS)
     return float(np.mean(raw_performance(query.task, preds, query)))
 
 
@@ -297,10 +278,12 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     """Stage two: fit the scorer against oracle pseudo-labels.
 
     Requires the stage-one checkpoint; refuses to run without it and
-    verifies after training that its bytes are untouched. Each SGD batch
-    is one `score_prompts` call on one tape with one backward, dropped
-    before the next batch; prompt clouds are the train pairs' own arrays,
-    so a pair that several queries of a batch rank is pooled once.
+    verifies after training that its bytes are untouched. A candidate is
+    the train-split index of a pair of the query's task, never the query's
+    own. Each SGD batch is one `score_prompts` call on one tape with one
+    backward, dropped before the next batch; prompt clouds are the train
+    pairs' own arrays, so a pair that several queries of a batch rank is
+    pooled once.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -311,19 +294,14 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     sha_before = file_sha256(sampler_path)
     sampler_store, s_cfg = load_sampler(sampler_path)
     r_cfg = ranker_config(cfg)
-    bank = PromptBank.from_pairs(train_pairs)
     by_task = _indices_by_task(train_pairs)
     oracle = OracleModel(adaptive_centers_fn(sampler_store, s_cfg))
 
-    # Frozen candidate sets, one per query, with each candidate's index in
-    # the split, then oracle raw performances.
-    candidates: dict[int, CandidateSet] = {}
-    candidate_ids: dict[int, list[int]] = {}
-    for qid, query in enumerate(train_pairs):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "candidates", qid))
-        candidates[qid] = build_candidate_pool(bank, query.task, cfg.k_candidates, rng,
-                                               exclude=by_task[query.task].index(qid))
-        candidate_ids[qid] = [by_task[query.task][int(i)] for i in candidates[qid].indices]
+    # Frozen candidates, one list of split indices per query, then oracle raw performances.
+    candidates = [build_candidate_pool(by_task[query.task], cfg.k_candidates,
+                                       np.random.default_rng(derive_seed(cfg.seed, "candidates", qid)),
+                                       exclude=qid).tolist()
+                  for qid, query in enumerate(train_pairs)]
     labels_path = out / LABEL_CACHE
     provenance_path = Path(str(labels_path) + ".json")
     provenance = {"sampler_sha256": sha_before, "seed": cfg.seed, "label_draws": LABEL_DRAWS,
@@ -340,15 +318,12 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
         stale = True
     raw_cache = {} if stale or not labels_path.exists() else load_label_cache(labels_path)
     computed = False
-    raws: dict[tuple[int, int], float] = {}
     for qid, query in enumerate(train_pairs):
-        for cid, prompt in zip(candidate_ids[qid], candidates[qid].prompts):
-            key = (qid, cid)
-            if key not in raw_cache:
+        for cid in candidates[qid]:
+            if (qid, cid) not in raw_cache:
                 rng = np.random.default_rng(derive_seed(cfg.seed, "label", qid, cid))
-                raw_cache[key] = pseudo_label_raw(oracle, query, prompt, rng)
+                raw_cache[qid, cid] = pseudo_label_raw(oracle, query, train_pairs[cid], rng)
                 computed = True
-            raws[key] = raw_cache[key]
     if computed:
         provenance_path.unlink(missing_ok=True)  # a cache write cut short then leaves no sidecar to match
         save_label_cache(raw_cache, labels_path)
@@ -357,14 +332,11 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
             fh.write("\n")
 
     normalizer = TaskNormalizer()
-    for task in bank.prompts:
-        values = [raw for (qid, _), raw in raws.items() if train_pairs[qid].task == task]
-        normalizer.fit(task, np.asarray(values))
-    labels = {qid: np.asarray([normalizer.to_label(query.task, raws[(qid, cid)]) for cid in candidate_ids[qid]])
-              for qid, query in enumerate(train_pairs)}
-
-    prompt_clouds = {qid: [(p.input.points, p.target.points) for p in cands.prompts]
-                     for qid, cands in candidates.items()}
+    for task, ids in by_task.items():
+        normalizer.fit(task, np.asarray([raw_cache[qid, cid] for qid in ids for cid in candidates[qid]]))
+    labels = [np.asarray([normalizer.to_label(query.task, raw_cache[qid, cid]) for cid in cids])
+              for qid, (query, cids) in enumerate(zip(train_pairs, candidates))]
+    prompt_clouds = [[(train_pairs[c].input.points, train_pairs[c].target.points) for c in cids] for cids in candidates]
     ranker_store = init_ranker_params(r_cfg, np.random.default_rng(derive_seed(cfg.seed, "ranker-init")))
 
     def batch_step(batch, epoch) -> float:
@@ -415,8 +387,11 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
     (store, RankerConfig, TaskNormalizer); each may be None when the
     corresponding baseline variant is requested. Results are bitwise
     reproducible for a fixed seed: each query owns an rng seeded by
-    run_seed XOR query_id. The ranked cell scores all of a task's queries
-    in one `score_prompts` call and picks each query's top candidate.
+    run_seed XOR query_id. Candidates are train-split indices of the
+    query's task; a ValueError names a task with no train pairs. The
+    ranked cell scores all of a task's queries in one `score_prompts` call
+    and picks each query's top candidate; the adaptive cell samples
+    through one `inference_fn`.
     """
     if sampler_variant not in SAMPLER_VARIANTS:
         raise ConfigurationError(f"sampler_variant must be one of {SAMPLER_VARIANTS}")
@@ -426,39 +401,34 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
         raise ConfigurationError("adaptive sampling requested but no sampler checkpoint given")
     if prompt_variant == "ranked" and ranker_art is None:
         raise ConfigurationError("ranked prompting requested but no ranker checkpoint given")
-    bank = PromptBank.from_pairs(train_pairs)
+    pools = _indices_by_task(train_pairs)
+    if missing := sorted({query.task for query in test_pairs} - pools.keys()):
+        raise ValueError(f"the train split holds no prompts for task {missing[0]!r}")
     started = time.time()
     # Each query owns one rng and uses it in a fixed order: its candidates,
     # then the random pick, then the oracle's noise.
     rngs = [np.random.default_rng(np.uint64(cfg.seed) ^ np.uint64(qid)) for qid in range(len(test_pairs))]
-    drawn = [build_candidate_pool(bank, query.task, cfg.k_candidates, rng) for query, rng in zip(test_pairs, rngs)]
+    drawn = [build_candidate_pool(pools[query.task], cfg.k_candidates, rng) for query, rng in zip(test_pairs, rngs)]
     if prompt_variant == "ranked":
-        # A task's queries all draw from one bank pool, so one call per task
+        # A task's queries all draw from one pool, so one call per task
         # pools each drawn prompt cloud once.
         picks = [0] * len(test_pairs)
+        clouds = [(pair.input.points, pair.target.points) for pair in train_pairs]
         for ids in _indices_by_task(test_pairs).values():
             scores = score_prompts(autodiff.Tape(record=False), ranker_art[0],
                                    [test_pairs[i].input.points for i in ids],
-                                   [[(p.input.points, p.target.points) for p in drawn[i].prompts] for i in ids])
+                                   [[clouds[c] for c in drawn[i]] for i in ids])
             for i, row in zip(ids, scores.value):
-                picks[i] = int(np.argmax(row))  # exact ties go to the lowest index
+                picks[i] = int(drawn[i][np.argmax(row)])  # exact ties go to the lowest index
     else:
-        picks = [int(rng.integers(len(cands.prompts))) for cands, rng in zip(drawn, rngs)]
-    # A picked prompt's task feature depends only on the frozen sampler and
-    # the prompt, so it is encoded once per call and reused by later queries.
-    task_features: dict[tuple[str, int], np.ndarray] = {}
+        picks = [int(ids[rng.integers(len(ids))]) for ids, rng in zip(drawn, rngs)]
+    infer = inference_fn(*sampler_art) if sampler_variant == "adaptive" else None
 
-    def eval_one(query, cands, pick, rng):
-        prompt = cands.prompts[pick]
-        key = (query.task, int(cands.indices[pick]))
+    def eval_one(query, prompt, rng):
         # hard: the input rows the centers pick outright, the near-hard
         # columns' argmax rows or the FPS picks
         if sampler_variant == "adaptive":
-            store, s_cfg = sampler_art
-            if key not in task_features:
-                task_features[key] = encode_task(autodiff.Tape(record=False), store, prompt.input.points,
-                                                 prompt.target.points).value
-            res = infer_from_task(store, s_cfg, query.input.points, task_features[key])
+            res = infer(query.input.points, prompt)
             centers = res.centers_query.value
             soft = res.soft_query.value
             hard = soft.argmax(axis=0)[soft.max(axis=0) >= NEAR_HARD_THRESHOLD]
@@ -475,7 +445,7 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
             row["outlier_total"] = len(hard)
         return row
 
-    rows = [eval_one(*args) for args in zip(test_pairs, drawn, picks, rngs)]
+    rows = [eval_one(query, train_pairs[pick], rng) for query, pick, rng in zip(test_pairs, picks, rngs)]
 
     cells: dict[str, dict[str, dict]] = {}
     for task in sorted({r["task"] for r in rows}):

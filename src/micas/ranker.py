@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff, geometry
 from .autodiff import Node, ParamStore, Tape
 from .errors import FormatError
-from .tasks import TaskPair, PromptBank, decode_part_labels
+from .tasks import TaskPair, decode_part_labels
 
 LABEL_CACHE_MAGIC = b"MICASLC1"
 
@@ -191,26 +191,18 @@ class TaskNormalizer:
         return cls({task: (float(entry["lo"]), float(entry["hi"])) for task, entry in data.items()})
 
 
-@dataclass
-class CandidateSet:
-    """K prompts drawn for one query."""
+def build_candidate_pool(pool, k: int, rng, exclude: int | None = None) -> np.ndarray:
+    """k distinct entries of `pool`, one task's train-split indices, drawn uniformly without replacement.
 
-    prompts: list[TaskPair]
-    indices: np.ndarray  # positions in the bank's per-task list
-
-
-def build_candidate_pool(bank: PromptBank, task: str, k: int, rng, exclude: int | None = None) -> CandidateSet:
-    """Draw k distinct same-task prompts uniformly without replacement.
-
-    `exclude` removes one bank position from the draw, so a training query
-    never ranks itself.
+    `exclude`, a training query's own split index, is left out of the draw,
+    so a training query never ranks itself.
     """
-    pool = bank.for_task(task)
-    positions = np.arange(len(pool)) if exclude is None else np.delete(np.arange(len(pool)), exclude)
-    if k < 1 or k > len(positions):
-        raise ValueError(f"k must be in [1, {len(positions)}], got {k}")
-    idx = rng.choice(positions, size=k, replace=False).astype(np.int64)
-    return CandidateSet([pool[i] for i in idx], idx)
+    ids = np.asarray(pool, dtype=np.int64)
+    if exclude is not None:
+        ids = ids[ids != exclude]
+    if k < 1 or k > len(ids):
+        raise ValueError(f"k must be in [1, {len(ids)}], got {k}")
+    return rng.choice(ids, size=k, replace=False)
 
 
 def save_label_cache(entries: dict[tuple[int, int], float], path) -> None:

@@ -195,6 +195,19 @@ def sample_inference(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in
     return infer_from_task(store, cfg, query_pts, feature)
 
 
+def inference_fn(store: ParamStore, cfg: SamplerConfig):
+    """fn(query_pts, prompt) giving `sample_inference`'s result, encoding each prompt pair object once per fn."""
+    features = {}  # id(pair) -> (pair, task feature); holding the pair keeps its id from being reused
+
+    def fn(query_pts, prompt) -> SampleResult:
+        if id(prompt) not in features:
+            features[id(prompt)] = prompt, encode_task(Tape(record=False), store, prompt.input.points,
+                                                       prompt.target.points).value
+        return infer_from_task(store, cfg, query_pts, features[id(prompt)][1])
+
+    return fn
+
+
 def sampling_loss(tape: Tape, predicted_patches: Node, target_patches, centers: Node, cloud_pts,
                   alpha: float) -> Node:
     """Patch reconstruction error plus alpha times center coverage.

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff, geometry
 from .autodiff import Node, ParamStore, Tape
-from .sampler import SamplerConfig, encode_task, infer_from_task
+from .sampler import SamplerConfig, inference_fn
 
 # Noise model of the oracle: sigma scales with center coverage error and
 # prompt mismatch, both measured by Chamfer divergence against the query.
@@ -115,13 +115,6 @@ class OracleModel:
 
 
 def adaptive_centers_fn(store: ParamStore, cfg: SamplerConfig):
-    """centers_fn giving `sample_inference`'s centers, encoding each prompt pair object once per fn."""
-    features = {}  # id(pair) -> (pair, task feature); holding the pair keeps its id from being reused
-
-    def fn(query_in_pts, prompt):
-        if id(prompt) not in features:
-            features[id(prompt)] = prompt, encode_task(Tape(record=False), store, prompt.input.points,
-                                                       prompt.target.points).value
-        return infer_from_task(store, cfg, query_in_pts, features[id(prompt)][1]).centers_query.value
-
-    return fn
+    """centers_fn giving the centers of `sampler.inference_fn`, which encodes each prompt pair object once per fn."""
+    infer = inference_fn(store, cfg)
+    return lambda query_in_pts, prompt: infer(query_in_pts, prompt).centers_query.value

@@ -294,7 +294,7 @@ def load_dataset(path) -> list[TaskPair]:
 
 @dataclass
 class PromptBank:
-    """Per-task pools of prompt pairs available at ranking and evaluation time."""
+    """Per-task lists of prompt pairs in split order; the package draws prompts by split index instead."""
 
     prompts: dict[str, list[TaskPair]] = field(default_factory=dict)
 

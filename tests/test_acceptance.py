@@ -30,7 +30,7 @@ from micas.sampler import (
     sample_inference,
 )
 from micas.surrogate import OracleModel, SurrogateConfig, adaptive_centers_fn, init_surrogate_params
-from micas.tasks import PromptBank, gen_pair, load_dataset
+from micas.tasks import gen_pair, load_dataset
 
 
 SCORECARD: list = []
@@ -74,21 +74,21 @@ def heldout_ranking(desk_cfg, run_a):
     ranker_store, r_cfg, normalizer = load_ranker(run_a.work / "artifacts" / pipeline.RANKER_CHECKPOINT)
     assert desk_cfg.k_candidates == 8 and r_cfg.width == desk_cfg.ranker_width
     oracle = OracleModel(adaptive_centers_fn(sampler_store, s_cfg))
-    bank = PromptBank.from_pairs(train_pairs)
     per_query = []
     for qid, query in enumerate(test_pairs):
         rng = np.random.default_rng(pipeline.derive_seed(desk_cfg.seed, "eval-candidates", qid))
-        cand = build_candidate_pool(bank, query.task, desk_cfg.k_candidates, rng)
+        pool = [i for i, pair in enumerate(train_pairs) if pair.task == query.task]
+        prompts = [train_pairs[i] for i in build_candidate_pool(pool, desk_cfg.k_candidates, rng)]
         labels = []
-        for k, prompt in enumerate(cand.prompts):
+        for k, prompt in enumerate(prompts):
             label_rng = np.random.default_rng(pipeline.derive_seed(desk_cfg.seed, "eval-label", qid, k))
             raw = pipeline.pseudo_label_raw(oracle, query, prompt, label_rng)
             labels.append(normalizer.to_label(query.task, raw))
         scores = score_prompts(Tape(record=False), ranker_store, [query.input.points],
-                               [[(p.input.points, p.target.points) for p in cand.prompts]]).value[0]
+                               [[(p.input.points, p.target.points) for p in prompts]]).value[0]
         if qid == 0:  # the benchmark times one-prompt scoring, which must agree bit for bit
             single = [predict_score(Tape(), ranker_store, r_cfg, fuse(query.input.points, p)).value
-                      for p in cand.prompts]
+                      for p in prompts]
             assert np.array_equal(scores, single)
         per_query.append((np.asarray(labels), scores))
     return SimpleNamespace(per_query=per_query, elapsed=time.time() - started)
@@ -150,20 +150,25 @@ def test_criterion_3_gumbel_argmax_statistics():
     assert elapsed < 30.0
 
 
-def test_criterion_4_stochasticity_invariant(tmp_path):
+def test_criterion_4_stochasticity_invariant(tmp_path, monkeypatch):
     cfg = desk_profile(seed=0, sampler_epochs=5)
     train_pairs, _ = pipeline.generate_pairs(cfg)
     worst = {"sum_dev": 0.0, "bbox_gap": 0.0, "steps": 0}
+    item_loss = pipeline.item_loss
 
-    def on_step(info):
-        worst["sum_dev"] = max(worst["sum_dev"], float(np.abs(info["soft_query"].sum(axis=0) - 1.0).max()))
-        centers, points = info["centers_query"], info["query_points"]
+    def watch(*args, **kwargs):
+        # every training item's forward pass; args[5] is its query, whose input the centers must stay inside
+        res, loss, frozen = item_loss(*args, **kwargs)
+        worst["sum_dev"] = max(worst["sum_dev"], float(np.abs(res.soft_query.value.sum(axis=0) - 1.0).max()))
+        centers, points = res.centers_query.value, args[5].input.points
         lo, hi = points.min(axis=0), points.max(axis=0)
         gap = max(float((lo - centers).max()), float((centers - hi).max()))
         worst["bbox_gap"] = max(worst["bbox_gap"], gap)
         worst["steps"] += 1
+        return res, loss, frozen
 
-    pipeline.train_sampler(cfg, train_pairs, tmp_path, on_step=on_step)
+    monkeypatch.setattr(pipeline, "item_loss", watch)
+    pipeline.train_sampler(cfg, train_pairs, tmp_path)
     ok = (worst["steps"] == 5 * len(train_pairs) and worst["sum_dev"] <= 1e-6
           and worst["bbox_gap"] <= 1e-9)
     announce("4", ok, f"{worst['steps']} steps, max |column sum - 1| = {worst['sum_dev']:.1e} "

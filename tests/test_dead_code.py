@@ -14,6 +14,9 @@ ALLOWED = {
     "fuse": "the benchmark's predict_score timing builds its input with it",
     "predict_score": "the benchmark times one-prompt scoring through it",
     "sample_inference": "the benchmark's sampler checks and independent label estimates call it",
+    "PromptBank": "the benchmark's sampler checks draw their prompts from it",
+    "from_pairs": "the benchmark's sampler checks build their PromptBank with it",
+    "for_task": "the benchmark's sampler checks read a task's PromptBank pool with it",
 }
 
 # (function, parameter) pairs kept although the function never reads the parameter.
@@ -24,6 +27,7 @@ UNREAD_ALLOWED = {
 # (dataclass, field) pairs kept although no package code outside the class reads the field.
 FIELD_ALLOWED = {
     ("RankerTraining", "labels_path"): "the benchmark's label checks read the label cache through it",
+    ("PromptBank", "prompts"): "only PromptBank's own methods, which the benchmark calls, read it",
 }
 
 

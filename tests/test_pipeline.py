@@ -40,7 +40,7 @@ from micas.ranker import (
 )
 from micas.sampler import gumbel_noise, init_sampler_params, load_sampler, sample, sample_inference
 from micas.surrogate import OracleModel, init_surrogate_params, oracle_predict
-from micas.tasks import TASKS, PromptBank, gen_pair
+from micas.tasks import TASKS, gen_pair
 
 TINY = desk_profile(
     s_points=32, n_centers=4, m_neighbors=4,
@@ -304,13 +304,13 @@ def test_label_cache_reused_and_load_bearing(tiny_run, tmp_path):
 
 def test_label_pass_encodes_each_candidate_pair_once(tiny_run, tmp_path, monkeypatch):
     encoded = []
-    real = sur_mod.encode_task
+    real = sampler_mod.encode_task
 
     def spy(tape, store, prompt_in_pts, prompt_out_pts):
         encoded.append(id(prompt_in_pts))
         return real(tape, store, prompt_in_pts, prompt_out_pts)
 
-    monkeypatch.setattr(sur_mod, "encode_task", spy)
+    monkeypatch.setattr(sampler_mod, "encode_task", spy)
     ranked = pipeline.train_ranker(TINY, tiny_run.train, tiny_run.trained.sampler_path, tmp_path)
     entries = load_label_cache(ranked.labels_path)
     assert sorted(encoded) == sorted({id(tiny_run.train[cid].input.points) for _, cid in entries})
@@ -442,6 +442,10 @@ def test_evaluate_variant_validation(tiny_run):
     with pytest.raises(ConfigurationError):
         pipeline.evaluate(TINY, tiny_run.test, tiny_run.train,
                           sampler_variant="fps", prompt_variant="ranked")
+    # a test query whose task has no train prompts to draw from
+    no_registration = [pair for pair in tiny_run.train if pair.task != "registration"]
+    with pytest.raises(ValueError, match="'registration'"):
+        pipeline.evaluate(TINY, tiny_run.test, no_registration, sampler_variant="fps", prompt_variant="random")
 
 
 def test_evaluate_report_structure_and_baselines(tiny_run):
@@ -465,19 +469,19 @@ def test_evaluate_report_structure_and_baselines(tiny_run):
 
 def reference_cells(cfg, test, train, sampler_art, ranker_art, sampler_variant, prompt_variant):
     """Cells and outlier counts of a per-query loop that scores and samples every prompt afresh."""
-    bank = PromptBank.from_pairs(train)
     rows, hits, total = [], 0, 0
     for query_id, query in enumerate(test):
         rng = np.random.default_rng(np.uint64(cfg.seed) ^ np.uint64(query_id))
-        cands = build_candidate_pool(bank, query.task, cfg.k_candidates, rng)
+        pool = [i for i, pair in enumerate(train) if pair.task == query.task]
+        cands = [train[i] for i in build_candidate_pool(pool, cfg.k_candidates, rng)]
         if prompt_variant == "ranked":
             store, r_cfg, _ = ranker_art
             scores = score_prompts(Tape(record=False), store, [query.input.points],
-                                   [[(p.input.points, p.target.points) for p in cands.prompts]]).value[0]
+                                   [[(p.input.points, p.target.points) for p in cands]]).value[0]
             pick = int(np.argmax(scores))
         else:
-            pick = int(rng.integers(len(cands.prompts)))
-        prompt = cands.prompts[pick]
+            pick = int(rng.integers(len(cands)))
+        prompt = cands[pick]
         if sampler_variant == "adaptive":
             res = sample_inference(*sampler_art, query.input.points, prompt.input.points, prompt.target.points)
             soft = res.soft_query.value
@@ -510,7 +514,7 @@ def reference_cells(cfg, test, train, sampler_art, ranker_art, sampler_variant, 
 def test_evaluate_equals_a_per_query_reference_loop(tiny_run, sampler_variant, prompt_variant):
     sampler_art = load_sampler(tiny_run.trained.sampler_path)
     ranker_art = load_ranker(tiny_run.ranked.ranker_path)
-    cfg = replace(TINY, k_candidates=4)  # four of a task's ten bank prompts per query
+    cfg = replace(TINY, k_candidates=4)  # four of a task's ten train prompts per query
     test = tiny_run.test + [gen_pair(task, 2, TINY.s_points, 900 + i) for i, task in enumerate(TASKS)]
     report = pipeline.evaluate(cfg, test, tiny_run.train, sampler_art, ranker_art,
                                sampler_variant, prompt_variant)
@@ -541,7 +545,6 @@ def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch,
         return oracle(query_in, query_target, prompt_in, *args)
 
     monkeypatch.setattr(sampler_mod, "encode_task", encode_spy)
-    monkeypatch.setattr(pipeline, "encode_task", encode_spy)
     monkeypatch.setattr(pipeline, "build_candidate_pool", draw_spy)
     monkeypatch.setattr(pipeline, "oracle_predict", oracle_spy)
     sampler_art = load_sampler(tiny_run.trained.sampler_path)
@@ -551,11 +554,11 @@ def test_evaluate_pools_and_encodes_each_bank_prompt_once(tiny_run, monkeypatch,
     for _ in range(2):  # the counts hold per call, not per process
         pooled.clear(), encoded.clear(), drawn.clear(), oracle_prompts.clear()
         pipeline.evaluate(cfg, test, tiny_run.train, sampler_art, ranker_art, "adaptive", "ranked")
-        used = [pair for pair in tiny_run.train if any(p is pair for cands in drawn for p in cands.prompts)]
+        used = [pair for i, pair in enumerate(tiny_run.train) if any(i in ids for ids in drawn)]
         picked = {id(prompt_in) for prompt_in in oracle_prompts}
-        # some bank prompt is never drawn, and some is drawn by more than one query
+        # some train prompt is never drawn, and some is drawn by more than one query
         assert len(used) < len(tiny_run.train) and len(used) < cfg.k_candidates * len(test)
-        # each drawn bank cloud and each query cloud runs through the point stack once
+        # each drawn train cloud and each query cloud runs through the point stack once
         expected = [(pair.input.points.tobytes(), SEGMENT_PROMPT_IN) for pair in used]
         expected += [(pair.target.points.tobytes(), SEGMENT_PROMPT_OUT) for pair in used]
         expected += [(query.input.points.tobytes(), SEGMENT_QUERY) for query in test]
@@ -596,7 +599,7 @@ def test_evaluate_ranks_each_task_in_one_call_and_breaks_exact_ties_to_the_lowes
                   for queries in calls]
     assert sorted(map(sorted, call_tasks)) == [[task] for task in sorted(TASKS)]  # one call per task
     assert sum(len(queries) for queries in calls) == len(oracle_prompts) == len(tiny_run.test)
-    assert all(prompt_in is cands.prompts[1].input.points for prompt_in, cands in zip(oracle_prompts, drawn))
+    assert all(prompt_in is tiny_run.train[ids[1]].input.points for prompt_in, ids in zip(oracle_prompts, drawn))
 
 
 def test_write_and_reload_report(tiny_run, tmp_path):
@@ -642,6 +645,10 @@ def test_parse_config_rejections():
         parse_config_text("s_points = many\n")
     with pytest.raises(ConfigurationError):
         parse_config_text("profile = paper\n", base=desk_profile())
+    with pytest.raises(ConfigurationError, match=r"line 3: 'seed' is already set on line 1"):
+        parse_config_text("seed = 3\n# the same key again\nseed = 5\n")
+    with pytest.raises(ConfigurationError, match="'profile'"):
+        parse_config_text("profile = desk\nprofile = desk\n")
 
 
 def test_config_validation_errors():
@@ -723,6 +730,11 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     assert cli.main(["eval", *common, "--ablation", "fps,oracle"]) == 2
     assert cli.main(["eval", "--out", str(tmp_path / "nowhere"), "--ablation", "fps,random"]) == 2
     assert cli.main(["gen-data", "--config", str(tmp_path / "absent.cfg")]) == 2
+    capsys.readouterr()
+    for file_system_error in (["report", str(tmp_path)], ["gen-data", "--config", str(tmp_path), "--out", out],
+                              ["gen-data", "--out", str(cfg_file)]):
+        assert cli.main(file_system_error) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_eval_refuses_a_malformed_checkpoint_sidecar(tiny_run, tmp_path, capsys):

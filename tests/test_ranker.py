@@ -28,13 +28,17 @@ from micas.ranker import (
     score_prompts,
 )
 from micas.sampler import SamplerConfig, save_sampler
-from micas.tasks import TASKS, PromptBank, gen_pair
+from micas.tasks import TASKS, gen_pair
 
 CFG = RankerConfig(width=8)
 
 
-def make_bank(n=6, s=16, task="denoising"):
-    return PromptBank.from_pairs([gen_pair(task, 1 + i % 5, s, 100 + i) for i in range(n)])
+def make_pairs(n=6, s=16, task="denoising"):
+    return [gen_pair(task, 1 + i % 5, s, 100 + i) for i in range(n)]
+
+
+def clouds(pairs, ids):
+    return [(pairs[i].input.points, pairs[i].target.points) for i in ids]
 
 
 # ---- fusion ----
@@ -61,8 +65,9 @@ def test_zero_parameters_score_zero():
         store[name].value[...] = 0.0
     q = np.random.default_rng(3).uniform(size=(12, 3))
     assert float(predict_score(Tape(), store, CFG, fuse(q, gen_pair("denoising", 1, 12, 4))).value) == 0.0
-    cand = build_candidate_pool(make_bank(5, s=12), "denoising", 3, np.random.default_rng(18))
-    scores = score_prompts(Tape(record=False), store, [q], [[(p.input.points, p.target.points) for p in cand.prompts]])
+    pairs = make_pairs(5, s=12)
+    ids = build_candidate_pool(range(len(pairs)), 3, np.random.default_rng(18))
+    scores = score_prompts(Tape(record=False), store, [q], [clouds(pairs, ids)])
     assert np.array_equal(scores.value, np.zeros((1, 3)))
 
 
@@ -517,34 +522,43 @@ def test_normalizer_degenerate_split_and_round_trip():
 # ---- candidate pools ----
 
 def test_candidate_pool_distinct_and_excluded():
-    bank = make_bank(6)
-    for draw in range(20):
-        cand = build_candidate_pool(bank, "denoising", 4, np.random.default_rng(draw), exclude=2)
-        assert len(np.unique(cand.indices)) == 4
-        assert 2 not in cand.indices
-        assert all(cand.prompts[i] is bank.for_task("denoising")[cand.indices[i]] for i in range(4))
+    # a pool is one task's split indices; the draw picks positions in the pool less `exclude`
+    ids = [3, 8, 9, 14, 20, 21, 33]
+    for draw in range(60):
+        j, k = draw % len(ids), 1 + draw % (len(ids) - 1)
+        rng, ref = np.random.default_rng(draw), np.random.default_rng(draw)
+        got = build_candidate_pool(ids, k, rng, exclude=ids[j])
+        assert got.dtype == np.int64 and len(np.unique(got)) == k and ids[j] not in got
+        assert np.array_equal(got, np.delete(ids, j)[ref.choice(len(ids) - 1, k, replace=False)])
+        assert rng.bit_generator.state == ref.bit_generator.state
+        rng, ref = np.random.default_rng(draw), np.random.default_rng(draw)
+        expected = np.asarray(ids)[ref.choice(len(ids), k, replace=False)]
+        assert np.array_equal(build_candidate_pool(ids, k, rng), expected)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_candidate_pool_k_bounds():
-    bank = make_bank(6)
+    ids = range(10, 16)
     with pytest.raises(ValueError):
-        build_candidate_pool(bank, "denoising", 0, np.random.default_rng(0))
+        build_candidate_pool(ids, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        build_candidate_pool(bank, "denoising", 7, np.random.default_rng(0))
+        build_candidate_pool(ids, 7, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        build_candidate_pool(bank, "denoising", 6, np.random.default_rng(0), exclude=1)
-    build_candidate_pool(bank, "denoising", 6, np.random.default_rng(0))  # exact fit is fine
+        build_candidate_pool(ids, 6, np.random.default_rng(0), exclude=11)
+    with pytest.raises(ValueError):
+        build_candidate_pool([], 1, np.random.default_rng(0))
+    assert sorted(build_candidate_pool(ids, 6, np.random.default_rng(0))) == list(ids)  # exact fit is fine
+    assert sorted(build_candidate_pool(ids, 6, np.random.default_rng(0), exclude=99)) == list(ids)
 
 
 def test_pooled_scores_match_single_scores():
-    bank = make_bank(4, s=10)
+    pairs = make_pairs(4, s=10)
     store = init_ranker_params(CFG, np.random.default_rng(20))
-    cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(21))
+    ids = build_candidate_pool(range(len(pairs)), 3, np.random.default_rng(21))
     q = np.random.default_rng(22).uniform(size=(10, 3))
-    graph_free = score_prompts(Tape(record=False), store, [q],
-                               [[(p.input.points, p.target.points) for p in cand.prompts]])
-    for i, prompt in enumerate(cand.prompts):
-        one = float(predict_score(Tape(), store, CFG, fuse(q, prompt)).value)
+    graph_free = score_prompts(Tape(record=False), store, [q], [clouds(pairs, ids)])
+    for i, cid in enumerate(ids):
+        one = float(predict_score(Tape(), store, CFG, fuse(q, pairs[cid])).value)
         assert one == graph_free.value[0, i]
 
 
@@ -552,30 +566,29 @@ def test_select_pooled_ties_and_empty():
     # all-zero parameters tie every candidate at exactly 0; the ranked pick
     # (argmax, as evaluate makes it) then goes to the first candidate, and
     # an empty candidate set cannot be drawn at all
-    bank = make_bank(5, s=12)
+    pairs = make_pairs(5, s=12)
     store = init_ranker_params(CFG, np.random.default_rng(17))
     for name in store.names():
         store[name].value[...] = 0.0
-    cand = build_candidate_pool(bank, "denoising", 3, np.random.default_rng(18))
+    ids = build_candidate_pool(range(len(pairs)), 3, np.random.default_rng(18))
     q = np.random.default_rng(19).uniform(size=(12, 3))
-    scores = score_prompts(Tape(record=False), store, [q, q[::-1]],
-                           [[(p.input.points, p.target.points) for p in cand.prompts]] * 2)
+    scores = score_prompts(Tape(record=False), store, [q, q[::-1]], [clouds(pairs, ids)] * 2)
     assert np.array_equal(scores.value, np.zeros((2, 3)))
     assert [int(np.argmax(row)) for row in scores.value] == [0, 0]
     with pytest.raises(ValueError):
-        build_candidate_pool(bank, "denoising", 0, np.random.default_rng(18))
+        build_candidate_pool(range(len(pairs)), 0, np.random.default_rng(18))
 
 
 def test_bank_pooled_scores_equal_graph_free_scoring_bit_for_bit():
-    # as evaluate ranks: one call over a task's queries, whose candidates share the bank's arrays
+    # as evaluate ranks: one call over a task's queries, whose candidates share the train pairs' arrays
     cfg = RankerConfig(width=16)
     for seed, task in enumerate(TASKS):
-        bank = PromptBank.from_pairs([gen_pair(task, 1 + i % 5, 32, 300 + 10 * seed + i) for i in range(7)])
+        pairs = [gen_pair(task, 1 + i % 5, 32, 300 + 10 * seed + i) for i in range(7)]
         store = init_ranker_params(cfg, np.random.default_rng(80 + seed))
-        drawn = [build_candidate_pool(bank, task, 4, np.random.default_rng(90 + draw))
+        drawn = [build_candidate_pool(range(len(pairs)), 4, np.random.default_rng(90 + draw))
                  for draw in range(4)]
         queries = [gen_pair(task, 3, 32, 400 + draw).input.points for draw in range(4)]
-        prompts = [[(p.input.points, p.target.points) for p in cand.prompts] for cand in drawn]
+        prompts = [clouds(pairs, ids) for ids in drawn]
         together = score_prompts(Tape(record=False), store, queries, prompts).value
         for q, pairs, row in zip(queries, prompts, together):
             assert np.array_equal(row, score_prompts(Tape(record=False), store, [q], [pairs]).value[0])
