@@ -11,7 +11,6 @@ keeps no graph: it computes values only, for inference.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 
@@ -497,42 +496,27 @@ def save_params(store: ParamStore, path) -> None:
 
 
 def load_params(path) -> ParamStore:
-    """Read a MICASNN1 checkpoint; values round-trip bit-exactly."""
+    """Read a MICASNN1 checkpoint; values round-trip bit-exactly. FormatError on a bad magic,
+    truncation, trailing bytes, a name that is not UTF-8 or repeats, or a non-finite value."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 12 or buf[:8] != CHECKPOINT_MAGIC:
-        raise FormatError("bad checkpoint magic")
-    (count,) = struct.unpack_from("<I", buf, 8)
-    offset = 12
+        reader = geometry.RecordReader(fh.read(), CHECKPOINT_MAGIC, "checkpoint")
+    (count,) = reader.unpack("<I", "header")
     store = ParamStore()
     for _ in range(count):
-        if len(buf) - offset < 4:
-            raise FormatError("truncated checkpoint entry")
-        (name_len,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        if len(buf) - offset < name_len + 4:
-            raise FormatError("truncated checkpoint entry")
+        (name_len,) = reader.unpack("<I", "entry")
         try:
-            name = buf[offset : offset + name_len].decode("utf-8")
+            name = reader.take(name_len, "entry").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"checkpoint parameter name is not UTF-8: {exc}") from exc
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        if len(buf) - offset < 4 * rank:
-            raise FormatError("truncated checkpoint entry")
-        shape = struct.unpack_from(f"<{rank}I", buf, offset)
-        offset += 4 * rank
-        n = math.prod(shape)  # exact: a product of 32-bit sizes can overflow int64
-        if len(buf) - offset < 8 * n:
-            raise FormatError("truncated checkpoint payload")
-        value = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
-        offset += 8 * n
+        if name in store:
+            raise FormatError(f"checkpoint repeats parameter name {name!r}")
+        (rank,) = reader.unpack("<I", "entry")
+        shape = reader.unpack(f"<{rank}I", "entry")
+        value = reader.array("<f8", math.prod(shape), "payload").reshape(shape)
         if not np.isfinite(value).all():
             raise FormatError(f"checkpoint parameter {name!r} holds a non-finite value")
-        store.add(name, value)
-    if offset != len(buf):
-        raise FormatError(f"{len(buf) - offset} unexpected trailing bytes")
+        store.add(name, value)  # Param copies the value out of the file's buffer
+    reader.finish()
     return store
 
 
@@ -544,10 +528,7 @@ def read_sidecar(path, kind: str, fields: dict) -> dict:
     passes for no number. Raise FormatError naming the first field that is
     missing, unknown or of another type.
     """
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict):
-        raise FormatError(f"checkpoint sidecar must be a JSON object, got {type(meta).__name__}")
+    meta = geometry.read_json(str(path) + ".json", "checkpoint sidecar")
     if meta.get("kind") != kind:
         raise FormatError(f"checkpoint sidecar is not a {kind} description: {meta.get('kind')!r}")
     unknown = sorted(set(meta) - set(fields) - {"kind"})

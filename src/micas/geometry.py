@@ -1,4 +1,4 @@
-"""Point-cloud primitives: the cloud container, distances, sampling, and binary records.
+"""Point-cloud primitives: the cloud container, distances, sampling, and the framing of every file.
 
 Coordinates are float64 arrays of shape (S, 3) throughout. Identical
 inputs always produce identical outputs. Farthest-point and k-nearest
@@ -31,6 +31,7 @@ gradient: the trees serve only the oracle's and the labels' values.
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 
@@ -293,32 +294,73 @@ def cloud_to_bytes(cloud: PointCloud) -> bytes:
     return b"".join(parts)
 
 
-def cloud_from_buffer(buf: bytes, offset: int = 0) -> tuple[PointCloud, int]:
-    """Decode one MICASPC1 record from buf at offset; returns (cloud, next_offset)."""
-    if len(buf) - offset < len(CLOUD_MAGIC) + 6:
-        raise FormatError("truncated point-cloud record header")
-    if buf[offset : offset + 8] != CLOUD_MAGIC:
+class RecordReader:
+    """A cursor over a binary file's bytes, past its magic; a read past the end raises FormatError.
+    Sizes are exact Python ints, so a size that overflows int64 is merely longer than the file."""
+
+    def __init__(self, buf: bytes, magic: bytes, what: str):
+        self.buf, self.what, self.offset = buf, what, 0
+        if self.take(len(magic), "magic") != magic:
+            raise FormatError(f"bad {what} magic")
+
+    def _advance(self, n: int, part: str) -> int:
+        """Move the cursor n bytes on and return where it was."""
+        start = self.offset
+        if start + n > len(self.buf):
+            raise FormatError(f"truncated {self.what} {part}")
+        self.offset += n
+        return start
+
+    def take(self, n: int, part: str) -> bytes:
+        return self.buf[self._advance(n, part) : self.offset]
+
+    def unpack(self, fmt: str, part: str) -> tuple:
+        return struct.unpack_from(fmt, self.buf, self._advance(struct.calcsize(fmt), part))
+
+    def array(self, dtype, count: int, part: str) -> np.ndarray:
+        """A read-only view of the buffer, not a copy."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.buf, dtype, count, self._advance(dtype.itemsize * count, part))
+
+    def finish(self) -> None:
+        if self.offset != len(self.buf):
+            raise FormatError(f"{len(self.buf) - self.offset} unexpected trailing bytes")
+
+
+def read_cloud(reader: RecordReader) -> PointCloud:
+    """Decode the MICASPC1 record at the reader's cursor and move the cursor past it."""
+    magic, s, has_labels, has_mask = reader.unpack(f"<{len(CLOUD_MAGIC)}sIBB", "point-cloud record header")
+    if magic != CLOUD_MAGIC:
         raise FormatError("bad point-cloud magic")
-    offset += 8
-    s, has_labels, has_mask = struct.unpack_from("<IBB", buf, offset)
-    offset += 6
     if s < 1:
         raise FormatError("point count must be >= 1")
     if has_labels not in (0, 1) or has_mask not in (0, 1):
         raise FormatError("invalid presence flags")
-    need = s * 24 + (s * 2 if has_labels else 0) + (s if has_mask else 0)
-    if len(buf) - offset < need:
-        raise FormatError("truncated point-cloud record body")
-    pts = np.frombuffer(buf, dtype="<f8", count=s * 3, offset=offset).reshape(s, 3).copy()
-    offset += s * 24
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(buf, dtype="<u2", count=s, offset=offset).astype(np.int64)
-        offset += s * 2
-    mask = None
-    if has_mask:
-        mask = np.frombuffer(buf, dtype="u1", count=s, offset=offset).astype(bool)
-        offset += s
+    # PointCloud would keep the points as a view of the file, but converts, so copies, labels and mask
+    pts = reader.array("<f8", s * 3, "point-cloud record body").reshape(s, 3).copy()
+    labels = reader.array("<u2", s, "point-cloud record body") if has_labels else None
+    mask = reader.array("u1", s, "point-cloud record body") if has_mask else None
+    if mask is not None and (mask > 1).any():
+        raise FormatError(f"noise-mask byte of point {np.argmax(mask > 1)} is neither 0 nor 1")
     if not np.isfinite(pts).all():
         raise FormatError("point-cloud record contains non-finite coordinates")
-    return PointCloud(pts, labels, mask), offset
+    return PointCloud(pts, labels, mask)
+
+
+def write_json(path, obj) -> None:
+    """Write obj to path as JSON with sorted keys, a two-space indent and a closing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object in file `path`; FormatError naming `what` if the file holds anything else."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise FormatError(f"{what} is not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,6 +141,20 @@ def _indices_by_task(pairs) -> dict[str, list[int]]:
     return by_task
 
 
+def _candidate_pools(cfg: RunConfig, train_pairs, query_tasks, held_out: int) -> dict[str, list[int]]:
+    """_indices_by_task(train_pairs), or ConfigurationError for the first task in query_tasks whose
+    queries cannot draw k_candidates prompts; held_out is 1 for a training query, which never ranks itself."""
+    pools = _indices_by_task(train_pairs)
+    for task in sorted(set(query_tasks)):
+        size = len(pools.get(task, ()))
+        if size - held_out < cfg.k_candidates:
+            raise ConfigurationError(
+                f"k_candidates = {cfg.k_candidates} exceeds the {size - held_out} prompts a {task!r} query can draw "
+                f"from the train split's {size} {task!r} pairs; was the split generated under a smaller "
+                f"train_per_cell than this config's {cfg.train_per_cell}?")
+    return pools
+
+
 # ---- sampler training ----
 
 
@@ -232,9 +245,7 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir) -> SamplerTraining:
         history.append({"epoch": epoch, "lr": lr, "tau": tau, "mean_loss": float(np.mean(losses))})
     sampler_path = out / SAMPLER_CHECKPOINT
     save_sampler(sampler_store, s_cfg, sampler_path)
-    with open(out / "sampler_train.json", "w", encoding="utf-8") as fh:
-        json.dump({"config_sha256": config_hash(cfg), "history": history}, fh, indent=2)
-        fh.write("\n")
+    geometry.write_json(out / "sampler_train.json", {"config_sha256": config_hash(cfg), "history": history})
     return SamplerTraining(sampler_path, history)
 
 
@@ -285,6 +296,7 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     pairs' own arrays, so a pair that several queries of a batch rank is
     pooled once.
     """
+    by_task = _candidate_pools(cfg, train_pairs, [pair.task for pair in train_pairs], held_out=1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sampler_path = Path(sampler_path)
@@ -294,7 +306,6 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     sha_before = file_sha256(sampler_path)
     sampler_store, s_cfg = load_sampler(sampler_path)
     r_cfg = ranker_config(cfg)
-    by_task = _indices_by_task(train_pairs)
     oracle = OracleModel(adaptive_centers_fn(sampler_store, s_cfg))
 
     # Frozen candidates, one list of split indices per query, then oracle raw performances.
@@ -313,7 +324,7 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     # sampler, seed, draw count, label scheme, oracle and train split;
     # otherwise all are redone.
     try:
-        stale = json.loads(provenance_path.read_text(encoding="utf-8")) != provenance
+        stale = geometry.read_json(provenance_path, "label provenance") != provenance
     except (OSError, ValueError):
         stale = True
     raw_cache = {} if stale or not labels_path.exists() else load_label_cache(labels_path)
@@ -327,9 +338,7 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     if computed:
         provenance_path.unlink(missing_ok=True)  # a cache write cut short then leaves no sidecar to match
         save_label_cache(raw_cache, labels_path)
-        with open(provenance_path, "w", encoding="utf-8") as fh:
-            json.dump(provenance, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        geometry.write_json(provenance_path, provenance)
 
     normalizer = TaskNormalizer()
     for task, ids in by_task.items():
@@ -365,14 +374,12 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
         raise RuntimeError("sampler checkpoint changed during ranker training; stage contract broken")
     ranker_path = out / RANKER_CHECKPOINT
     save_ranker(ranker_store, r_cfg, normalizer, ranker_path)
-    with open(out / "ranker_train.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "config_sha256": config_hash(cfg),
-            "sampler_sha256": sha_before,
-            "sampler_sha256_after": sha_after,
-            "history": history,
-        }, fh, indent=2)
-        fh.write("\n")
+    geometry.write_json(out / "ranker_train.json", {
+        "config_sha256": config_hash(cfg),
+        "sampler_sha256": sha_before,
+        "sampler_sha256_after": sha_after,
+        "history": history,
+    })
     return RankerTraining(ranker_path, labels_path, history, sha_before)
 
 
@@ -388,7 +395,8 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
     corresponding baseline variant is requested. Results are bitwise
     reproducible for a fixed seed: each query owns an rng seeded by
     run_seed XOR query_id. Candidates are train-split indices of the
-    query's task; a ValueError names a task with no train pairs. The
+    query's task; a ConfigurationError names a task with fewer than
+    k_candidates of them, before any work is done. The
     ranked cell scores all of a task's queries in one `score_prompts` call
     and picks each query's top candidate; the adaptive cell samples
     through one `inference_fn`.
@@ -401,9 +409,7 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
         raise ConfigurationError("adaptive sampling requested but no sampler checkpoint given")
     if prompt_variant == "ranked" and ranker_art is None:
         raise ConfigurationError("ranked prompting requested but no ranker checkpoint given")
-    pools = _indices_by_task(train_pairs)
-    if missing := sorted({query.task for query in test_pairs} - pools.keys()):
-        raise ValueError(f"the train split holds no prompts for task {missing[0]!r}")
+    pools = _candidate_pools(cfg, train_pairs, [query.task for query in test_pairs], held_out=0)
     started = time.time()
     # Each query owns one rng and uses it in a fixed order: its candidates,
     # then the random pick, then the oracle's noise.
@@ -492,9 +498,7 @@ def write_report(report: dict, out_dir) -> tuple[Path, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    geometry.write_json(json_path, report)
     csv_path = out / "report.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -508,9 +512,8 @@ def write_report(report: dict, out_dir) -> tuple[Path, Path]:
 
 def load_report(path) -> dict:
     """A stored report; FormatError unless the file holds a JSON object of schema REPORT_SCHEMA."""
-    with open(path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    if not isinstance(report, dict) or report.get("schema") != REPORT_SCHEMA:
+    report = geometry.read_json(path, f"report {path}")
+    if report.get("schema") != REPORT_SCHEMA:
         raise FormatError(f"{path} is not a {REPORT_SCHEMA} report")
     return report
 

@@ -11,7 +11,6 @@ confusing the tail.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
@@ -215,18 +214,22 @@ def save_label_cache(entries: dict[tuple[int, int], float], path) -> None:
 
 
 def load_label_cache(path) -> dict[tuple[int, int], float]:
+    """Read a MICASLC1 label cache. FormatError on a bad magic, truncation, trailing bytes,
+    a non-finite label or a (query id, candidate id) key that repeats."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 12 or buf[:8] != LABEL_CACHE_MAGIC:
-        raise FormatError("bad label cache magic")
-    (count,) = struct.unpack_from("<I", buf, 8)
-    if len(buf) != 12 + 24 * count:
-        raise FormatError("label cache length does not match its header")
-    records = np.frombuffer(buf, dtype=[("query", "<u8"), ("candidate", "<u8"), ("label", "<f8")], offset=12)
+        reader = geometry.RecordReader(fh.read(), LABEL_CACHE_MAGIC, "label cache")
+    (count,) = reader.unpack("<I", "header")
+    records = reader.array([("query", "<u8"), ("candidate", "<u8"), ("label", "<f8")], count, "entries")
+    reader.finish()
     bad = np.flatnonzero(~np.isfinite(records["label"]))
     if len(bad):
         raise FormatError(f"label cache entry {bad[0]} holds a non-finite label {records['label'][bad[0]]}")
-    return {(query_id, candidate_id): label for query_id, candidate_id, label in records.tolist()}
+    entries = {}
+    for entry, (query_id, candidate_id, label) in enumerate(records.tolist()):
+        if (query_id, candidate_id) in entries:
+            raise FormatError(f"label cache entry {entry} repeats the key ({query_id}, {candidate_id})")
+        entries[query_id, candidate_id] = label
+    return entries
 
 
 def save_ranker(store: ParamStore, cfg: RankerConfig, normalizer: TaskNormalizer, path) -> None:
@@ -236,9 +239,7 @@ def save_ranker(store: ParamStore, cfg: RankerConfig, normalizer: TaskNormalizer
         "width": cfg.width,
         "normalizer": normalizer.to_dict(),
     }
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    geometry.write_json(str(path) + ".json", meta)
 
 
 def load_ranker(path) -> tuple[ParamStore, RankerConfig, TaskNormalizer]:

@@ -10,12 +10,11 @@ column weights can be pushed through a second cloud to sample it jointly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import autodiff
+from . import autodiff, geometry
 from .autodiff import Node, ParamStore, Tape
 
 WEIGHT_FLOOR = 1e-6
@@ -227,9 +226,7 @@ def sampling_loss(tape: Tape, predicted_patches: Node, target_patches, centers: 
 def save_sampler(store: ParamStore, cfg: SamplerConfig, path) -> None:
     """Write the checkpoint plus a JSON sidecar describing the architecture."""
     autodiff.save_params(store, path)
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"kind": "sampler", **asdict(cfg)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    geometry.write_json(str(path) + ".json", {"kind": "sampler", **asdict(cfg)})
 
 
 def load_sampler(path) -> tuple[ParamStore, SamplerConfig]:

@@ -16,9 +16,10 @@ import numpy as np
 from .errors import FormatError
 from .geometry import (
     PointCloud,
-    cloud_from_buffer,
+    RecordReader,
     cloud_to_bytes,
     corrupt,
+    read_cloud,
     rigid_transform,
     rotation_about_axis,
 )
@@ -266,29 +267,21 @@ def save_dataset(pairs, path) -> None:
 
 
 def load_dataset(path) -> list[TaskPair]:
-    """Read a MICASDS1 file; a truncated or corrupt file raises FormatError with no partial result."""
+    """Read a MICASDS1 file. FormatError, with no partial result, on a bad magic, truncation, trailing
+    bytes, a malformed cloud (geometry.read_cloud), a task id or level out of range or unequal point counts."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 12 or buf[:8] != DATASET_MAGIC:
-        raise FormatError("bad dataset magic")
-    (count,) = struct.unpack_from("<I", buf, 8)
-    offset = 12
+        reader = RecordReader(fh.read(), DATASET_MAGIC, "dataset")
+    (count,) = reader.unpack("<I", "header")
     pairs = []
     for record in range(count):
-        if len(buf) - offset < 10:
-            raise FormatError("truncated dataset record")
-        task_id, level, seed = struct.unpack_from("<BBQ", buf, offset)
-        offset += 10
+        task_id, level, seed = reader.unpack("<BBQ", "record")
         if task_id >= len(TASKS):
             raise FormatError(f"unknown task id {task_id}")
-        cloud_in, offset = cloud_from_buffer(buf, offset)
-        cloud_out, offset = cloud_from_buffer(buf, offset)
         try:
-            pairs.append(TaskPair(cloud_in, cloud_out, TASKS[task_id], level, seed))
-        except ValueError as err:  # a level out of range or unequal point counts
+            pairs.append(TaskPair(read_cloud(reader), read_cloud(reader), TASKS[task_id], level, seed))
+        except ValueError as err:  # a malformed cloud, a level out of range or unequal point counts
             raise FormatError(f"dataset record {record}: {err}") from err
-    if offset != len(buf):
-        raise FormatError(f"{len(buf) - offset} unexpected trailing bytes")
+    reader.finish()
     return pairs
 
 

@@ -579,6 +579,14 @@ def test_checkpoint_refuses_a_parameter_name_that_is_not_utf8(tmp_path):
         load_params(path)
 
 
+def test_checkpoint_refuses_a_repeated_parameter_name(tmp_path):
+    path = tmp_path / "bad.micasnn"
+    entry = checkpoint_entry(b"x", (1,), struct.pack("<d", 1.0))[12:]
+    path.write_bytes(b"MICASNN1" + struct.pack("<I", 2) + entry + entry)
+    with pytest.raises(FormatError, match="repeats parameter name 'x'"):
+        load_params(path)
+
+
 def test_checkpoint_refuses_a_shape_whose_size_overflows_int64(tmp_path):
     path = tmp_path / "bad.micasnn"
     # (2**32 - 1) ** 2 entries wrap to a negative int64 count

@@ -6,17 +6,18 @@ import pytest
 from micas.errors import FormatError
 from micas.geometry import (
     PointCloud,
+    RecordReader,
     chamfer_distance,
     chamfer_distance_stack,
     chamfer_nearest,
     chamfer_nearest_patches,
-    cloud_from_buffer,
     cloud_to_bytes,
     corrupt,
     fps_select,
     knn_patches,
     minmax_normalize,
     miou,
+    read_cloud,
     rigid_transform,
     rotation_about_axis,
 )
@@ -309,8 +310,9 @@ def test_cloud_bytes_round_trip():
         noise_mask=rng.random(9) < 0.3,
     )
     blob = b"prefix" + cloud_to_bytes(cloud)
-    back, end = cloud_from_buffer(blob, 6)
-    assert end == len(blob)
+    reader = RecordReader(blob, b"prefix", "test file")
+    back = read_cloud(reader)
+    reader.finish()
     assert np.array_equal(back.points, cloud.points)
     assert np.array_equal(back.labels, cloud.labels)
     assert np.array_equal(back.noise_mask, cloud.noise_mask)
@@ -320,11 +322,13 @@ def test_cloud_bytes_round_trip():
 def test_cloud_decode_errors():
     cloud = PointCloud(np.random.default_rng(17).uniform(size=(5, 3)))
     blob = cloud_to_bytes(cloud)
-    with pytest.raises(FormatError):
-        cloud_from_buffer(b"WRONGMAG" + blob[8:])
-    with pytest.raises(FormatError):
-        cloud_from_buffer(blob[:-4])
-    with pytest.raises(FormatError):
-        cloud_from_buffer(blob[:10])
-    _, end = cloud_from_buffer(blob + b"\x00")
-    assert end == len(blob)  # trailing bytes are left for the next record
+    for buf, message in ((b"WRONGMAG" + blob[8:], "bad point-cloud magic"),
+                         (blob[:-4], "truncated dataset point-cloud record body"),
+                         (blob[:10], "truncated dataset point-cloud record header")):
+        with pytest.raises(FormatError, match=message):
+            read_cloud(RecordReader(buf, b"", "dataset"))
+    reader = RecordReader(blob + b"\x00", b"", "dataset")
+    read_cloud(reader)
+    assert reader.offset == len(blob)  # trailing bytes are left for the next record
+    with pytest.raises(FormatError, match="1 unexpected trailing bytes"):
+        reader.finish()

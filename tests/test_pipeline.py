@@ -724,8 +724,10 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     top = capsys.readouterr().out
     assert "sampling=fps" in top and "denoising" in top
     for not_a_report in ("ranker.micasnn", "ranker.micasnn.json"):
-        assert cli.main(["report", str(tmp_path / "run" / "artifacts" / not_a_report)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        path = str(tmp_path / "run" / "artifacts" / not_a_report)
+        assert cli.main(["report", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
 
     assert cli.main(["eval", *common, "--ablation", "fps,oracle"]) == 2
     assert cli.main(["eval", "--out", str(tmp_path / "nowhere"), "--ablation", "fps,random"]) == 2
@@ -735,6 +737,21 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
                               ["gen-data", "--out", str(cfg_file)]):
         assert cli.main(file_system_error) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_stages_refuse_a_train_split_too_small_for_k_candidates(tmp_path, capsys):
+    small = tmp_path / "small.cfg"
+    small.write_text(TINY_CONFIG_TEXT.replace("train_per_cell = 2", "train_per_cell = 1"))
+    out = ["--out", str(tmp_path / "run")]
+    assert cli.main(["gen-data", "--config", str(small), *out]) == 0
+    assert cli.main(["train-sampler", "--config", str(small), *out]) == 0
+    capsys.readouterr()
+    # under the desk defaults, k_candidates = 8 and train_per_cell = 6
+    for stage, prompts in ((["train-ranker"], 4), (["eval", "--ablation", "fps,random"], 5)):
+        assert cli.main([*stage, *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: k_candidates = 8 exceeds the {prompts} prompts a 'denoising' query")
+        assert "train_per_cell than this config's 6" in err
 
 
 def test_cli_eval_refuses_a_malformed_checkpoint_sidecar(tiny_run, tmp_path, capsys):

@@ -628,6 +628,15 @@ def test_label_cache_refuses_a_non_finite_label(tmp_path):
             load_label_cache(path)
 
 
+def test_label_cache_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "labels.micaslc"
+    save_label_cache({(1, 2): 0.5, (3, 4): 0.25}, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:36] + blob[12:28] + blob[52:])  # entry 1 keeps its label but takes entry 0's key
+    with pytest.raises(FormatError, match=r"entry 1 repeats the key \(1, 2\)"):
+        load_label_cache(path)
+
+
 def test_ranker_checkpoint_round_trip(tmp_path):
     store = init_ranker_params(CFG, np.random.default_rng(23))
     norm = TaskNormalizer({"denoising": (0.1, 0.7), "partseg": (0.0, 1.0)})

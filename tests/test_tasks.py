@@ -281,6 +281,19 @@ def test_dataset_format_errors(tmp_path):
         load_dataset(tmp_path / "counts")
 
 
+def test_dataset_refuses_a_noise_mask_byte_other_than_0_or_1(tmp_path):
+    pair = gen_pair("denoising", 2, 16, 3)
+    path = tmp_path / "pairs.micasds"
+    save_dataset([pair], path)
+    blob = bytearray(path.read_bytes())
+    mask_start = 12 + 10 + 14 + 16 * 24  # file header, record header, cloud header, points
+    assert blob[mask_start + 3] == pair.input.noise_mask[3]
+    blob[mask_start + 3] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="record 0: noise-mask byte of point 3"):
+        load_dataset(path)
+
+
 def test_prompt_bank_grouping_and_errors():
     pairs = [gen_pair("denoising", 1, 8, i) for i in range(3)]
     pairs += [gen_pair("partseg", 2, 8, i) for i in range(2)]
