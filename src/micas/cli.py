@@ -23,14 +23,16 @@ from .tasks import load_dataset
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--profile", choices=("desk", "paper"), default="desk")
+    parser.add_argument("--profile", choices=("desk", "paper"), help="the config file's profile, else desk")
     parser.add_argument("--seed", type=int, default=None, help="u64 run seed override")
     parser.add_argument("--out", default="micas-run", help="run directory")
 
 
 def _build_config(args) -> RunConfig:
-    base = profile_config(args.profile)
-    cfg = load_config(args.config, base) if args.config else base
+    if args.config:
+        cfg = load_config(args.config, profile_config(args.profile) if args.profile else None)
+    else:
+        cfg = profile_config(args.profile or "desk")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg

@@ -56,7 +56,7 @@ from .surrogate import (
     oracle_predict,
     surrogate_predict,
 )
-from .tasks import TASKS, TaskPair, gen_pair, load_dataset, save_dataset
+from .tasks import TASKS, TaskPair, dataset_bytes, gen_pair, load_dataset, save_dataset
 
 REPORT_SCHEMA = "micas-report-v1"
 VOLATILE_REPORT_KEYS = ("wall_time_seconds", "generated_unix")
@@ -71,15 +71,15 @@ REPORT_METRICS = {task: ("miou", 1.0) if task == "partseg" else ("cd_x1000", 100
 # Monte-Carlo estimate of expected downstream performance.
 LABEL_DRAWS = 16
 # How a label's draws get their noise: each (query, candidate) label from a
-# random stream of its own. The label cache's sidecar names it, so labels of
-# another scheme are recomputed, not reused.
+# random stream of its own. The label cache's provenance names it, so labels
+# of another scheme are recomputed, not reused.
 LABEL_SCHEME = "independent-draws"
 
 TRAIN_DATASET = "train.micasds"
 TEST_DATASET = "test.micasds"
 SAMPLER_CHECKPOINT = "sampler.micasnn"
 RANKER_CHECKPOINT = "ranker.micasnn"
-LABEL_CACHE = "labels.micaslc"
+LABEL_CACHE = "labels.json"
 
 
 def derive_seed(*parts) -> int:
@@ -141,10 +141,17 @@ def _indices_by_task(pairs) -> dict[str, list[int]]:
     return by_task
 
 
+def _train_pools(train_pairs) -> dict[str, list[int]]:
+    """_indices_by_task(train_pairs), or ConfigurationError if the train split is empty."""
+    if not train_pairs:
+        raise ConfigurationError("the train split holds no pairs")
+    return _indices_by_task(train_pairs)
+
+
 def _candidate_pools(cfg: RunConfig, train_pairs, query_tasks, held_out: int) -> dict[str, list[int]]:
-    """_indices_by_task(train_pairs), or ConfigurationError for the first task in query_tasks whose
+    """_train_pools(train_pairs), or ConfigurationError for the first task in query_tasks whose
     queries cannot draw k_candidates prompts; held_out is 1 for a training query, which never ranks itself."""
-    pools = _indices_by_task(train_pairs)
+    pools = _train_pools(train_pairs)
     for task in sorted(set(query_tasks)):
         size = len(pools.get(task, ()))
         if size - held_out < cfg.k_candidates:
@@ -206,12 +213,12 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir) -> SamplerTraining:
     """Stage one: fit the sampler and surrogate jointly on the train split."""
     if int(np.rint(cfg.mask_ratio * cfg.n_centers)) < 1:
         raise ConfigurationError("mask_ratio * n_centers rounds to zero patches")
+    by_task = _train_pools(train_pairs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     s_cfg, sur_cfg = sampler_config(cfg), surrogate_config(cfg)
     sampler_store = init_sampler_params(s_cfg, np.random.default_rng(derive_seed(cfg.seed, "sampler-init")))
     surrogate_store = init_surrogate_params(sur_cfg, np.random.default_rng(derive_seed(cfg.seed, "surrogate-init")))
-    by_task = _indices_by_task(train_pairs)
     history = []
     for epoch in range(cfg.sampler_epochs):
         rng = np.random.default_rng(derive_seed(cfg.seed, "sampler-epoch", epoch))
@@ -275,16 +282,6 @@ class RankerTraining:
     sampler_sha256: str
 
 
-def _pairs_sha256(pairs) -> str:
-    """Digest of the serialized pairs a label cache was computed on."""
-    digest = hashlib.sha256()
-    for pair in pairs:
-        digest.update(pair.task.encode("utf-8"))
-        digest.update(geometry.cloud_to_bytes(pair.input))
-        digest.update(geometry.cloud_to_bytes(pair.target))
-    return digest.hexdigest()
-
-
 def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTraining:
     """Stage two: fit the scorer against oracle pseudo-labels.
 
@@ -314,31 +311,20 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
                                        exclude=qid).tolist()
                   for qid, query in enumerate(train_pairs)]
     labels_path = out / LABEL_CACHE
-    provenance_path = Path(str(labels_path) + ".json")
     provenance = {"sampler_sha256": sha_before, "seed": cfg.seed, "label_draws": LABEL_DRAWS,
-                  "label_scheme": LABEL_SCHEME, "train_sha256": _pairs_sha256(train_pairs),
+                  "label_scheme": LABEL_SCHEME, "train_sha256": hashlib.sha256(dataset_bytes(train_pairs)).hexdigest(),
                   "oracle": {"sigma0": surrogate.ORACLE_SIGMA0,
                              "center_gain": surrogate.ORACLE_CENTER_GAIN,
                              "prompt_gain": surrogate.ORACLE_PROMPT_GAIN}}
-    # Cached labels are reused only if they were computed from this exact
-    # sampler, seed, draw count, label scheme, oracle and train split;
-    # otherwise all are redone.
-    try:
-        stale = geometry.read_json(provenance_path, "label provenance") != provenance
-    except (OSError, ValueError):
-        stale = True
-    raw_cache = {} if stale or not labels_path.exists() else load_label_cache(labels_path)
-    computed = False
-    for qid, query in enumerate(train_pairs):
-        for cid in candidates[qid]:
-            if (qid, cid) not in raw_cache:
-                rng = np.random.default_rng(derive_seed(cfg.seed, "label", qid, cid))
-                raw_cache[qid, cid] = pseudo_label_raw(oracle, query, train_pairs[cid], rng)
-                computed = True
-    if computed:
-        provenance_path.unlink(missing_ok=True)  # a cache write cut short then leaves no sidecar to match
-        save_label_cache(raw_cache, labels_path)
-        geometry.write_json(provenance_path, provenance)
+    # Cached labels are reused only if computed from this exact sampler, seed, draw count, label
+    # scheme, oracle and train split; otherwise all are redone, as they are after a write cut short.
+    raw_cache = load_label_cache(labels_path, provenance)
+    missing = [(qid, cid) for qid, cids in enumerate(candidates) for cid in cids if (qid, cid) not in raw_cache]
+    for qid, cid in missing:
+        rng = np.random.default_rng(derive_seed(cfg.seed, "label", qid, cid))
+        raw_cache[qid, cid] = pseudo_label_raw(oracle, train_pairs[qid], train_pairs[cid], rng)
+    if missing:
+        save_label_cache(raw_cache, provenance, labels_path)
 
     normalizer = TaskNormalizer()
     for task, ids in by_task.items():
@@ -511,10 +497,14 @@ def write_report(report: dict, out_dir) -> tuple[Path, Path]:
 
 
 def load_report(path) -> dict:
-    """A stored report; FormatError unless the file holds a JSON object of schema REPORT_SCHEMA."""
+    """A stored report; FormatError unless the file holds a JSON object of schema REPORT_SCHEMA with every field
+    that `micas report` prints."""
     report = geometry.read_json(path, f"report {path}")
     if report.get("schema") != REPORT_SCHEMA:
         raise FormatError(f"{path} is not a {REPORT_SCHEMA} report")
+    for key in ("sampler_variant", "prompt_variant", "seed", "profile", "cells", "tasks"):
+        if key not in report:
+            raise FormatError(f"report {path} lacks field {key!r}")
     return report
 
 

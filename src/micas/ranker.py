@@ -11,7 +11,6 @@ confusing the tail.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ from . import autodiff, geometry
 from .autodiff import Node, ParamStore, Tape
 from .errors import FormatError
 from .tasks import TaskPair, decode_part_labels
-
-LABEL_CACHE_MAGIC = b"MICASLC1"
 
 # Raw performance orientation: mean IOU rewards higher values, Chamfer
 # divergence rewards lower ones.
@@ -204,31 +201,32 @@ def build_candidate_pool(pool, k: int, rng, exclude: int | None = None) -> np.nd
     return rng.choice(ids, size=k, replace=False)
 
 
-def save_label_cache(entries: dict[tuple[int, int], float], path) -> None:
-    """Persist pseudo-labels keyed by (query id, candidate id)."""
-    parts = [LABEL_CACHE_MAGIC, struct.pack("<I", len(entries))]
-    for (query_id, candidate_id), label in entries.items():
-        parts.append(struct.pack("<QQd", query_id, candidate_id, label))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+def save_label_cache(entries: dict[tuple[int, int], float], provenance: dict, path) -> None:
+    """Persist pseudo-labels keyed by (query id, candidate id) with the provenance they were computed under."""
+    geometry.write_json(path, {"provenance": provenance, "labels": [[*key, label] for key, label in entries.items()]})
 
 
-def load_label_cache(path) -> dict[tuple[int, int], float]:
-    """Read a MICASLC1 label cache. FormatError on a bad magic, truncation, trailing bytes,
-    a non-finite label or a (query id, candidate id) key that repeats."""
-    with open(path, "rb") as fh:
-        reader = geometry.RecordReader(fh.read(), LABEL_CACHE_MAGIC, "label cache")
-    (count,) = reader.unpack("<I", "header")
-    records = reader.array([("query", "<u8"), ("candidate", "<u8"), ("label", "<f8")], count, "entries")
-    reader.finish()
-    bad = np.flatnonzero(~np.isfinite(records["label"]))
-    if len(bad):
-        raise FormatError(f"label cache entry {bad[0]} holds a non-finite label {records['label'][bad[0]]}")
+def load_label_cache(path, provenance=None) -> dict[tuple[int, int], float]:
+    """A label cache file's labels by (query id, candidate id); FormatError on an entry not [int >= 0, int >= 0,
+    finite float] or a repeated key. Given a provenance, {} if the file is missing, not JSON or names another one."""
+    try:
+        cache = geometry.read_json(path, "label cache")
+    except (OSError, FormatError):
+        if provenance is None:
+            raise
+        return {}
+    if provenance is not None and cache.get("provenance") != provenance:
+        return {}
+    if not isinstance(cache.get("labels"), list):
+        raise FormatError("label cache holds no list of labels")
     entries = {}
-    for entry, (query_id, candidate_id, label) in enumerate(records.tolist()):
-        if (query_id, candidate_id) in entries:
-            raise FormatError(f"label cache entry {entry} repeats the key ({query_id}, {candidate_id})")
-        entries[query_id, candidate_id] = label
+    for entry, item in enumerate(cache["labels"]):
+        if not (isinstance(item, list) and len(item) == 3 and all(type(i) is int and i >= 0 for i in item[:2])
+                and type(item[2]) is float and np.isfinite(item[2])):
+            raise FormatError(f"label cache entry {entry} is not [query id, candidate id, finite label]: {item!r}")
+        if (item[0], item[1]) in entries:
+            raise FormatError(f"label cache entry {entry} repeats the key ({item[0]}, {item[1]})")
+        entries[item[0], item[1]] = item[2]
     return entries
 
 

@@ -254,16 +254,19 @@ def gen_pair(task: str, level: int, n_points: int, seed: int) -> TaskPair:
     return TaskPair(clean, moved, task, level, seed)
 
 
-def save_dataset(pairs, path) -> None:
-    """Write pairs in the binary MICASDS1 layout (little-endian)."""
-    pairs = list(pairs)
+def dataset_bytes(pairs) -> bytes:
+    """The bytes of a list of pairs in the binary MICASDS1 layout (little-endian)."""
     parts = [DATASET_MAGIC, struct.pack("<I", len(pairs))]
     for pair in pairs:
         parts.append(struct.pack("<BBQ", TASKS.index(pair.task), pair.level, pair.seed))
         parts.append(cloud_to_bytes(pair.input))
         parts.append(cloud_to_bytes(pair.target))
+    return b"".join(parts)
+
+
+def save_dataset(pairs, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(dataset_bytes(pairs))
 
 
 def load_dataset(path) -> list[TaskPair]:

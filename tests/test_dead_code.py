@@ -1,4 +1,5 @@
-"""Guard against package code that nothing uses: public definitions, function parameters and dataclass fields."""
+"""Guard against package code that nothing uses: public definitions, module-level constants, function parameters
+and dataclass fields."""
 
 import ast
 from collections import Counter
@@ -17,6 +18,11 @@ ALLOWED = {
     "PromptBank": "the benchmark's sampler checks draw their prompts from it",
     "from_pairs": "the benchmark's sampler checks build their PromptBank with it",
     "for_task": "the benchmark's sampler checks read a task's PromptBank pool with it",
+}
+
+# Module-level names kept although no code in the package reads them.
+CONSTANT_ALLOWED = {
+    "__version__": "the package's version, for its users",
 }
 
 # (function, parameter) pairs kept although the function never reads the parameter.
@@ -74,6 +80,33 @@ def unused_definitions(trees):
 def test_every_public_definition_is_used_in_the_package():
     unused = [name for name in unused_definitions(package_trees()) if name not in ALLOWED]
     assert unused == [], f"public definitions with no use in src/micas: {unused}"
+
+
+def name_loads(node) -> Counter:
+    """Names read anywhere under node, as bare names or attributes."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load))
+
+
+def unread_constants(trees):
+    """Names that a module-level assignment binds and that no package code reads, as a bare name or an attribute."""
+    used = sum((name_loads(tree) for tree in trees), Counter())
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                yield from (sub.id for target in targets for sub in ast.walk(target)
+                            if isinstance(sub, ast.Name) and used[sub.id] < 1)
+
+
+def test_every_module_level_constant_is_read_in_the_package():
+    unread = [name for name in unread_constants(package_trees()) if name not in CONSTANT_ALLOWED]
+    assert unread == [], f"module-level constants that nothing reads in src/micas: {unread}"
+
+
+def test_unread_constant_scan_finds_an_unread_constant():
+    tree = ast.parse("A = 1\nB, _C = 2, 3\nD: int = 4\nE = 5\n\ndef f():\n    return B + m.D\n")
+    assert list(unread_constants([tree])) == ["A", "_C", "E"]
 
 
 def unread_parameters(tree):
@@ -153,4 +186,5 @@ def test_every_allowance_still_names_an_unused_definition():
     stale = sorted(set(ALLOWED) - set(unused_definitions(trees)))
     stale += sorted(set(UNREAD_ALLOWED) - {pair for tree in trees for pair in unread_parameters(tree)})
     stale += sorted(set(FIELD_ALLOWED) - set(unread_fields(trees)))
+    stale += sorted(set(CONSTANT_ALLOWED) - set(unread_constants(trees)))
     assert stale == [], f"allowances that no longer hold in src/micas: {stale}"

@@ -40,7 +40,7 @@ from micas.ranker import (
 )
 from micas.sampler import gumbel_noise, init_sampler_params, load_sampler, sample, sample_inference
 from micas.surrogate import OracleModel, init_surrogate_params, oracle_predict
-from micas.tasks import TASKS, gen_pair
+from micas.tasks import TASKS, gen_pair, save_dataset
 
 TINY = desk_profile(
     s_points=32, n_centers=4, m_neighbors=4,
@@ -272,6 +272,10 @@ def test_k_candidates_bounded_by_a_training_querys_pool(tiny_run, tmp_path):
 def test_ranker_training_artifacts_and_hash_contract(tiny_run):
     art = tiny_run.work / "artifacts"
     assert tiny_run.ranked.ranker_path == art / "ranker.micasnn"
+    assert tiny_run.ranked.labels_path == art / "labels.json"
+    assert sorted(path.name for path in art.iterdir()) == [  # the label cache carries its provenance: no sidecar
+        "labels.json", "ranker.micasnn", "ranker.micasnn.json", "ranker_train.json",
+        "sampler.micasnn", "sampler.micasnn.json", "sampler_train.json"]
     assert tiny_run.ranked.sampler_sha256 == pipeline.file_sha256(art / "sampler.micasnn")
     meta = json.loads((art / "ranker_train.json").read_text())
     assert meta["sampler_sha256"] == meta["sampler_sha256_after"]
@@ -284,7 +288,7 @@ def test_ranker_training_artifacts_and_hash_contract(tiny_run):
 def test_label_cache_reused_and_load_bearing(tiny_run, tmp_path):
     art = tmp_path / "artifacts"
     shutil.copytree(tiny_run.work / "artifacts", art)
-    cache_path = art / "labels.micaslc"
+    cache_path = art / "labels.json"
     blob = cache_path.read_bytes()
     ranker_blob = (art / "ranker.micasnn").read_bytes()
     train, _ = pipeline.generate_pairs(TINY)
@@ -297,7 +301,7 @@ def test_label_cache_reused_and_load_bearing(tiny_run, tmp_path):
     entries = load_label_cache(cache_path)
     key = sorted(entries)[0]
     entries[key] = entries[key] + 7.5  # a poisoned cache must change the outcome
-    save_label_cache(entries, cache_path)
+    save_label_cache(entries, json.loads(blob)["provenance"], cache_path)
     pipeline.train_ranker(TINY, train, art / "sampler.micasnn", art)
     assert (art / "ranker.micasnn").read_bytes() != ranker_blob
 
@@ -324,34 +328,32 @@ def test_label_cache_recomputed_after_sampler_retrain(tiny_run, tmp_path):
     cfg = replace(TINY, sampler_epochs=3)
     reused = tmp_path / "reused"
     shutil.copytree(tiny_run.work / "artifacts", reused)
-    old = load_label_cache(reused / "labels.micaslc")
+    old = load_label_cache(reused / "labels.json")
     pipeline.train_sampler(cfg, tiny_run.train, reused)
     pipeline.train_ranker(cfg, tiny_run.train, reused / "sampler.micasnn", reused)
     fresh = tmp_path / "fresh"
     pipeline.train_sampler(cfg, tiny_run.train, fresh)
     pipeline.train_ranker(cfg, tiny_run.train, fresh / "sampler.micasnn", fresh)
 
-    labels = load_label_cache(reused / "labels.micaslc")
+    labels = load_label_cache(reused / "labels.json")
     assert labels != old  # the retrained sampler moves the labels
-    assert labels == load_label_cache(fresh / "labels.micaslc")
-    provenance = json.loads((reused / "labels.micaslc.json").read_text())
+    assert labels == load_label_cache(fresh / "labels.json")
+    provenance = json.loads((reused / "labels.json").read_text())["provenance"]
     meta = json.loads((reused / "ranker_train.json").read_text())
     assert provenance["sampler_sha256"] == meta["sampler_sha256"]
-    assert provenance == json.loads((fresh / "labels.micaslc.json").read_text())
+    assert (reused / "labels.json").read_bytes() == (fresh / "labels.json").read_bytes()
 
 
 def test_label_cache_recomputed_for_another_oracle(tiny_run, tmp_path, monkeypatch):
     # Labels cached under another label scheme or oracle must not be reused.
     art = tmp_path / "artifacts"
     shutil.copytree(tiny_run.work / "artifacts", art)
-    cache_path = art / "labels.micaslc"
-    sidecar = art / "labels.micaslc.json"
+    cache_path = art / "labels.json"
     blob = cache_path.read_bytes()
 
-    meta = json.loads(sidecar.read_text())
-    meta["label_scheme"] = "another-scheme"
-    sidecar.write_text(json.dumps(meta))
-    save_label_cache({key: raw + 7.5 for key, raw in load_label_cache(cache_path).items()}, cache_path)
+    provenance = json.loads(blob)["provenance"]
+    poisoned = {key: raw + 7.5 for key, raw in load_label_cache(cache_path).items()}
+    save_label_cache(poisoned, {**provenance, "label_scheme": "another-scheme"}, cache_path)
     pipeline.train_ranker(TINY, tiny_run.train, art / "sampler.micasnn", art)
     assert cache_path.read_bytes() == blob  # every label recomputed, none moved
 
@@ -360,30 +362,33 @@ def test_label_cache_recomputed_for_another_oracle(tiny_run, tmp_path, monkeypat
     pipeline.train_ranker(TINY, tiny_run.train, art / "sampler.micasnn", art)
     fresh = pipeline.train_ranker(TINY, tiny_run.train, art / "sampler.micasnn", tmp_path / "fresh")
     assert blob != cache_path.read_bytes() == fresh.labels_path.read_bytes()
-    assert json.loads(sidecar.read_text())["oracle"] == {
+    assert json.loads(cache_path.read_text())["provenance"]["oracle"] == {
         "sigma0": sur_mod.ORACLE_SIGMA0, "center_gain": gain, "prompt_gain": sur_mod.ORACLE_PROMPT_GAIN}
 
 
 def test_label_cache_cut_short_in_its_write_is_never_reused(tiny_run, tmp_path, monkeypatch):
-    # Sampler A's labels and sidecar are on disk; a run with sampler B stops
-    # right after rewriting the cache, before its sidecar. A later run with
-    # sampler A must not take sampler B's labels for its own.
+    # Sampler A's labels are on disk; a run with sampler B stops partway
+    # through rewriting the cache. A later run with sampler A must recompute
+    # its labels, not take the remains for its own.
     art = tmp_path / "artifacts"
     shutil.copytree(tiny_run.work / "artifacts", art)
     other = pipeline.train_sampler(replace(TINY, sampler_epochs=3), tiny_run.train, tmp_path / "other")
     save = pipeline.save_label_cache
 
-    def cut_short(entries, path):
-        save(entries, path)
+    def cut_short(entries, provenance, path):
+        save(entries, provenance, path)
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
         raise KeyboardInterrupt
 
     monkeypatch.setattr(pipeline, "save_label_cache", cut_short)
     with pytest.raises(KeyboardInterrupt):
         pipeline.train_ranker(TINY, tiny_run.train, other.sampler_path, art)
-    assert (art / "labels.micaslc").read_bytes() != tiny_run.ranked.labels_path.read_bytes()
+    with pytest.raises(FormatError, match="label cache is not JSON"):
+        load_label_cache(art / "labels.json")  # what is left of sampler B's labels
     monkeypatch.setattr(pipeline, "save_label_cache", save)
     pipeline.train_ranker(TINY, tiny_run.train, art / "sampler.micasnn", art)
-    assert (art / "labels.micaslc").read_bytes() == tiny_run.ranked.labels_path.read_bytes()
+    assert (art / "labels.json").read_bytes() == tiny_run.ranked.labels_path.read_bytes()
     assert (art / "ranker.micasnn").read_bytes() == tiny_run.ranked.ranker_path.read_bytes()
 
 
@@ -712,6 +717,9 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     assert cli.main(["train-sampler", *common]) == 0
     assert cli.main(["train-ranker", *common]) == 0
     assert "unchanged" in capsys.readouterr().out
+    run = tmp_path / "run"
+    provenance = json.loads((run / "artifacts" / "labels.json").read_text())["provenance"]
+    assert provenance["train_sha256"] == pipeline.file_sha256(run / "data" / "train.micasds")
 
     assert cli.main(["eval", *common, "--ablation", "fps,random"]) == 0
     report_path = tmp_path / "run" / "eval-fps-random" / "report.json"
@@ -752,6 +760,49 @@ def test_cli_stages_refuse_a_train_split_too_small_for_k_candidates(tmp_path, ca
         err = capsys.readouterr().err
         assert err.startswith(f"error: k_candidates = 8 exceeds the {prompts} prompts a 'denoising' query")
         assert "train_per_cell than this config's 6" in err
+
+
+def test_cli_stages_refuse_an_empty_train_split(tmp_path, capsys):
+    cfg_file = tmp_path / "tiny.cfg"
+    cfg_file.write_text(TINY_CONFIG_TEXT)
+    run = tmp_path / "run"
+    common = ["--config", str(cfg_file), "--out", str(run)]
+    assert cli.main(["gen-data", *common]) == 0
+    save_dataset([], run / "data" / pipeline.TRAIN_DATASET)
+    capsys.readouterr()
+    for stage in (["train-sampler"], ["train-ranker"], ["eval", "--ablation", "fps,random"]):
+        assert cli.main([*stage, *common]) == 2
+        assert capsys.readouterr().err == "error: the train split holds no pairs\n"
+
+
+def test_cli_profile_is_the_flag_else_the_config_file_else_desk(tmp_path):
+    paper, tiny = tmp_path / "paper.cfg", tmp_path / "tiny.cfg"
+    paper.write_text("profile = paper\n")
+    tiny.write_text(TINY_CONFIG_TEXT)
+
+    def build(*argv):
+        return cli._build_config(cli.build_parser().parse_args(["gen-data", *argv]))
+
+    assert build("--config", str(paper)) == build("--config", str(paper), "--profile", "paper") == paper_profile()
+    assert build("--profile", "paper") == paper_profile()
+    assert build() == build("--profile", "desk") == desk_profile()
+    assert build("--config", str(tiny)) == TINY
+    with pytest.raises(ConfigurationError, match="config file names profile 'paper' but 'desk' was requested"):
+        build("--config", str(paper), "--profile", "desk")
+
+
+def test_cli_report_refuses_a_report_that_lacks_a_field(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    report = {"schema": pipeline.REPORT_SCHEMA}
+    for field, value in (("sampler_variant", "fps"), ("prompt_variant", "random"), ("seed", 0),
+                         ("profile", "desk"), ("cells", {}), ("tasks", {})):
+        path.write_text(json.dumps(report))
+        assert cli.main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: report {path} lacks field {field!r}\n"
+        report[field] = value
+    path.write_text(json.dumps(report))
+    assert cli.main(["report", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("variant: sampling=fps prompting=random seed=0 profile=desk\n")
 
 
 def test_cli_eval_refuses_a_malformed_checkpoint_sidecar(tiny_run, tmp_path, capsys):
@@ -839,7 +890,7 @@ def test_checkpoints_independent_of_blas_threads(tmp_path):
     cfg_text = config_text(replace(TINY, train_per_cell=1, ranker_width=64))
     for name, threads in (("unset", None), ("one", "1")):
         run_python(TRAIN_PROBE, cfg_text, str(tmp_path / name), threads=threads)
-    for checkpoint in ("sampler.micasnn", "labels.micaslc", "ranker.micasnn"):
+    for checkpoint in ("sampler.micasnn", "labels.json", "ranker.micasnn"):
         assert (tmp_path / "unset" / checkpoint).read_bytes() == (tmp_path / "one" / checkpoint).read_bytes()
 
 

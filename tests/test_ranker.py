@@ -596,45 +596,67 @@ def test_bank_pooled_scores_equal_graph_free_scoring_bit_for_bit():
 
 # ---- persistence ----
 
+PROVENANCE = {"seed": 0, "sampler_sha256": "ab" * 32}
+
+
 def test_label_cache_round_trip(tmp_path):
-    entries = {(0, 3): 0.25, (7, 1): -1.5, (2**40, 9): 1.0}
-    path = tmp_path / "labels.micaslc"
-    save_label_cache(entries, path)
+    entries = {(0, 3): 0.25, (7, 1): -1.5, (2**40, 9): 1.0, (2, 2): 0.1 + 0.2}
+    path = tmp_path / "labels.json"
+    save_label_cache(entries, PROVENANCE, path)
     assert load_label_cache(path) == entries
-    save_label_cache({}, path)
+    assert list(load_label_cache(path, PROVENANCE).items()) == list(entries.items())
+    assert json.loads(path.read_text())["provenance"] == PROVENANCE
+    save_label_cache({}, PROVENANCE, path)
     assert load_label_cache(path) == {}
 
 
+def test_label_cache_holds_nothing_for_another_provenance_or_an_unreadable_file(tmp_path):
+    path = tmp_path / "labels.json"
+    save_label_cache({(1, 2): 0.5}, PROVENANCE, path)
+    assert load_label_cache(path, {**PROVENANCE, "seed": 1}) == {}
+    text = path.read_text()
+    for name, content in (("prefix", text[:-3]), ("array", "[]"), ("no-provenance", '{"labels": [[1, 2, 0.5]]}')):
+        (tmp_path / name).write_text(content)
+        assert load_label_cache(tmp_path / name, PROVENANCE) == {}
+    assert load_label_cache(tmp_path / "missing", PROVENANCE) == {}
+    # without a provenance to match, the same files are refused
+    with pytest.raises(FormatError, match="label cache is not JSON"):
+        load_label_cache(tmp_path / "prefix")
+    with pytest.raises(FormatError, match="label cache must be a JSON object"):
+        load_label_cache(tmp_path / "array")
+    with pytest.raises(OSError):
+        load_label_cache(tmp_path / "missing")
+
+
 def test_label_cache_format_errors(tmp_path):
-    path = tmp_path / "labels.micaslc"
-    save_label_cache({(1, 2): 0.5}, path)
-    blob = path.read_bytes()
-    (tmp_path / "magic").write_bytes(b"XXXXXXXX" + blob[8:])
-    with pytest.raises(FormatError):
-        load_label_cache(tmp_path / "magic")
-    (tmp_path / "short").write_bytes(blob[:-4])
-    with pytest.raises(FormatError):
-        load_label_cache(tmp_path / "short")
-    (tmp_path / "long").write_bytes(blob + b"\x00")
-    with pytest.raises(FormatError):
-        load_label_cache(tmp_path / "long")
+    path = tmp_path / "labels.json"
+    for labels in (None, {"1": 0.5}, "1 2 0.5"):
+        path.write_text(json.dumps({"provenance": PROVENANCE, "labels": labels}))
+        for provenance in (None, PROVENANCE):
+            with pytest.raises(FormatError, match="label cache holds no list of labels"):
+                load_label_cache(path, provenance)
+    for bad in ([1, 2], [1, 2, 0.5, 0], [-1, 2, 0.5], [1, 2.0, 0.5], [True, 2, 0.5], [1, 2, "0.5"], [1, 2, 1], 7):
+        path.write_text(json.dumps({"provenance": PROVENANCE, "labels": [[0, 1, 0.25], bad]}))
+        for provenance in (None, PROVENANCE):
+            with pytest.raises(FormatError, match=r"entry 1 is not \[query id, candidate id, finite label\]"):
+                load_label_cache(path, provenance)
 
 
 def test_label_cache_refuses_a_non_finite_label(tmp_path):
-    path = tmp_path / "labels.micaslc"
+    path = tmp_path / "labels.json"
     for bad in (np.nan, np.inf, -np.inf):
-        save_label_cache({(1, 2): 0.5, (3, 4): bad}, path)
-        with pytest.raises(FormatError, match="entry 1 holds a non-finite label"):
-            load_label_cache(path)
+        save_label_cache({(1, 2): 0.5, (3, 4): bad}, PROVENANCE, path)
+        for provenance in (None, PROVENANCE):
+            with pytest.raises(FormatError, match=r"entry 1 is not \[query id, candidate id, finite label\]"):
+                load_label_cache(path, provenance)
 
 
 def test_label_cache_refuses_a_repeated_key(tmp_path):
-    path = tmp_path / "labels.micaslc"
-    save_label_cache({(1, 2): 0.5, (3, 4): 0.25}, path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:36] + blob[12:28] + blob[52:])  # entry 1 keeps its label but takes entry 0's key
-    with pytest.raises(FormatError, match=r"entry 1 repeats the key \(1, 2\)"):
-        load_label_cache(path)
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"provenance": PROVENANCE, "labels": [[1, 2, 0.5], [1, 2, 0.25]]}))
+    for provenance in (None, PROVENANCE):
+        with pytest.raises(FormatError, match=r"entry 1 repeats the key \(1, 2\)"):
+            load_label_cache(path, provenance)
 
 
 def test_ranker_checkpoint_round_trip(tmp_path):
