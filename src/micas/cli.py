@@ -59,8 +59,7 @@ def _cmd_train_sampler(args) -> int:
     data = Path(args.data) if args.data else Path(args.out) / "data"
     train_pairs = load_dataset(data / pipeline.TRAIN_DATASET)
     result = pipeline.train_sampler(cfg, train_pairs, Path(args.out) / "artifacts")
-    final = result.history[-1]["mean_loss"] if result.history else float("nan")
-    print(f"wrote {result.sampler_path} (final mean loss {final:.6f})")
+    print(f"wrote {result.sampler_path} (final mean loss {result.history[-1]['mean_loss']:.6f})")
     return 0
 
 
@@ -70,8 +69,7 @@ def _cmd_train_ranker(args) -> int:
     sampler_path = Path(args.sampler) if args.sampler else Path(args.out) / "artifacts" / pipeline.SAMPLER_CHECKPOINT
     train_pairs = load_dataset(data / pipeline.TRAIN_DATASET)
     result = pipeline.train_ranker(cfg, train_pairs, sampler_path, Path(args.out) / "artifacts")
-    final = result.history[-1]["mean_loss"] if result.history else float("nan")
-    print(f"wrote {result.ranker_path} (final mean loss {final:.6f})")
+    print(f"wrote {result.ranker_path} (final mean loss {result.history[-1]['mean_loss']:.6f})")
     print(f"sampler checkpoint sha256 {result.sampler_sha256} (unchanged)")
     return 0
 

@@ -59,7 +59,7 @@ class RunConfig:
         positives = (
             "s_points", "n_centers", "m_neighbors", "d1", "d2", "sampler_width",
             "surrogate_width", "ranker_width", "sampler_batch", "ranker_batch",
-            "k_candidates", "train_per_cell", "test_per_cell",
+            "train_per_cell", "test_per_cell",
         )
         for name in positives:
             if getattr(self, name) < 1:
@@ -76,11 +76,13 @@ class RunConfig:
         for lr0, lr_min in ((self.sampler_lr0, self.sampler_lr_min), (self.ranker_lr0, self.ranker_lr_min)):
             if not (lr0 >= lr_min > 0.0):
                 raise ConfigurationError("learning rates must satisfy lr0 >= lr_min > 0")
-        # a training query's pool is its task's 5 * train_per_cell pairs less the query itself
-        if self.k_candidates > self.train_per_cell * 5 - 1:
+        # the rank loss orders at least two candidates, drawn from the query's task's
+        # 5 * train_per_cell pairs less the query itself
+        if not 2 <= self.k_candidates <= self.train_per_cell * 5 - 1:
             raise ConfigurationError(
-                f"k_candidates must be at most train_per_cell * 5 - 1 = {self.train_per_cell * 5 - 1}, "
-                f"the prompts a training query can draw from; got {self.k_candidates}")
+                f"k_candidates must be at least 2, the fewest prompts the rank loss can order, and at most "
+                f"train_per_cell * 5 - 1 = {self.train_per_cell * 5 - 1}, the prompts a training query can draw "
+                f"from; got {self.k_candidates}")
 
 
 def desk_profile(**overrides) -> RunConfig:

@@ -200,13 +200,6 @@ def knn_patches(cloud, centers, m: int) -> np.ndarray:
     return pts[order]
 
 
-def minmax_normalize(value: float, lo: float, hi: float) -> float:
-    """Map value into [0, 1] given bounds, clamping out-of-range inputs."""
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got lo={lo}, hi={hi}")
-    return float(min(1.0, max(0.0, (value - lo) / (hi - lo))))
-
-
 def miou(pred_labels, true_labels, num_parts: int) -> float:
     """Mean intersection-over-union across the parts present in true_labels."""
     pred = np.asarray(pred_labels, dtype=np.int64)

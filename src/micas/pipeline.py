@@ -25,7 +25,6 @@ from .config import RunConfig, config_hash
 from .errors import ConfigurationError, FormatError, TrainingDiverged
 from .ranker import (
     RankerConfig,
-    TaskNormalizer,
     build_candidate_pool,
     init_ranker_params,
     listwise_rank_loss,
@@ -35,6 +34,7 @@ from .ranker import (
     save_label_cache,
     save_ranker,
     score_prompts,
+    to_labels,
 )
 from .sampler import (
     SamplerConfig,
@@ -326,11 +326,10 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     if missing:
         save_label_cache(raw_cache, provenance, labels_path)
 
-    normalizer = TaskNormalizer()
+    labels = np.empty((len(train_pairs), cfg.k_candidates))
     for task, ids in by_task.items():
-        normalizer.fit(task, np.asarray([raw_cache[qid, cid] for qid in ids for cid in candidates[qid]]))
-    labels = [np.asarray([normalizer.to_label(query.task, raw_cache[qid, cid]) for cid in cids])
-              for qid, (query, cids) in enumerate(zip(train_pairs, candidates))]
+        raws = np.array([[raw_cache[qid, cid] for cid in candidates[qid]] for qid in ids])
+        labels[ids] = to_labels(task, raws, raws)
     prompt_clouds = [[(train_pairs[c].input.points, train_pairs[c].target.points) for c in cids] for cids in candidates]
     ranker_store = init_ranker_params(r_cfg, np.random.default_rng(derive_seed(cfg.seed, "ranker-init")))
 
@@ -338,7 +337,7 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
         tape = autodiff.Tape()
         scores = score_prompts(tape, ranker_store, [train_pairs[qid].input.points for qid in batch],
                                [prompt_clouds[qid] for qid in batch])
-        loss = listwise_rank_loss(tape, scores, [labels[qid] for qid in batch])
+        loss = listwise_rank_loss(tape, scores, labels[batch])
         if not np.isfinite(loss.value):
             raise TrainingDiverged(f"non-finite rank loss at epoch {epoch}, queries {batch.tolist()}")
         tape.backward(1.0 / len(batch))
@@ -359,7 +358,7 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
     if sha_after != sha_before:
         raise RuntimeError("sampler checkpoint changed during ranker training; stage contract broken")
     ranker_path = out / RANKER_CHECKPOINT
-    save_ranker(ranker_store, r_cfg, normalizer, ranker_path)
+    save_ranker(ranker_store, r_cfg, ranker_path)
     geometry.write_json(out / "ranker_train.json", {
         "config_sha256": config_hash(cfg),
         "sampler_sha256": sha_before,
@@ -377,7 +376,7 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
     """Score a test split under one (sampling, prompting) ablation cell.
 
     sampler_art is (store, SamplerConfig) and ranker_art is
-    (store, RankerConfig, TaskNormalizer); each may be None when the
+    (store, RankerConfig); each may be None when the
     corresponding baseline variant is requested. Results are bitwise
     reproducible for a fixed seed: each query owns an rng seeded by
     run_seed XOR query_id. Candidates are train-split indices of the
@@ -505,6 +504,23 @@ def load_report(path) -> dict:
     for key in ("sampler_variant", "prompt_variant", "seed", "profile", "cells", "tasks"):
         if key not in report:
             raise FormatError(f"report {path} lacks field {key!r}")
+
+    def entry(value, where: str, keys=()) -> dict:
+        if not isinstance(value, dict):
+            raise FormatError(f"report {path}: {where} is not an object: {value!r}")
+        for key in keys:
+            if key not in value:
+                raise FormatError(f"report {path}: {where} lacks field {key!r}")
+        return value
+
+    for task, levels in entry(report["cells"], "cells").items():
+        for level, cell in entry(levels, f"task {task!r} cells").items():
+            entry(cell, f"task {task!r} level {level}", ("metric", "mean", "count"))
+    for task, summary in entry(report["tasks"], "tasks").items():
+        entry(summary, f"task {task!r} level all", ("metric", "mean"))
+    outliers = entry(report.get("denoising_outlier_centers", {}), "denoising_outlier_centers")
+    if outliers.get("total"):
+        entry(outliers, "denoising_outlier_centers", ("hits", "rate"))
     return report
 
 

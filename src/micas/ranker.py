@@ -147,44 +147,15 @@ def raw_performance(task: str, predicted_stack, query: TaskPair) -> np.ndarray:
     return geometry.chamfer_distance_stack(stack, query.target.points)
 
 
-class TaskNormalizer:
-    """Per-task min-max bounds frozen once from the training split."""
-
-    def __init__(self, bounds: dict[str, tuple[float, float]] | None = None):
-        self.bounds = dict(bounds or {})
-
-    def fit(self, task: str, raw_values) -> None:
-        values = np.asarray(raw_values, dtype=np.float64)
-        if values.ndim != 1 or len(values) < 1:
-            raise ValueError("need at least one raw value to fit bounds")
-        lo, hi = float(values.min()), float(values.max())
-        if hi - lo <= 1e-12:  # degenerate split: park every label at 0.5
-            lo, hi = lo - 0.5, lo + 0.5
-        self.bounds[task] = (lo, hi)
-
-    def to_label(self, task: str, raw: float) -> float:
-        if task not in self.bounds:
-            raise ValueError(f"no normalization bounds for task {task!r}")
-        lo, hi = self.bounds[task]
-        normalized = geometry.minmax_normalize(raw, lo, hi)
-        return normalized if HIGHER_IS_BETTER[task] else 1.0 - normalized
-
-    def to_dict(self) -> dict:
-        return {
-            task: {"lo": lo, "hi": hi, "higher_is_better": HIGHER_IS_BETTER[task]}
-            for task, (lo, hi) in sorted(self.bounds.items())
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TaskNormalizer":
-        """Finite bounds with lo < hi in `to_dict`'s layout; FormatError names the first task that breaks it."""
-        for task, entry in data.items():
-            numeric = isinstance(entry, dict) and all(type(entry.get(key)) in (int, float) for key in ("lo", "hi"))
-            if task not in HIGHER_IS_BETTER or not numeric or not -np.inf < entry["lo"] < entry["hi"] < np.inf \
-                    or entry != {"lo": entry["lo"], "hi": entry["hi"], "higher_is_better": HIGHER_IS_BETTER[task]}:
-                raise FormatError(f"normalizer entry {task!r} is not a known task's finite lo < hi and orientation: "
-                                  f"{entry!r}")
-        return cls({task: (float(entry["lo"]), float(entry["hi"])) for task, entry in data.items()})
+def to_labels(task: str, raws, train_raws) -> np.ndarray:
+    """Pseudo-labels of `raws`: min-max normalized by the range of `train_raws`, clamped to [0, 1] and oriented
+    so that 1 is best. A range of at most 1e-12 is widened to lo +- 0.5, which parks every label at 0.5."""
+    train = np.asarray(train_raws, dtype=np.float64)
+    lo, hi = float(train.min()), float(train.max())
+    if hi - lo <= 1e-12:
+        lo, hi = lo - 0.5, lo + 0.5
+    normalized = np.clip((np.asarray(raws, dtype=np.float64) - lo) / (hi - lo), 0.0, 1.0)
+    return normalized if HIGHER_IS_BETTER[task] else 1.0 - normalized
 
 
 def build_candidate_pool(pool, k: int, rng, exclude: int | None = None) -> np.ndarray:
@@ -230,20 +201,14 @@ def load_label_cache(path, provenance=None) -> dict[tuple[int, int], float]:
     return entries
 
 
-def save_ranker(store: ParamStore, cfg: RankerConfig, normalizer: TaskNormalizer, path) -> None:
+def save_ranker(store: ParamStore, cfg: RankerConfig, path) -> None:
     autodiff.save_params(store, path)
-    meta = {
-        "kind": "ranker",
-        "width": cfg.width,
-        "normalizer": normalizer.to_dict(),
-    }
-    geometry.write_json(str(path) + ".json", meta)
+    geometry.write_json(str(path) + ".json", {"kind": "ranker", "width": cfg.width})
 
 
-def load_ranker(path) -> tuple[ParamStore, RankerConfig, TaskNormalizer]:
+def load_ranker(path) -> tuple[ParamStore, RankerConfig]:
     """Read a ranker checkpoint; its parameters must match the sidecar's architecture."""
     store = autodiff.load_params(path)
-    meta = autodiff.read_sidecar(path, "ranker", {"width": int, "normalizer": dict})
-    cfg = RankerConfig(width=meta["width"])
+    cfg = RankerConfig(width=autodiff.read_sidecar(path, "ranker", {"width": int})["width"])
     autodiff.check_layout(store, init_ranker_params(cfg, np.random.default_rng(0)))
-    return store, cfg, TaskNormalizer.from_dict(meta["normalizer"])
+    return store, cfg

@@ -21,7 +21,16 @@ from micas import cli, pipeline
 from micas.autodiff import Tape, finite_diff_check
 from micas.config import desk_profile
 from micas.geometry import chamfer_distance, fps_select
-from micas.ranker import build_candidate_pool, fuse, listwise_rank_loss, load_ranker, predict_score, score_prompts
+from micas.ranker import (
+    build_candidate_pool,
+    fuse,
+    listwise_rank_loss,
+    load_label_cache,
+    load_ranker,
+    predict_score,
+    score_prompts,
+    to_labels,
+)
 from micas.sampler import (
     SamplerConfig,
     gumbel_noise,
@@ -71,26 +80,29 @@ def heldout_ranking(desk_cfg, run_a):
     train_pairs = load_dataset(run_a.work / "data" / pipeline.TRAIN_DATASET)
     test_pairs = load_dataset(run_a.work / "data" / pipeline.TEST_DATASET)
     sampler_store, s_cfg = load_sampler(run_a.work / "artifacts" / pipeline.SAMPLER_CHECKPOINT)
-    ranker_store, r_cfg, normalizer = load_ranker(run_a.work / "artifacts" / pipeline.RANKER_CHECKPOINT)
+    ranker_store, r_cfg = load_ranker(run_a.work / "artifacts" / pipeline.RANKER_CHECKPOINT)
     assert desk_cfg.k_candidates == 8 and r_cfg.width == desk_cfg.ranker_width
+    train_raws = {}  # each task's training labels, the range held-out labels are normalized by
+    for (qid, _), raw in load_label_cache(run_a.work / "artifacts" / pipeline.LABEL_CACHE).items():
+        train_raws.setdefault(train_pairs[qid].task, []).append(raw)
     oracle = OracleModel(adaptive_centers_fn(sampler_store, s_cfg))
     per_query = []
     for qid, query in enumerate(test_pairs):
         rng = np.random.default_rng(pipeline.derive_seed(desk_cfg.seed, "eval-candidates", qid))
         pool = [i for i, pair in enumerate(train_pairs) if pair.task == query.task]
         prompts = [train_pairs[i] for i in build_candidate_pool(pool, desk_cfg.k_candidates, rng)]
-        labels = []
+        raws = []
         for k, prompt in enumerate(prompts):
             label_rng = np.random.default_rng(pipeline.derive_seed(desk_cfg.seed, "eval-label", qid, k))
-            raw = pipeline.pseudo_label_raw(oracle, query, prompt, label_rng)
-            labels.append(normalizer.to_label(query.task, raw))
+            raws.append(pipeline.pseudo_label_raw(oracle, query, prompt, label_rng))
+        labels = to_labels(query.task, raws, train_raws[query.task])
         scores = score_prompts(Tape(record=False), ranker_store, [query.input.points],
                                [[(p.input.points, p.target.points) for p in prompts]]).value[0]
         if qid == 0:  # the benchmark times one-prompt scoring, which must agree bit for bit
             single = [predict_score(Tape(), ranker_store, r_cfg, fuse(query.input.points, p)).value
                       for p in prompts]
             assert np.array_equal(scores, single)
-        per_query.append((np.asarray(labels), scores))
+        per_query.append((labels, scores))
     return SimpleNamespace(per_query=per_query, elapsed=time.time() - started)
 
 

@@ -15,7 +15,6 @@ from micas.geometry import (
     corrupt,
     fps_select,
     knn_patches,
-    minmax_normalize,
     miou,
     read_cloud,
     rigid_transform,
@@ -208,14 +207,6 @@ def test_knn_patches_m_bounds():
         knn_patches(pts, pts[:2], 0)
     with pytest.raises(ValueError):
         knn_patches(pts, pts[:2], 6)
-
-
-def test_minmax_normalize_clamps_and_validates():
-    assert minmax_normalize(0.5, 0.0, 1.0) == 0.5
-    assert minmax_normalize(-3.0, 0.0, 1.0) == 0.0
-    assert minmax_normalize(7.0, 0.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        minmax_normalize(0.5, 1.0, 1.0)
 
 
 def test_miou_hand_case():

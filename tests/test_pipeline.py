@@ -280,9 +280,10 @@ def test_ranker_training_artifacts_and_hash_contract(tiny_run):
     meta = json.loads((art / "ranker_train.json").read_text())
     assert meta["sampler_sha256"] == meta["sampler_sha256_after"]
     assert len(meta["history"]) == TINY.ranker_epochs
-    store, r_cfg, normalizer = load_ranker(tiny_run.ranked.ranker_path)
+    store, r_cfg = load_ranker(tiny_run.ranked.ranker_path)
     assert r_cfg.width == TINY.ranker_width
-    assert set(normalizer.bounds) == set(TASKS)
+    # the label bounds live only in labels.json: the sidecar names the architecture alone
+    assert json.loads((art / "ranker.micasnn.json").read_text()) == {"kind": "ranker", "width": TINY.ranker_width}
 
 
 def test_label_cache_reused_and_load_bearing(tiny_run, tmp_path):
@@ -480,7 +481,7 @@ def reference_cells(cfg, test, train, sampler_art, ranker_art, sampler_variant, 
         pool = [i for i, pair in enumerate(train) if pair.task == query.task]
         cands = [train[i] for i in build_candidate_pool(pool, cfg.k_candidates, rng)]
         if prompt_variant == "ranked":
-            store, r_cfg, _ = ranker_art
+            store, r_cfg = ranker_art
             scores = score_prompts(Tape(record=False), store, [query.input.points],
                                    [[(p.input.points, p.target.points) for p in cands]]).value[0]
             pick = int(np.argmax(scores))
@@ -665,6 +666,8 @@ def test_config_validation_errors():
         RunConfig(seed=-1)
     with pytest.raises(ConfigurationError):
         RunConfig(k_candidates=11, train_per_cell=2)
+    with pytest.raises(ConfigurationError, match="k_candidates must be at least 2"):
+        RunConfig(k_candidates=1)
     with pytest.raises(ConfigurationError):
         RunConfig(sampler_lr0=0.01, sampler_lr_min=0.1)
     with pytest.raises(ConfigurationError):
@@ -803,6 +806,28 @@ def test_cli_report_refuses_a_report_that_lacks_a_field(tmp_path, capsys):
     path.write_text(json.dumps(report))
     assert cli.main(["report", str(path)]) == 0
     assert capsys.readouterr().out.startswith("variant: sampling=fps prompting=random seed=0 profile=desk\n")
+    for edit, message in (
+            ({"cells": {"denoising": {"2": {}}}}, "task 'denoising' level 2 lacks field 'metric'"),
+            ({"cells": {"denoising": {"2": {"metric": "cd_x1000", "count": 3}}}},
+             "task 'denoising' level 2 lacks field 'mean'"),
+            ({"cells": {"denoising": {"2": {"metric": "cd_x1000", "mean": 0.9}}}},
+             "task 'denoising' level 2 lacks field 'count'"),
+            ({"cells": {"denoising": []}}, "task 'denoising' cells is not an object"),
+            ({"cells": []}, "cells is not an object"),
+            ({"tasks": {"partseg": {"metric": "miou"}}}, "task 'partseg' level all lacks field 'mean'"),
+            ({"tasks": {"partseg": {"mean": 0.97}}}, "task 'partseg' level all lacks field 'metric'"),
+            ({"tasks": {"partseg": 0.97}}, "task 'partseg' level all is not an object"),
+            ({"denoising_outlier_centers": None}, "denoising_outlier_centers is not an object"),
+            ({"denoising_outlier_centers": {"hits": 1, "total": 4}}, "denoising_outlier_centers lacks field 'rate'")):
+        path.write_text(json.dumps({**report, **edit}))
+        assert cli.main(["report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: report {path}: {message}")
+    cell = {"metric": "cd_x1000", "mean": 0.9, "count": 3}
+    path.write_text(json.dumps({**report, "cells": {"denoising": {"2": cell}},
+                                "tasks": {"denoising": {"metric": "cd_x1000", "mean": 0.9}},
+                                "denoising_outlier_centers": {"hits": 0, "total": 0, "rate": None}}))
+    assert cli.main(["report", str(path)]) == 0
+    assert "denoising            2  cd_x1000      0.90000      3\n" in capsys.readouterr().out
 
 
 def test_cli_eval_refuses_a_malformed_checkpoint_sidecar(tiny_run, tmp_path, capsys):

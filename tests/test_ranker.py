@@ -12,7 +12,6 @@ from micas.errors import FormatError
 from micas.geometry import chamfer_distance, miou
 from micas.ranker import (
     RankerConfig,
-    TaskNormalizer,
     build_candidate_pool,
     competition_ranks,
     fuse,
@@ -26,6 +25,7 @@ from micas.ranker import (
     save_label_cache,
     save_ranker,
     score_prompts,
+    to_labels,
 )
 from micas.sampler import SamplerConfig, save_sampler
 from micas.tasks import TASKS, gen_pair
@@ -495,28 +495,21 @@ def test_raw_performance_of_a_stack_equals_its_per_draw_values():
 
 
 def test_normalizer_orientation_and_clamping():
-    norm = TaskNormalizer()
-    norm.fit("denoising", [0.2, 0.4, 0.6])
-    assert norm.to_label("denoising", 0.2) == pytest.approx(1.0, abs=0.0)
-    assert norm.to_label("denoising", 0.6) == pytest.approx(0.0, abs=0.0)
-    assert norm.to_label("denoising", 5.0) == 0.0  # clamped, lower is better
-    assert norm.to_label("denoising", -5.0) == 1.0
-    norm.fit("partseg", [0.1, 0.5])
-    assert norm.to_label("partseg", 0.5) == pytest.approx(1.0, abs=0.0)
-    assert norm.to_label("partseg", 0.1) == pytest.approx(0.0, abs=0.0)
-    with pytest.raises(ValueError):
-        norm.to_label("registration", 0.3)
+    train = [0.2, 0.4, 0.6]
+    labels = to_labels("denoising", [0.2, 0.6, 5.0, -5.0], train)
+    assert labels.tolist() == [1.0, 0.0, 0.0, 1.0]  # clamped, lower is better
+    assert to_labels("partseg", [0.5, 0.1], [0.1, 0.5]).tolist() == [1.0, 0.0]
+    raws = np.array([[0.2, 0.4], [0.6, 0.3]])
+    assert np.array_equal(to_labels("denoising", raws, raws), 1.0 - (raws - 0.2) / (0.6 - 0.2))
 
 
-def test_normalizer_degenerate_split_and_round_trip():
-    norm = TaskNormalizer()
-    norm.fit("denoising", [0.3, 0.3, 0.3])
-    assert norm.to_label("denoising", 0.3) == pytest.approx(0.5, abs=1e-15)
-    norm.fit("partseg", [0.0, 1.0])
-    back = TaskNormalizer.from_dict(norm.to_dict())
-    assert back.bounds == norm.bounds
+def test_normalizer_degenerate_split():
+    assert to_labels("denoising", [0.3, 0.3], [0.3, 0.3, 0.3]).tolist() == [0.5, 0.5]
+    # a range of at most 1e-12 is widened to lo +- 0.5; a wider one is kept
+    assert to_labels("partseg", [0.3, 1.0], [0.3, 0.3 + 1e-13]) == pytest.approx([0.5, 1.0], abs=1e-15)
+    assert to_labels("partseg", [0.3, 1.0], [0.3, 0.3 + 1e-11]).tolist() == [0.0, 1.0]
     with pytest.raises(ValueError):
-        norm.fit("denoising", [])
+        to_labels("denoising", [0.3], [])
 
 
 # ---- candidate pools ----
@@ -661,37 +654,26 @@ def test_label_cache_refuses_a_repeated_key(tmp_path):
 
 def test_ranker_checkpoint_round_trip(tmp_path):
     store = init_ranker_params(CFG, np.random.default_rng(23))
-    norm = TaskNormalizer({"denoising": (0.1, 0.7), "partseg": (0.0, 1.0)})
     path = tmp_path / "ranker.micasnn"
-    save_ranker(store, CFG, norm, path)
-    back, cfg, norm_back = load_ranker(path)
+    save_ranker(store, CFG, path)
+    assert json.loads(Path(str(path) + ".json").read_text()) == {"kind": "ranker", "width": CFG.width}
+    back, cfg = load_ranker(path)
     assert cfg == CFG
-    assert norm_back.bounds == norm.bounds
     for name in store.names():
         assert np.array_equal(back[name].value, store[name].value)
 
 
-NORM_ENTRY = {"lo": 0.1, "hi": 0.7, "higher_is_better": False}
-
-
 @pytest.mark.parametrize("edit, message", [
     (lambda meta: {name: v for name, v in meta.items() if name != "width"}, "lacks field 'width'"),
-    (lambda meta: {name: v for name, v in meta.items() if name != "normalizer"}, "lacks field 'normalizer'"),
     (lambda meta: {**meta, "width": 8.0}, "field 'width' must be int"),
-    (lambda meta: {**meta, "normalizer": []}, "field 'normalizer' must be dict"),
-    (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "lo": "0.1"}}}, "entry 'denoising'"),
-    (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "higher_is_better": True}}}, "entry 'denoising'"),
-    (lambda meta: {**meta, "normalizer": {"sorting": NORM_ENTRY}}, "entry 'sorting'"),
-    (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "lo": -np.inf}}}, "entry 'denoising'"),
-    (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "hi": np.nan}}}, "entry 'denoising'"),
-    (lambda meta: {**meta, "normalizer": {"denoising": {**NORM_ENTRY, "lo": 5.0}}}, "entry 'denoising'"),
+    (lambda meta: {**meta, "normalizer": {}}, "unknown field 'normalizer'"),  # the sidecar's older layout
     (lambda meta: {**meta, "seed": 0}, "unknown field 'seed'"),
     (lambda meta: {**meta, "k_candidates": 8}, "unknown field 'k_candidates'"),
     (lambda meta: [meta], "must be a JSON object"),
 ])
 def test_ranker_sidecar_refuses_a_malformed_field(tmp_path, edit, message):
     path = tmp_path / "ranker.micasnn"
-    save_ranker(init_ranker_params(CFG, np.random.default_rng(3)), CFG, TaskNormalizer({"denoising": (0.1, 0.7)}), path)
+    save_ranker(init_ranker_params(CFG, np.random.default_rng(3)), CFG, path)
     sidecar = Path(str(path) + ".json")
     sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
     with pytest.raises(FormatError, match=message):
@@ -706,10 +688,9 @@ def test_ranker_rejects_foreign_sidecar(tmp_path):
 
 
 def test_ranker_refuses_parameters_that_disagree_with_the_sidecar(tmp_path):
-    norm = TaskNormalizer({"denoising": (0.1, 0.7)})
     path = tmp_path / "ranker.micasnn"
     narrow = RankerConfig(width=32)
-    save_ranker(init_ranker_params(narrow, np.random.default_rng(0)), RankerConfig(width=64), norm, path)
+    save_ranker(init_ranker_params(narrow, np.random.default_rng(0)), RankerConfig(width=64), path)
     with pytest.raises(FormatError, match="score.point.0.w"):
         load_ranker(path)
 
@@ -718,11 +699,11 @@ def test_ranker_refuses_parameters_that_disagree_with_the_sidecar(tmp_path):
     for name, p in store.items():
         if name != "score.h0.b":
             missing.add(name, p.value)
-    save_ranker(missing, CFG, norm, path)
+    save_ranker(missing, CFG, path)
     with pytest.raises(FormatError, match="score.h0.b"):
         load_ranker(path)
 
-    save_ranker(store, CFG, norm, path)
+    save_ranker(store, CFG, path)
     store.add("score.extra", np.zeros(2))
     save_params(store, path)
     with pytest.raises(FormatError, match="score.extra"):
@@ -743,7 +724,7 @@ def test_ranker_refuses_the_additive_segment_tag_layout(tmp_path):
     for name in ("score.h0.w", "score.h0.b", "score.h1.w", "score.h1.b"):
         old.add(name, store[name].value)
     path = tmp_path / "ranker.micasnn"
-    save_ranker(old, CFG, TaskNormalizer({"denoising": (0.1, 0.7)}), path)
+    save_ranker(old, CFG, path)
     with pytest.raises(FormatError, match="score.point.0.w"):
         load_ranker(path)
 
@@ -751,7 +732,7 @@ def test_ranker_refuses_the_additive_segment_tag_layout(tmp_path):
 def test_ranker_refuses_a_non_finite_parameter(tmp_path):
     store = init_ranker_params(CFG, np.random.default_rng(2))
     path = tmp_path / "ranker.micasnn"
-    save_ranker(store, CFG, TaskNormalizer({"denoising": (0.1, 0.7)}), path)
+    save_ranker(store, CFG, path)
     assert store.names()[-1] == "score.h1.b" and store["score.h1.b"].value.shape == (1,)
     blob = path.read_bytes()  # the last 8 bytes are score.h1.b's one value
     path.write_bytes(blob[:-8] + np.array([np.nan], dtype="<f8").tobytes())

@@ -28,7 +28,7 @@ from micas.sampler import (
     save_sampler,
     tau_for_epoch,
 )
-from micas.ranker import RankerConfig, TaskNormalizer, save_ranker
+from micas.ranker import RankerConfig, save_ranker
 
 CFG = SamplerConfig(d1=8, d2=8, n_centers=4, width=8)
 
@@ -453,7 +453,7 @@ def test_sampler_sidecar_refuses_a_malformed_field(tmp_path, edit, message):
 
 def test_sampler_rejects_foreign_sidecar(tmp_path):
     path = tmp_path / "model.micasnn"
-    save_ranker(ParamStore(), RankerConfig(width=8), TaskNormalizer(), path)
+    save_ranker(ParamStore(), RankerConfig(width=8), path)
     with pytest.raises(ValueError):
         load_sampler(path)
 
