@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
-from .config import RunConfig, load_config, profile_config
+from .config import RunConfig, desk_profile, load_config
 from .errors import ConfigurationError
 from .ranker import load_ranker
 from .sampler import load_sampler
@@ -23,16 +23,12 @@ from .tasks import load_dataset
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--profile", choices=("desk", "paper"), help="the config file's profile, else desk")
     parser.add_argument("--seed", type=int, default=None, help="u64 run seed override")
     parser.add_argument("--out", default="micas-run", help="run directory")
 
 
 def _build_config(args) -> RunConfig:
-    if args.config:
-        cfg = load_config(args.config, profile_config(args.profile) if args.profile else None)
-    else:
-        cfg = profile_config(args.profile or "desk")
+    cfg = load_config(args.config) if args.config else desk_profile()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg

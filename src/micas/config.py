@@ -123,8 +123,8 @@ def profile_config(name: str, **overrides) -> RunConfig:
     raise ConfigurationError(f"unknown profile {name!r}")
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse flat key = value lines on top of a base (default desk) profile; a key may appear once."""
+def parse_config_text(text: str) -> RunConfig:
+    """Parse flat key = value lines on top of the profile a `profile` line names, else desk; a key may appear once."""
     values: dict[str, object] = {}
     first_line: dict[str, int] = {}
     field_types = {f.name: f.type for f in fields(RunConfig)}
@@ -141,14 +141,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigurationError(f"line {lineno}: {key!r} is already set on line {first_line[key]}")
         first_line[key] = lineno
         values[key] = value
-    if "profile" in values:
-        named = str(values.pop("profile"))
-        if base is None:
-            base = profile_config(named)
-        elif base.profile != named:
-            raise ConfigurationError(
-                f"config file names profile {named!r} but {base.profile!r} was requested")
-    merged = asdict(base if base is not None else desk_profile())
+    merged = asdict(profile_config(str(values.pop("profile", "desk"))))
     for key, value in values.items():
         current = merged[key]
         try:
@@ -163,9 +156,9 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return RunConfig(**merged)
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base)
+        return parse_config_text(fh.read())
 
 
 def config_text(cfg: RunConfig) -> str:

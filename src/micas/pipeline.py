@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +104,15 @@ def surrogate_config(cfg: RunConfig) -> SurrogateConfig:
 
 def ranker_config(cfg: RunConfig) -> RankerConfig:
     return RankerConfig(width=cfg.ranker_width)
+
+
+def _check_checkpoint_config(what: str, loaded, expected) -> None:
+    """ConfigurationError naming the first field where a loaded checkpoint's config differs from the run config's."""
+    for field in fields(expected):
+        got, want = getattr(loaded, field.name), getattr(expected, field.name)
+        if got != want:
+            raise ConfigurationError(
+                f"the {what} checkpoint has {field.name} = {got!r} but this run config gives {field.name} = {want!r}")
 
 
 # ---- data ----
@@ -285,8 +294,9 @@ class RankerTraining:
 def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTraining:
     """Stage two: fit the scorer against oracle pseudo-labels.
 
-    Requires the stage-one checkpoint; refuses to run without it and
-    verifies after training that its bytes are untouched. A candidate is
+    Requires the stage-one checkpoint, trained under this run config's
+    sampler settings; refuses to run without it and verifies after
+    training that its bytes are untouched. A candidate is
     the train-split index of a pair of the query's task, never the query's
     own. Each SGD batch is one `score_prompts` call on one tape with one
     backward, dropped before the next batch; prompt clouds are the train
@@ -302,6 +312,7 @@ def train_ranker(cfg: RunConfig, train_pairs, sampler_path, out_dir) -> RankerTr
             f"ranker training requires a trained sampler checkpoint at {sampler_path}")
     sha_before = file_sha256(sampler_path)
     sampler_store, s_cfg = load_sampler(sampler_path)
+    _check_checkpoint_config("sampler", s_cfg, sampler_config(cfg))
     r_cfg = ranker_config(cfg)
     oracle = OracleModel(adaptive_centers_fn(sampler_store, s_cfg))
 
@@ -377,7 +388,8 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
 
     sampler_art is (store, SamplerConfig) and ranker_art is
     (store, RankerConfig); each may be None when the
-    corresponding baseline variant is requested. Results are bitwise
+    corresponding baseline variant is requested, and a ConfigurationError
+    refuses one whose config differs from the run config's. Results are bitwise
     reproducible for a fixed seed: each query owns an rng seeded by
     run_seed XOR query_id. Candidates are train-split indices of the
     query's task; a ConfigurationError names a task with fewer than
@@ -390,10 +402,14 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
         raise ConfigurationError(f"sampler_variant must be one of {SAMPLER_VARIANTS}")
     if prompt_variant not in PROMPT_VARIANTS:
         raise ConfigurationError(f"prompt_variant must be one of {PROMPT_VARIANTS}")
-    if sampler_variant == "adaptive" and sampler_art is None:
-        raise ConfigurationError("adaptive sampling requested but no sampler checkpoint given")
-    if prompt_variant == "ranked" and ranker_art is None:
-        raise ConfigurationError("ranked prompting requested but no ranker checkpoint given")
+    if sampler_variant == "adaptive":
+        if sampler_art is None:
+            raise ConfigurationError("adaptive sampling requested but no sampler checkpoint given")
+        _check_checkpoint_config("sampler", sampler_art[1], sampler_config(cfg))
+    if prompt_variant == "ranked":
+        if ranker_art is None:
+            raise ConfigurationError("ranked prompting requested but no ranker checkpoint given")
+        _check_checkpoint_config("ranker", ranker_art[1], ranker_config(cfg))
     pools = _candidate_pools(cfg, train_pairs, [query.task for query in test_pairs], held_out=0)
     started = time.time()
     # Each query owns one rng and uses it in a fixed order: its candidates,
@@ -497,7 +513,7 @@ def write_report(report: dict, out_dir) -> tuple[Path, Path]:
 
 def load_report(path) -> dict:
     """A stored report; FormatError unless the file holds a JSON object of schema REPORT_SCHEMA with every field
-    that `micas report` prints."""
+    that `micas report` prints, each of the type it prints."""
     report = geometry.read_json(path, f"report {path}")
     if report.get("schema") != REPORT_SCHEMA:
         raise FormatError(f"{path} is not a {REPORT_SCHEMA} report")
@@ -505,16 +521,24 @@ def load_report(path) -> dict:
         if key not in report:
             raise FormatError(f"report {path} lacks field {key!r}")
 
+    kinds = {"metric": ("a string", str), "mean": ("a number", (int, float)), "count": ("an integer", int),
+             "hits": ("an integer", int), "rate": ("a number", (int, float))}
+
     def entry(value, where: str, keys=()) -> dict:
         if not isinstance(value, dict):
             raise FormatError(f"report {path}: {where} is not an object: {value!r}")
         for key in keys:
             if key not in value:
                 raise FormatError(f"report {path}: {where} lacks field {key!r}")
+            kind, types = kinds[key]
+            if isinstance(value[key], bool) or not isinstance(value[key], types):
+                raise FormatError(f"report {path}: {where} field {key!r} is not {kind}: {value[key]!r}")
         return value
 
     for task, levels in entry(report["cells"], "cells").items():
         for level, cell in entry(levels, f"task {task!r} cells").items():
+            if not level.isdecimal():
+                raise FormatError(f"report {path}: task {task!r} level {level!r} is not a level number")
             entry(cell, f"task {task!r} level {level}", ("metric", "mean", "count"))
     for task, summary in entry(report["tasks"], "tasks").items():
         entry(summary, f"task {task!r} level all", ("metric", "mean"))
@@ -524,31 +548,17 @@ def load_report(path) -> dict:
     return report
 
 
-def report_equal(a, b, tol: float = 1e-12) -> bool:
-    """Structural equality of two reports, ignoring wall-clock fields."""
-
-    def walk(x, y):
-        if isinstance(x, dict) and isinstance(y, dict):
-            keys_x = set(x) - set(VOLATILE_REPORT_KEYS)
-            keys_y = set(y) - set(VOLATILE_REPORT_KEYS)
-            if keys_x != keys_y:
-                return False
-            return all(walk(x[k], y[k]) for k in keys_x)
-        if isinstance(x, list) and isinstance(y, list):
-            return len(x) == len(y) and all(walk(p, q) for p, q in zip(x, y))
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)) and not isinstance(x, bool):
-            return abs(float(x) - float(y)) <= tol
-        return x == y
-
-    return walk(a, b)
+def report_equal(a: dict, b: dict) -> bool:
+    """Exact equality of two reports apart from their top-level wall-clock fields."""
+    stable = [{key: value for key, value in report.items() if key not in VOLATILE_REPORT_KEYS} for report in (a, b)]
+    return stable[0] == stable[1]
 
 
 # ---- whole runs ----
 
 
-def full_run(cfg: RunConfig, workdir, sampler_variant: str = "adaptive",
-             prompt_variant: str = "ranked") -> dict:
-    """gen-data, train-sampler, train-ranker, eval, in one working directory."""
+def full_run(cfg: RunConfig, workdir) -> dict:
+    """gen-data, train-sampler, train-ranker, then eval of the adaptive, ranked cell, in one working directory."""
     work = Path(workdir)
     train_path, test_path = write_datasets(cfg, work / "data")
     train_pairs, test_pairs = load_dataset(train_path), load_dataset(test_path)
@@ -556,7 +566,6 @@ def full_run(cfg: RunConfig, workdir, sampler_variant: str = "adaptive",
     ranked = train_ranker(cfg, train_pairs, trained.sampler_path, work / "artifacts")
     sampler_art = load_sampler(trained.sampler_path)
     ranker_art = load_ranker(ranked.ranker_path)
-    report = evaluate(cfg, test_pairs, train_pairs, sampler_art, ranker_art,
-                      sampler_variant, prompt_variant)
+    report = evaluate(cfg, test_pairs, train_pairs, sampler_art, ranker_art)
     write_report(report, work / "eval")
     return report
