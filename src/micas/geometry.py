@@ -15,10 +15,13 @@ what is being matched:
   per direction; exact ties go to an index attaining the minimum, not
   necessarily the lowest one;
 * a stack of clouds against one shared cloud, a (D, S, 3) stack against
-  an (n, 3) set (chamfer_distance_stack): one cKDTree for the shared
-  side, queried with the points of every set in one call, and one tree
-  per set for the reverse direction, so each value equals
-  chamfer_distance's bit for bit.
+  an (n, 3) set (chamfer_distance_stack): one cKDTree for the shared set.
+  Several sets of its size, such as a label's oracle draws, are matched
+  through its table of TABLE_NEIGHBOURS nearest neighbours per point
+  (_matched_nearest); one set, or sets of another size, query the tree
+  with every set's points in one call and build one tree per set for
+  the reverse direction. Each value equals chamfer_distance's bit for
+  bit.
 
 The two trees of a cloud query cost about as much as brute force at
 16 x 256 points and three to four times more at 16 x 16, while brute
@@ -27,6 +30,10 @@ are brute-forced: a whole stack of them costs one array pass. Every
 differentiable Chamfer is one (the sampler's 16 x 256 center coverage
 is a one-patch stack), so chamfer_nearest's tie choice reaches no
 gradient: the trees serve only the oracle's and the labels' values.
+For a label's 16 draws of 256 points, the neighbour table took about
+2 ms against 4.3 to 4.7 ms for a tree per set (one core, scipy 1.17).
+For a single draw the table query alone took 0.40 ms against 0.36 ms
+for both trees, so one set keeps the trees.
 """
 
 from __future__ import annotations
@@ -154,15 +161,59 @@ def chamfer_distance(a, b) -> float:
 def chamfer_distance_stack(stack, b) -> np.ndarray:
     """chamfer_distance of every set of a (D, S, 3) stack against one set b.
 
-    Returns the D divergences. The tree over b is built once and queried
-    with all D * S points in one call; the b-to-set direction keeps one
-    tree per set. Entry d equals chamfer_distance(stack[d], b) bit for bit.
+    Returns the D divergences; entry d equals chamfer_distance(stack[d], b)
+    bit for bit. The tree over b is built once. Several sets of b's size,
+    such as noisy copies of b, are matched through b's neighbour table;
+    one set, or sets of another size, through one more tree per set.
     """
     pa, pb = _as_patch_stack(stack), as_points(b)
-    d_ab, _ = cKDTree(pb).query(pa.reshape(-1, 3))
-    d2_ab = (d_ab**2).reshape(pa.shape[:2])
-    d2_ba = np.stack([cKDTree(pts).query(pb)[0] ** 2 for pts in pa])
+    tree = cKDTree(pb)
+    if len(pa) > 1 and pa.shape[1] == len(pb):
+        d2_ab, d2_ba = _matched_nearest(pa, pb, tree)
+    else:
+        d2_ab = (tree.query(pa.reshape(-1, 3))[0] ** 2).reshape(pa.shape[:2])
+        d2_ba = np.stack([cKDTree(pts).query(pb)[0] ** 2 for pts in pa])
     return d2_ab.mean(axis=1) + d2_ba.mean(axis=1)
+
+
+TABLE_NEIGHBOURS = 8  # neighbours per point of b's table in _matched_nearest, besides the point itself
+
+
+def _sq_dist(u, v) -> np.ndarray:
+    """Squared distances between broadcast (3, ...) coordinate arrays, summed as cKDTree sums them."""
+    diff = u - v
+    return (diff[0] ** 2 + diff[1] ** 2) + diff[2] ** 2
+
+
+def _matched_nearest(pa, pb, tree):
+    """Squared nearest distances of a (D, S, 3) stack against b, S = len(b): (D, S) arrays, set to b and b to set.
+
+    x = pa[d, i] is matched among the table's neighbours of b[i], and b[j]
+    among the points pa[d, i] whose i is a table neighbour of j. Every b[m]
+    outside the table of i lies at least i's reach R_i from b[i], so by the
+    triangle inequality the candidate minimum is the true one when it is
+    at most R_i - |x - b[i]| (set to b) or R_j - max_i |pa[d, i] - b[i]|
+    (b to set), less a margin of 1e-9 R for rounding. Points that fail
+    the test are matched by the tree (set to b) or against the whole set
+    (b to set). Distances are summed as cKDTree sums them, rooted and
+    squared as the trees' are, and returned C-contiguous, so each row's
+    mean sums in chamfer_distance's order.
+    """
+    reach, near = tree.query(pb, TABLE_NEIGHBOURS + 1)
+    # A b smaller than the table pads each row with index len(b) at infinite reach: every point is a
+    # candidate, and the infinite slack clears them all.
+    near = np.where(near < len(pb), near, near[:, :1]).T  # (k + 1, S)
+    slack = reach[:, -1] * (1.0 - 1e-9)
+    xt, bt = np.ascontiguousarray(pa.transpose(2, 0, 1)), pb.T  # coordinates first: (3, D, S) and (3, S)
+    offset = np.sqrt(_sq_dist(xt, bt[:, None, :]))  # |pa[d, i] - b[i]|
+    d_ab = np.sqrt(_sq_dist(xt[:, :, None, :], bt[:, None, near]).min(axis=1))
+    uncleared = d_ab > slack - offset
+    d_ab[uncleared] = tree.query(pa[uncleared])[0]
+    d_ba = np.sqrt(_sq_dist(bt[:, None, None, :], np.take(xt, near, axis=2)).min(axis=1))
+    uncleared = d_ba > slack - offset.max(axis=1, keepdims=True)
+    for d in np.flatnonzero(uncleared.any(axis=1)):
+        d_ba[d, uncleared[d]] = np.sqrt(_sq_dist(bt[:, uncleared[d], None], xt[:, d, None, :]).min(axis=1))
+    return np.ascontiguousarray(d_ab**2), np.ascontiguousarray(d_ba**2)
 
 
 def fps_select(cloud, n: int) -> np.ndarray:

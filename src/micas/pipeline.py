@@ -158,8 +158,9 @@ def _train_pools(train_pairs) -> dict[str, list[int]]:
 
 
 def _candidate_pools(cfg: RunConfig, train_pairs, query_tasks, held_out: int) -> dict[str, list[int]]:
-    """_train_pools(train_pairs), or ConfigurationError for the first task in query_tasks whose
-    queries cannot draw k_candidates prompts; held_out is 1 for a training query, which never ranks itself."""
+    """_train_pools(train_pairs), or ConfigurationError for the first task in query_tasks whose queries cannot
+    draw k_candidates prompts, then for a train cloud of another s_points; held_out is 1 for a training query,
+    which never ranks itself."""
     pools = _train_pools(train_pairs)
     for task in sorted(set(query_tasks)):
         size = len(pools.get(task, ()))
@@ -168,7 +169,18 @@ def _candidate_pools(cfg: RunConfig, train_pairs, query_tasks, held_out: int) ->
                 f"k_candidates = {cfg.k_candidates} exceeds the {size - held_out} prompts a {task!r} query can draw "
                 f"from the train split's {size} {task!r} pairs; was the split generated under a smaller "
                 f"train_per_cell than this config's {cfg.train_per_cell}?")
+    _check_s_points(cfg, train_pairs, "train")
     return pools
+
+
+def _check_s_points(cfg: RunConfig, pairs, split: str) -> None:
+    """ConfigurationError naming s_points and the first pair of `pairs` that holds a cloud of another size."""
+    for i, pair in enumerate(pairs):
+        for cloud in (pair.input, pair.target):
+            if cloud.size != cfg.s_points:
+                raise ConfigurationError(
+                    f"pair {i} of the {split} split holds a {cloud.size}-point cloud, but this config's s_points "
+                    f"is {cfg.s_points}; was the split generated under another s_points?")
 
 
 # ---- sampler training ----
@@ -223,6 +235,7 @@ def train_sampler(cfg: RunConfig, train_pairs, out_dir) -> SamplerTraining:
     if int(np.rint(cfg.mask_ratio * cfg.n_centers)) < 1:
         raise ConfigurationError("mask_ratio * n_centers rounds to zero patches")
     by_task = _train_pools(train_pairs)
+    _check_s_points(cfg, train_pairs, "train")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     s_cfg, sur_cfg = sampler_config(cfg), surrogate_config(cfg)
@@ -274,8 +287,11 @@ def pseudo_label_raw(oracle: OracleModel, query: TaskPair, prompt: TaskPair, rng
     Centers and the oracle's sigma depend on (query, prompt) but not on
     the draw, so both are computed once per label: one oracle_predict call
     returns all LABEL_DRAWS noisy predictions as one stack, and one
-    raw_performance call scores it. Every draw is scored against the same
-    query target, so a Chamfer task builds that target's tree once.
+    raw_performance call scores it. Every draw is a noisy copy of the same
+    query target, so a Chamfer task matches all of them through one tree
+    and neighbour table of that target. Through `adaptive_centers_fn`, a
+    query's points are encoded once for all of its candidates, which
+    train_ranker labels in a row.
     """
     centers = oracle.centers_fn(query.input.points, prompt)
     preds = oracle_predict(query.input.points, query.target.points, prompt.input.points,
@@ -411,6 +427,7 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
             raise ConfigurationError("ranked prompting requested but no ranker checkpoint given")
         _check_checkpoint_config("ranker", ranker_art[1], ranker_config(cfg))
     pools = _candidate_pools(cfg, train_pairs, [query.task for query in test_pairs], held_out=0)
+    _check_s_points(cfg, test_pairs, "test")
     started = time.time()
     # Each query owns one rng and uses it in a fixed order: its candidates,
     # then the random pick, then the oracle's noise.

@@ -154,55 +154,69 @@ class SampleResult:
 def sample(store: ParamStore, query_pts, prompt_in_pts, prompt_out_pts, tau: float, noise) -> SampleResult:
     """Run the sampler on a query cloud conditioned on one prompt pair.
 
-    encode_task summarizes the pair, then `sample_from_task` samples the
-    query. All intermediate nodes share one new tape so a downstream loss
-    can differentiate the whole pass.
+    encode_task summarizes the pair and encode_points the query, then
+    `sample_from_task` samples the query. All intermediate nodes share one
+    new tape so a downstream loss can differentiate the whole pass.
     """
     tape = Tape()
     return sample_from_task(tape, store, query_pts, encode_task(tape, store, prompt_in_pts, prompt_out_pts),
-                            tau, noise)
+                            encode_points(tape, store, query_pts), tau, noise)
 
 
-def sample_from_task(tape: Tape, store: ParamStore, query_pts, task: Node, tau: float, noise) -> SampleResult:
-    """Sample a query cloud given its prompt pair's task feature, a (d1,) node on `tape`.
+def sample_from_task(tape: Tape, store: ParamStore, query_pts, task: Node, point_features: Node, tau: float,
+                     noise) -> SampleResult:
+    """Sample a query cloud given its prompt pair's task feature, a (d1,) node, and its
+    `encode_points` features, an (S, d2) node, both on `tape`.
 
     `noise` is the query's (S, N) Gumbel perturbation, such as
     `gumbel_noise` draws; zeros give the inference mode.
     """
     pts = np.asarray(query_pts, dtype=np.float64)
-    weights = sampling_weights(tape, store, enhance(tape, task, encode_points(tape, store, pts)))
+    weights = sampling_weights(tape, store, enhance(tape, task, point_features))
     soft = gumbel_softmax(tape, weights, noise, tau)
     return SampleResult(tape, task, soft, project_centers(tape, soft, pts))
 
 
-def infer_from_task(store: ParamStore, cfg: SamplerConfig, query_pts, task_feature) -> SampleResult:
-    """Deterministic sampling at the final temperature with zero noise, from a (d1,) task feature.
+def infer_from_task(store: ParamStore, cfg: SamplerConfig, query_pts, task_feature, point_features) -> SampleResult:
+    """Deterministic sampling at the final temperature with zero noise, from a (d1,) task feature
+    and the query's (S, d2) `encode_points` features.
 
     A prompt pair's feature depends only on the parameters and the pair,
-    so it can be encoded once and reused for every query sampled with
-    that pair. The pass records no graph, so its result cannot be
+    and a query's point features only on the parameters and the query, so
+    each can be encoded once and reused for every (query, prompt) sampled
+    with it. The pass records no graph, so its result cannot be
     differentiated.
     """
     tape = Tape(record=False)
-    return sample_from_task(tape, store, query_pts, tape.const(task_feature), cfg.tau_end,
-                            np.zeros((len(query_pts), cfg.n_centers)))
+    return sample_from_task(tape, store, query_pts, tape.const(task_feature), tape.const(point_features),
+                            cfg.tau_end, np.zeros((len(query_pts), cfg.n_centers)))
 
 
 def sample_inference(store: ParamStore, cfg: SamplerConfig, query_pts, prompt_in_pts, prompt_out_pts) -> SampleResult:
-    """`infer_from_task` on the prompt pair's encoded task feature."""
-    feature = encode_task(Tape(record=False), store, prompt_in_pts, prompt_out_pts).value
-    return infer_from_task(store, cfg, query_pts, feature)
+    """`infer_from_task` on the prompt pair's encoded task feature and the query's encoded points."""
+    tape = Tape(record=False)
+    return infer_from_task(store, cfg, query_pts, encode_task(tape, store, prompt_in_pts, prompt_out_pts).value,
+                           encode_points(tape, store, query_pts).value)
 
 
 def inference_fn(store: ParamStore, cfg: SamplerConfig):
-    """fn(query_pts, prompt) giving `sample_inference`'s result, encoding each prompt pair object once per fn."""
+    """fn(query_pts, prompt) giving `sample_inference`'s result.
+
+    It encodes each prompt pair object once per fn, and a query cloud's
+    points once for every call in a row that passes the same array object,
+    as the label pass does for a query's candidates.
+    """
     features = {}  # id(pair) -> (pair, task feature); holding the pair keeps its id from being reused
+    last_query = None, None  # the last query array and its point features
 
     def fn(query_pts, prompt) -> SampleResult:
+        nonlocal last_query
         if id(prompt) not in features:
             features[id(prompt)] = prompt, encode_task(Tape(record=False), store, prompt.input.points,
                                                        prompt.target.points).value
-        return infer_from_task(store, cfg, query_pts, features[id(prompt)][1])
+        if last_query[0] is not query_pts:
+            last_query = query_pts, encode_points(Tape(record=False), store, query_pts).value
+        return infer_from_task(store, cfg, query_pts, features[id(prompt)][1], last_query[1])
 
     return fn
 

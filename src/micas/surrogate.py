@@ -115,6 +115,7 @@ class OracleModel:
 
 
 def adaptive_centers_fn(store: ParamStore, cfg: SamplerConfig):
-    """centers_fn giving the centers of `sampler.inference_fn`, which encodes each prompt pair object once per fn."""
+    """centers_fn giving the centers of `sampler.inference_fn`, which encodes each prompt pair object once per fn,
+    and a query cloud's points once for the calls in a row that pass it."""
     infer = inference_fn(store, cfg)
     return lambda query_in_pts, prompt: infer(query_in_pts, prompt).centers_query.value

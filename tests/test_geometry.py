@@ -7,6 +7,7 @@ from micas.errors import FormatError
 from micas.geometry import (
     PointCloud,
     RecordReader,
+    TABLE_NEIGHBOURS,
     chamfer_distance,
     chamfer_distance_stack,
     chamfer_nearest,
@@ -133,6 +134,15 @@ def test_chamfer_distance_stack_equals_chamfer_distance_per_set():
         (rng.uniform(size=(3, 25, 3)), target[:1]),  # a single-point shared set
         (np.full((2, 1, 3), 0.5), np.full((1, 3), 0.5)),
     ]
+    # Noisy copies of b go through b's neighbour table when there are several: all ties at sigma 0, points
+    # the triangle bound leaves to the fallback (mostly, at sigma 2), more than TABLE_NEIGHBOURS copies of
+    # one point, and sets with fewer points than the table.
+    cloud = rng.uniform(size=(200, 3))
+    piled = cloud.copy()
+    piled[1 : 3 * TABLE_NEIGHBOURS] = piled[0]
+    stacks += [(b + rng.normal(0.0, sigma, size=(draws, *b.shape)), b)
+               for b in (cloud, piled, cloud[:TABLE_NEIGHBOURS], cloud[:3])
+               for sigma in (0.0, 1e-4, 0.01, 0.03, 0.05, 0.3, 2.0) for draws in (1, 16)]
     for stack, b in stacks:
         values = chamfer_distance_stack(stack, b)
         assert values.shape == (len(stack),)

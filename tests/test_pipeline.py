@@ -331,6 +331,21 @@ def test_label_pass_encodes_each_candidate_pair_once(tiny_run, tmp_path, monkeyp
     assert ranked.labels_path.read_bytes() == tiny_run.ranked.labels_path.read_bytes()
 
 
+def test_label_pass_encodes_each_query_cloud_once(tiny_run, tmp_path, monkeypatch):
+    encoded = []
+    real = sampler_mod.encode_points
+
+    def spy(tape, store, pts):
+        encoded.append(id(pts))
+        return real(tape, store, pts)
+
+    monkeypatch.setattr(sampler_mod, "encode_points", spy)
+    ranked = pipeline.train_ranker(TINY, tiny_run.train, tiny_run.trained.sampler_path, tmp_path)
+    assert encoded == [id(query.input.points) for query in tiny_run.train]  # not once per candidate
+    assert ranked.labels_path.read_bytes() == tiny_run.ranked.labels_path.read_bytes()
+    assert ranked.ranker_path.read_bytes() == tiny_run.ranked.ranker_path.read_bytes()
+
+
 def test_label_cache_recomputed_after_sampler_retrain(tiny_run, tmp_path):
     # A sampler retrained into the run directory of an older one must not
     # inherit the labels computed with the older sampler.
@@ -806,6 +821,35 @@ def test_cli_stages_refuse_a_train_split_too_small_for_k_candidates(tmp_path, ca
         err = capsys.readouterr().err
         assert err.startswith(f"error: k_candidates = 8 exceeds the {prompts} prompts a 'denoising' query")
         assert "train_per_cell than this config's 6" in err
+
+
+def test_cli_stages_refuse_a_split_of_another_s_points(tmp_path, capsys):
+    def config(points):
+        path = tmp_path / f"{points}.cfg"
+        path.write_text(TINY_CONFIG_TEXT.replace("s_points = 32", f"s_points = {points}"))
+        return ["--config", str(path)]
+
+    def refused(split, points, s_points):
+        return (f"error: pair 0 of the {split} split holds a {points}-point cloud, but this config's s_points is "
+                f"{s_points}; was the split generated under another s_points?\n")
+
+    # 12-point clouds under the desk defaults, whose 16-point patches no such cloud can fill
+    small = ["--out", str(tmp_path / "small")]
+    assert cli.main(["gen-data", *config(12), *small]) == 0
+    capsys.readouterr()
+    assert cli.main(["train-sampler", *small]) == 2
+    assert capsys.readouterr().err == refused("train", 12, 256)
+    # 64-point clouds under a 256-point config that every stage could otherwise run under
+    out = ["--out", str(tmp_path / "run")]
+    assert cli.main(["gen-data", *config(64), *out]) == 0
+    capsys.readouterr()
+    for stage in (["train-sampler"], ["train-ranker"], ["eval", "--ablation", "fps,random"]):
+        assert cli.main([*stage, *config(256), *out]) == 2
+        assert capsys.readouterr().err == refused("train", 64, 256)
+    # a test split of another size than its train split
+    shutil.copy(tmp_path / "small" / "data" / pipeline.TEST_DATASET, tmp_path / "run" / "data")
+    assert cli.main(["eval", *config(64), *out, "--ablation", "fps,random"]) == 2
+    assert capsys.readouterr().err == refused("test", 12, 64)
 
 
 def test_cli_stages_refuse_an_empty_train_split(tmp_path, capsys):

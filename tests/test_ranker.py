@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from micas import autodiff
+from micas import autodiff, geometry
 from micas.autodiff import ParamStore, Tape, affine, finite_diff_check, save_params
 from micas.errors import FormatError
 from micas.geometry import chamfer_distance, miou
+from micas.pipeline import LABEL_DRAWS
 from micas.ranker import (
     RankerConfig,
     build_candidate_pool,
@@ -492,6 +493,28 @@ def test_raw_performance_of_a_stack_equals_its_per_draw_values():
             assert one.shape == (1,) and values[d] == one[0], task
             if task != "partseg":
                 assert values[d] == chamfer_distance(stack[d], query.target.points), task
+
+
+def test_raw_performance_builds_one_tree_for_a_label_stack_and_two_for_one_draw(monkeypatch):
+    # a label's draws share the target's tree and neighbour table; evaluate's single draw keeps a tree per direction
+    built = []
+    real = geometry.cKDTree
+
+    def spy(pts, *args, **kwargs):
+        built.append(len(pts))
+        return real(pts, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cKDTree", spy)
+    rng = np.random.default_rng(19)
+    for i, task in enumerate(("reconstruction", "denoising", "registration")):
+        query = gen_pair(task, 1 + i, 64, 420 + i)
+        stack = query.target.points + rng.normal(0.0, 0.01, size=(LABEL_DRAWS, 64, 3))
+        built.clear()
+        raw_performance(task, stack, query)
+        assert built == [64], task
+        built.clear()
+        raw_performance(task, stack[:1], query)
+        assert built == [64, 64], task
 
 
 def test_normalizer_orientation_and_clamping():

@@ -233,9 +233,9 @@ def test_sampling_from_an_encoded_task_feature_equals_sample_inference():
         expect = sample_inference(store, CFG, q, p_in, p_out)
         # one recording pass with the encoding on the sampling tape, as training makes it
         whole = sample(store, q, p_in, p_out, CFG.tau_end, np.zeros((24, CFG.n_centers)))
-        for feature in (encode_task(Tape(record=False), store, p_in, p_out).value,
-                        encode_task(Tape(), store, p_in, p_out).value):
-            got = infer_from_task(store, CFG, q, feature)
+        for tape in (Tape(record=False), Tape()):
+            got = infer_from_task(store, CFG, q, encode_task(tape, store, p_in, p_out).value,
+                                  encode_points(tape, store, q).value)
             for res in (expect, whole):
                 assert np.array_equal(got.soft_query.value, res.soft_query.value)
                 assert np.array_equal(got.centers_query.value, res.centers_query.value)
