@@ -393,24 +393,70 @@ def row_sparse_maxpool(tape: Tape, store: ParamStore, prefix: str, blocks, hidde
     """`maxpool_segments` of the ReLU-capped MLP under `prefix` over each of `blocks`, recorded only on winning rows.
 
     A max-pool's gradient reaches only each column's first maximizer, so a
-    values pass runs each (n, C) block through `forward_mlp(...,
-    final="relu", hidden=hidden)` on a non-recording tape once. A recording
-    tape keeps each block's rows that first maximize a column (lowest row
-    on ties) in ascending order and records the same `forward_mlp` over the
-    stack of those rows and one pool; both passes run one function, so
-    they agree bit for bit. A non-recording tape gets the values pass's
-    maxima as a constant. Either way the result is a (B, width) node.
+    values pass, the tape-free kernel `_column_max`, runs each (n, C) block
+    through the MLP once. A recording tape keeps each block's rows that
+    first maximize a column (lowest row on ties) in ascending order and
+    records `forward_mlp(..., final="relu", hidden=hidden)` over the stack
+    of those rows and one pool. A non-recording tape gets the kernel's
+    maxima as a constant. Either way the result is a (B, width) node. The
+    kernel and `forward_mlp` are two codings of one MLP; that they agree
+    bit for bit is pinned by a test, not given by construction.
     """
-    free = Tape(record=False)
-
-    def values(x):
-        return forward_mlp(free, store, prefix, free.const(x), final="relu", hidden=hidden).value
-
     if not tape.record:
-        return tape.const(np.stack([values(x).max(axis=0) for x in blocks]))
-    kept = [x[np.flatnonzero(np.bincount(np.argmax(values(x), axis=0), minlength=len(x)))] for x in blocks]
+        return tape.const(np.stack(_column_max(store, prefix, blocks, hidden, first_rows=False)))
+    kept = [x[np.flatnonzero(np.bincount(rows, minlength=len(x)))]
+            for x, rows in zip(blocks, _column_max(store, prefix, blocks, hidden, first_rows=True))]
     chained = forward_mlp(tape, store, prefix, tape.const(np.vstack(kept)), final="relu", hidden=hidden)
     return tape.maxpool_segments(chained, np.cumsum([0] + [len(x) for x in kept[:-1]]))
+
+
+def _column_max(store: ParamStore, prefix: str, blocks, hidden: str, first_rows: bool) -> list[np.ndarray]:
+    """Per block, each column's first argmax row (first_rows) or max of `forward_mlp(..., final="relu")`.
+
+    A tape-free twin of `forward_mlp`, kept for speed. It reads each layer
+    once per call and runs each (n, C) block through the same `h @ w`
+    products and bias adds, in `forward_mlp`'s order, with the activations
+    in place. Buffers are allocated once per call and n: consecutive
+    layers of one width write in turn into two (n, C) outputs, which keeps
+    a call's buffers small, and when the call pools several blocks each
+    bias is tiled to n rows, since adding a whole array is faster than
+    broadcasting a row. Rows are found on a transposed copy of the output,
+    made in 64-row tiles, so that the argmax runs along the contiguous
+    axis; ties go to the lowest row. The products stay row-major: `w.T @
+    h.T` is another BLAS call, which rounds differently at some block sizes.
+    """
+    acts = {"relu": lambda h: np.maximum(h, 0.0, out=h), "tanh": lambda h: np.tanh(h, out=h)}
+    if hidden not in acts:
+        raise ValueError(f"unknown hidden activation {hidden!r}")
+    layers = []
+    while f"{prefix}.{len(layers)}.w" in store:
+        name = f"{prefix}.{len(layers)}"
+        layers.append((store[f"{name}.w"].value, store[f"{name}.b"].value))
+    if not layers:
+        raise ValueError(f"no layers found under prefix {prefix!r}")
+    if not len(blocks) or not all(len(x) for x in blocks):
+        raise ValueError("row_sparse_maxpool needs at least one block and no empty block")
+    buffers, out = {}, []
+    for x in blocks:
+        n = len(x)
+        if n not in buffers:
+            buffers[n] = ({c: np.empty((2, n, c)) for c in {w.shape[1] for w, _ in layers}},
+                          [np.tile(b, (n, 1)) if len(blocks) > 1 else b for _, b in layers],
+                          np.empty((layers[-1][0].shape[1], n)) if first_rows else None)
+        outputs, biases, transposed = buffers[n]
+        h = np.asarray(x, dtype=np.float64)
+        for i, ((w, _), bias) in enumerate(zip(layers, biases)):
+            if i:
+                acts[hidden](h)
+            h = np.add(np.matmul(h, w, out=outputs[w.shape[1]][i % 2]), bias, out=outputs[w.shape[1]][i % 2])
+        np.maximum(h, 0.0, out=h)
+        if not first_rows:
+            out.append(h.max(axis=0))
+            continue
+        for i in range(0, n, 64):
+            transposed[:, i : i + 64] = h[i : i + 64].T
+        out.append(transposed.argmax(axis=1))
+    return out
 
 
 # ---- optimization ----

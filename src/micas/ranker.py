@@ -79,15 +79,19 @@ def score_prompts(tape: Tape, store: ParamStore, queries, prompts) -> Node:
     within a cloud cannot change a score; all-zero parameters score 0.
 
     Each distinct (cloud, segment) block, told apart by array identity, is
-    pooled once per call by `autodiff.row_sparse_maxpool`; a recording tape
+    pooled once per call by `autodiff.row_sparse_maxpool`: its tape-free
+    values pass finds each block's column maxima, and a recording tape
     records the MLP only on each block's first column maximizers, the
-    lowest row on ties.
+    lowest row on ties. So a non-recording call makes the same number of
+    tape nodes for any K.
     """
     blocks = {}  # (id(cloud), segment) -> (block index, cloud, segment), in first-use order
     joint = np.array([[[blocks.setdefault((id(pts), seg), (len(blocks), pts, seg))[0]
                         for pts, seg in ((query, SEGMENT_QUERY), (p_in, SEGMENT_PROMPT_IN), (p_out, SEGMENT_PROMPT_OUT))]
                        for p_in, p_out in pairs] for query, pairs in zip(queries, prompts, strict=True)])
-    tagged = [np.hstack([pts, np.tile(np.eye(3)[seg], (len(pts), 1))]) for _, pts, seg in blocks.values()]
+    tagged = [np.zeros((len(pts), 6)) for _, pts, _ in blocks.values()]
+    for x, (_, pts, seg) in zip(tagged, blocks.values()):
+        x[:, :3], x[:, 3 + seg] = pts, 1.0
     pooled = autodiff.row_sparse_maxpool(tape, store, "score.point", tagged, "relu")
     rows = tape.maxpool_segments(tape.gather_rows(pooled, joint.ravel()), np.arange(0, joint.size, 3))
     head = tape.relu(_row_affine(tape, store, "score.h0", rows))

@@ -64,9 +64,10 @@ def encode_task(tape: Tape, store: ParamStore, prompt_in_pts, prompt_out_pts) ->
 
     Both clouds pass point-wise through a shared MLP and a row max-pool
     collapses the result, so the feature is invariant to point order.
-    The pool is `autodiff.row_sparse_maxpool` over one block, so a
-    recording tape records the MLP only on each column's first maximizer,
-    the lowest row on ties.
+    The pool is `autodiff.row_sparse_maxpool` over one block: its
+    tape-free values pass finds the column maxima, and a recording tape
+    records the MLP only on each column's first maximizer, the lowest row
+    on ties.
     """
     pts = np.vstack([np.asarray(prompt_in_pts, dtype=np.float64),
                      np.asarray(prompt_out_pts, dtype=np.float64)])

@@ -12,20 +12,20 @@ def spy_values_pass(monkeypatch):
     """Watch `autodiff.row_sparse_maxpool`'s values pass.
 
     spy_values_pass(prefix, record) returns a list that gets record(x) for each
-    block run through `forward_mlp` under `prefix` on a non-recording tape,
-    which is how the values pass runs every block, recording or not.
+    block that the tape-free values kernel `autodiff._column_max` runs under
+    `prefix`, which is how the values pass runs every block, recording or not.
     """
     from micas import autodiff
 
     def watch(prefix, record):
-        calls, real = [], autodiff.forward_mlp
+        calls, real = [], autodiff._column_max
 
-        def spy(tape, store, name, x, *args, **kwargs):
-            if not tape.record and name == prefix:
-                calls.append(record(x.value))
-            return real(tape, store, name, x, *args, **kwargs)
+        def spy(store, name, blocks, *args, **kwargs):
+            if name == prefix:
+                calls.extend(record(x) for x in blocks)
+            return real(store, name, blocks, *args, **kwargs)
 
-        monkeypatch.setattr(autodiff, "forward_mlp", spy)
+        monkeypatch.setattr(autodiff, "_column_max", spy)
         return calls
 
     return watch

@@ -9,6 +9,7 @@ from micas.autodiff import (
     ParamStore,
     Tape,
     _add_at,
+    _column_max,
     affine,
     cosine_lr,
     finite_diff_check,
@@ -16,6 +17,7 @@ from micas.autodiff import (
     init_affine,
     init_mlp,
     load_params,
+    row_sparse_maxpool,
     save_params,
     sgd_cosine_step,
 )
@@ -513,6 +515,48 @@ def test_grad_full_mlp():
         return t
 
     check(loss, store)
+
+
+def kernel_blocks(rng, width, n):
+    """Two (n, width) blocks: random rows, and rows drawn from a third as many, so every row has duplicates."""
+    pool = rng.normal(size=(max(1, n // 3), width))
+    return [rng.normal(size=(n, width)), pool[rng.integers(0, len(pool), size=n)]]
+
+
+def test_values_kernel_equals_forward_mlp_bit_for_bit():
+    # the ranker's point MLP and the sampler's task encoder, with nonzero biases; the last layer's
+    # column 5 has pre-activations -1 on every row, so all rows tie at 0 there and row 0 is kept
+    rng = np.random.default_rng(14)
+    for widths, hidden in (([6, 64, 64], "relu"), ([3, 64, 64, 64], "tanh")):
+        store = ParamStore()
+        init_mlp(store, "net", widths, rng)
+        for name in store.names():
+            if name.endswith(".b"):
+                store[name].value[...] = rng.normal(0.0, 0.5, size=store[name].value.shape)
+        last = len(widths) - 2
+        store[f"net.{last}.w"].value[:, 5], store[f"net.{last}.b"].value[5] = 0.0, -1.0
+        blocks = [block for n in (1, 2, 7, 64, 255, 256, 300, 512) for block in kernel_blocks(rng, widths[0], n)]
+        maxima = _column_max(store, "net", blocks, hidden, first_rows=False)
+        rows = _column_max(store, "net", blocks, hidden, first_rows=True)
+        for x, got_max, got_rows in zip(blocks, maxima, rows, strict=True):
+            t = Tape(record=False)
+            want = forward_mlp(t, store, "net", t.const(x), final="relu", hidden=hidden).value
+            assert np.array_equal(got_max, want.max(axis=0)), (hidden, len(x))
+            assert np.array_equal(got_rows, np.argmax(want, axis=0)), (hidden, len(x))
+            assert got_max[5] == 0.0 and got_rows[5] == 0
+        pooled = row_sparse_maxpool(Tape(record=False), store, "net", blocks, hidden)
+        assert np.array_equal(pooled.value, np.stack(maxima))
+
+
+def test_values_kernel_refusals():
+    store = ParamStore()
+    init_mlp(store, "net", [3, 4, 4], np.random.default_rng(15))
+    x = np.ones((5, 3))
+    for record in (True, False):
+        for prefix, blocks, hidden in (("net", [], "relu"), ("net", [x, x[:0]], "relu"), ("net", [x], "gelu"),
+                                       ("missing", [x], "relu")):
+            with pytest.raises(ValueError):
+                row_sparse_maxpool(Tape(record=record), store, prefix, blocks, hidden)
 
 
 def test_finite_diff_check_rejects_randomness():

@@ -373,6 +373,24 @@ def test_batch_pools_each_distinct_cloud_and_segment_once(spy_values_pass):
         assert sorted(values_pass) == sorted(seg for _, seg in blocks)
 
 
+def test_non_recording_scoring_makes_as_many_tape_nodes_for_any_k(monkeypatch):
+    # the values pass runs off the tape, so the node count does not grow with the number of distinct blocks
+    store = init_ranker_params(RankerConfig(), np.random.default_rng(140))
+    rng = np.random.default_rng(141)
+    counts, push = [], Tape._push
+
+    def counting(self, *args, **kwargs):
+        counts[-1] += 1
+        return push(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "_push", counting)
+    for k in (2, 8):
+        counts.append(0)
+        prompts = [(rng.uniform(size=(32, 3)), rng.uniform(size=(32, 3))) for _ in range(k)]
+        score_prompts(Tape(record=False), store, [rng.uniform(size=(32, 3))], [prompts])
+    assert counts[0] == counts[1]
+
+
 # ---- ranking loss ----
 
 def test_competition_ranks_cases():
