@@ -102,7 +102,7 @@ def _cmd_report(args) -> int:
 
 def _print_report(report: dict) -> None:
     print(f"variant: sampling={report['sampler_variant']} prompting={report['prompt_variant']} "
-          f"seed={report['seed']} profile={report['profile']}")
+          f"seed={report['seed']}")
     print(f"{'task':<16} {'level':>5} {'metric':>9} {'mean':>12} {'count':>6}")
     for task in sorted(report["cells"]):
         for level in sorted(report["cells"][task], key=int):

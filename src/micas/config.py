@@ -1,8 +1,9 @@
-"""Run configuration: profiles, config files, and the settings hash.
+"""Run configuration: the desk defaults, config files, and the settings hash.
 
-Config files are flat "key = value" text, one setting per line, with '#'
-comments. Unknown and repeated keys are rejected rather than ignored or
-overwritten, so typos cannot silently fall back to defaults.
+The defaults of RunConfig are the one operating point; a config file and
+--seed override them. Config files are flat "key = value" text, one setting
+per line, with '#' comments. Unknown and repeated keys are rejected rather
+than ignored or overwritten, so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .errors import ConfigurationError
 
 @dataclass
 class RunConfig:
-    profile: str = "desk"
     seed: int = 0
     # data geometry
     s_points: int = 256
@@ -49,8 +49,6 @@ class RunConfig:
     test_per_cell: int = 3
 
     def __post_init__(self):
-        if self.profile not in ("desk", "paper"):
-            raise ConfigurationError(f"unknown profile {self.profile!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in u64")
         for name, value in asdict(self).items():
@@ -87,47 +85,13 @@ class RunConfig:
 
 def desk_profile(**overrides) -> RunConfig:
     """Small sizes that train and evaluate in minutes on one core."""
-    return RunConfig(**{"profile": "desk", **overrides})
-
-
-def paper_profile(**overrides) -> RunConfig:
-    """The published operating point; heavy, intended for real hardware."""
-    values = dict(
-        profile="paper",
-        s_points=1024,
-        n_centers=64,
-        m_neighbors=32,
-        sampler_epochs=60,
-        sampler_batch=72,
-        sampler_lr0=1e-4,
-        sampler_lr_min=1e-6,
-        ranker_epochs=30,
-        ranker_batch=9,
-        ranker_lr0=1e-5,
-        ranker_lr_min=1e-6,
-        k_candidates=8,
-        alpha=0.5,
-        mask_ratio=0.6,
-        train_per_cell=64,
-        test_per_cell=16,
-    )
-    values.update(overrides)
-    return RunConfig(**values)
-
-
-def profile_config(name: str, **overrides) -> RunConfig:
-    if name == "desk":
-        return desk_profile(**overrides)
-    if name == "paper":
-        return paper_profile(**overrides)
-    raise ConfigurationError(f"unknown profile {name!r}")
+    return RunConfig(**overrides)
 
 
 def parse_config_text(text: str) -> RunConfig:
-    """Parse flat key = value lines on top of the profile a `profile` line names, else desk; a key may appear once."""
-    values: dict[str, object] = {}
+    """Parse flat key = value lines on top of the desk defaults; a key may appear once."""
+    merged = asdict(RunConfig())
     first_line: dict[str, int] = {}
-    field_types = {f.name: f.type for f in fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,30 +99,25 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in field_types:
+        if key not in merged:
             raise ConfigurationError(f"line {lineno}: unknown setting {key!r}")
         if key in first_line:
             raise ConfigurationError(f"line {lineno}: {key!r} is already set on line {first_line[key]}")
         first_line[key] = lineno
-        values[key] = value
-    merged = asdict(profile_config(str(values.pop("profile", "desk"))))
-    for key, value in values.items():
-        current = merged[key]
         try:
-            if isinstance(current, int):
-                merged[key] = int(str(value))
-            elif isinstance(current, float):
-                merged[key] = float(str(value))
-            else:
-                merged[key] = str(value)
+            merged[key] = type(merged[key])(value)  # every setting is an int or a float
         except ValueError as exc:
             raise ConfigurationError(f"bad value for {key!r}: {value!r}") from exc
     return RunConfig(**merged)
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """The config file at `path`; its ConfigurationErrors, an undecodable file's included, start with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config_text(fh.read())
+    except (ConfigurationError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def config_text(cfg: RunConfig) -> str:

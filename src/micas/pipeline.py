@@ -494,7 +494,6 @@ def evaluate(cfg: RunConfig, test_pairs, train_pairs, sampler_art=None, ranker_a
     total = sum(r.get("outlier_total", 0) for r in rows)
     report = {
         "schema": REPORT_SCHEMA,
-        "profile": cfg.profile,
         "seed": cfg.seed,
         "config_sha256": config_hash(cfg),
         "sampler_variant": sampler_variant,
@@ -534,7 +533,7 @@ def load_report(path) -> dict:
     report = geometry.read_json(path, f"report {path}")
     if report.get("schema") != REPORT_SCHEMA:
         raise FormatError(f"{path} is not a {REPORT_SCHEMA} report")
-    for key in ("sampler_variant", "prompt_variant", "seed", "profile", "cells", "tasks"):
+    for key in ("sampler_variant", "prompt_variant", "seed", "cells", "tasks"):
         if key not in report:
             raise FormatError(f"report {path} lacks field {key!r}")
 

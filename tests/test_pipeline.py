@@ -5,7 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +23,6 @@ from micas.config import (
     config_text,
     desk_profile,
     load_config,
-    paper_profile,
     parse_config_text,
 )
 from micas.errors import ConfigurationError, FormatError
@@ -671,11 +670,20 @@ def test_report_equal_semantics():
 
 def test_parse_config_overrides_and_comments():
     cfg = parse_config_text("s_points = 64  # inline\n\n# full line\ntau_start = 0.8\n")
-    assert cfg.s_points == 64 and cfg.tau_start == 0.8
-    assert cfg.profile == "desk"
-    cfg = parse_config_text("profile = paper\nseed = 9\n")
-    assert cfg.profile == "paper" and cfg.s_points == paper_profile().s_points
-    assert cfg.seed == 9
+    assert cfg == desk_profile(s_points=64, tau_start=0.8)
+    assert parse_config_text("seed = 9\n") == desk_profile(seed=9)
+
+
+def test_config_text_round_trips():
+    # every field off its default, float rates with a short decimal form included
+    changed = RunConfig(
+        seed=2**64 - 1, s_points=128, n_centers=8, m_neighbors=12, d1=32, d2=48, sampler_width=40,
+        surrogate_width=24, ranker_width=16, tau_start=0.9, tau_end=0.15, alpha=0.25, mask_ratio=0.3,
+        sampler_epochs=7, sampler_batch=3, sampler_lr0=0.015, sampler_lr_min=1e-05, ranker_epochs=5,
+        ranker_batch=2, ranker_lr0=0.07, ranker_lr_min=0.003, k_candidates=5, train_per_cell=3, test_per_cell=2)
+    assert all(getattr(changed, name) != value for name, value in asdict(desk_profile()).items())
+    for cfg in (desk_profile(), changed):
+        assert parse_config_text(config_text(cfg)) == cfg
 
 
 def test_parse_config_rejections():
@@ -687,8 +695,6 @@ def test_parse_config_rejections():
         parse_config_text("s_points = many\n")
     with pytest.raises(ConfigurationError, match=r"line 3: 'seed' is already set on line 1"):
         parse_config_text("seed = 3\n# the same key again\nseed = 5\n")
-    with pytest.raises(ConfigurationError, match="'profile'"):
-        parse_config_text("profile = desk\nprofile = desk\n")
 
 
 def test_config_validation_errors():
@@ -704,8 +710,8 @@ def test_config_validation_errors():
         RunConfig(k_candidates=1)
     with pytest.raises(ConfigurationError):
         RunConfig(sampler_lr0=0.01, sampler_lr_min=0.1)
-    with pytest.raises(ConfigurationError):
-        RunConfig(profile="laptop")
+    with pytest.raises(ConfigurationError, match="line 1: unknown setting 'profile'"):
+        parse_config_text("profile = desk\n")
     for name in ("sampler_epochs", "ranker_epochs"):
         with pytest.raises(ConfigurationError, match=name):
             RunConfig(**{name: 1})
@@ -865,18 +871,17 @@ def test_cli_stages_refuse_an_empty_train_split(tmp_path, capsys):
         assert capsys.readouterr().err == "error: the train split holds no pairs\n"
 
 
-def test_cli_profile_is_the_config_file_else_desk(tmp_path, capsys):
-    paper, tiny = tmp_path / "paper.cfg", tmp_path / "tiny.cfg"
-    paper.write_text("profile = paper\n")
+def test_cli_config_is_the_file_else_desk_and_seed_overrides_it(tmp_path, capsys):
+    tiny = tmp_path / "tiny.cfg"
     tiny.write_text(TINY_CONFIG_TEXT)
 
     def build(*argv):
         return cli._build_config(cli.build_parser().parse_args(["gen-data", *argv]))
 
-    assert build("--config", str(paper)) == paper_profile()
-    assert build("--config", str(paper), "--seed", "5") == paper_profile(seed=5)
     assert build() == desk_profile()
+    assert build("--seed", "5") == desk_profile(seed=5)
     assert build("--config", str(tiny)) == TINY
+    assert build("--config", str(tiny), "--seed", "5") == replace(TINY, seed=5)
     with pytest.raises(SystemExit) as refused:
         cli.main(["gen-data", "--profile", "paper", "--out", str(tmp_path / "run")])
     assert refused.value.code == 2
@@ -887,14 +892,18 @@ def test_cli_report_refuses_a_report_that_lacks_a_field(tmp_path, capsys):
     path = tmp_path / "report.json"
     report = {"schema": pipeline.REPORT_SCHEMA}
     for field, value in (("sampler_variant", "fps"), ("prompt_variant", "random"), ("seed", 0),
-                         ("profile", "desk"), ("cells", {}), ("tasks", {})):
+                         ("cells", {}), ("tasks", {})):
         path.write_text(json.dumps(report))
         assert cli.main(["report", str(path)]) == 2
         assert capsys.readouterr().err == f"error: report {path} lacks field {field!r}\n"
         report[field] = value
     path.write_text(json.dumps(report))
     assert cli.main(["report", str(path)]) == 0
-    assert capsys.readouterr().out.startswith("variant: sampling=fps prompting=random seed=0 profile=desk\n")
+    assert capsys.readouterr().out.startswith("variant: sampling=fps prompting=random seed=0\n")
+    # a report written while reports still named a profile loads as it is
+    path.write_text(json.dumps({**report, "profile": "desk"}))
+    assert cli.main(["report", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("variant: sampling=fps prompting=random seed=0\n")
     for edit, message in (
             ({"cells": {"denoising": {"2": {}}}}, "task 'denoising' level 2 lacks field 'metric'"),
             ({"cells": {"denoising": {"2": {"metric": "cd_x1000", "count": 3}}}},
@@ -1021,7 +1030,15 @@ def test_checkpoints_independent_of_blas_threads(tmp_path):
         assert (tmp_path / "unset" / checkpoint).read_bytes() == (tmp_path / "one" / checkpoint).read_bytes()
 
 
-def test_cli_rejects_bad_config_value(tmp_path):
+def test_cli_rejects_bad_config_value(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("n_centers = 4096\n")
-    assert cli.main(["gen-data", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+    for content, reason in (
+            (b"n_centers = 4096\n", "n_centers and m_neighbors cannot exceed s_points"),
+            (b"s_points = many\n", "bad value for 's_points': 'many'"),
+            (b"seed = 3\nbogus = 1\n", "line 2: unknown setting 'bogus'"),
+            (b"profile = desk\n", "line 1: unknown setting 'profile'"),
+            (b"\xffseed = 3\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")):
+        cfg_file.write_bytes(content)
+        assert cli.main(["gen-data", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_file}: {reason}\n"
+    assert not (tmp_path / "x").exists()
