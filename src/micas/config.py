@@ -107,7 +107,7 @@ def parse_config_text(text: str) -> RunConfig:
         try:
             merged[key] = type(merged[key])(value)  # every setting is an int or a float
         except ValueError as exc:
-            raise ConfigurationError(f"bad value for {key!r}: {value!r}") from exc
+            raise ConfigurationError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
     return RunConfig(**merged)
 
 

@@ -4,36 +4,37 @@ Coordinates are float64 arrays of shape (S, 3) throughout. Identical
 inputs always produce identical outputs. Farthest-point and k-nearest
 queries break exact ties toward the lowest point index.
 
-Chamfer nearest-neighbor queries follow one kernel policy, chosen by
-what is being matched:
+Every nearest-neighbour search is exact brute force, and exact ties go
+to the lowest index. How the pairs are formed depends on what is matched:
 
 * patch sets, a (P, M, 3) stack against a (P, L, 3) stack of small
-  sets (chamfer_nearest_patches): brute force over every pair of one
-  patch, all patches in one array pass; exact ties go to the lowest
-  index;
-* clouds, one (n, 3) set against another (chamfer_nearest): a cKDTree
-  per direction; exact ties go to an index attaining the minimum, not
-  necessarily the lowest one;
+  sets (chamfer_nearest_patches): every pair of one patch, all patches
+  in one array pass;
+* clouds, one (n, 3) set against another (chamfer_nearest): _nearest
+  per direction, which screens all pairs by one matrix product and
+  computes exactly only the pick of each row and the rows the screen
+  cannot decide;
 * a stack of clouds against one shared cloud, a (D, S, 3) stack against
-  an (n, 3) set (chamfer_distance_stack): one cKDTree for the shared set.
-  Several sets of its size, such as a label's oracle draws, are matched
-  through its table of TABLE_NEIGHBOURS nearest neighbours per point
-  (_matched_nearest); one set, or sets of another size, query the tree
-  with every set's points in one call and build one tree per set for
-  the reverse direction. Each value equals chamfer_distance's bit for
-  bit.
+  an (n, 3) set (chamfer_distance_stack). Several sets of its size, such
+  as a label's oracle draws, are matched through its table of
+  TABLE_NEIGHBOURS nearest neighbours per point (_matched_nearest); one
+  set, or sets of another size, go through _nearest both ways. Each
+  value equals chamfer_distance's bit for bit.
 
-The two trees of a cloud query cost about as much as brute force at
-16 x 256 points and three to four times more at 16 x 16, while brute
-force is about seven times slower at 256 x 256. So only patch stacks
-are brute-forced: a whole stack of them costs one array pass. Every
-differentiable Chamfer is one (the sampler's 16 x 256 center coverage
-is a one-patch stack), so chamfer_nearest's tie choice reaches no
-gradient: the trees serve only the oracle's and the labels' values.
-For a label's 16 draws of 256 points, the neighbour table took about
-2 ms against 4.3 to 4.7 ms for a tree per set (one core, scipy 1.17).
-For a single draw the table query alone took 0.40 ms against 0.36 ms
-for both trees, so one set keeps the trees.
+Every distance is summed coordinates first, (dx² + dy²) + dz², so the
+same pair gives the same bits on every path. Every differentiable
+Chamfer is a patch stack (the sampler's 16 x 256 center coverage is a
+one-patch stack). The cost of _nearest is quadratic in the point count.
+Per chamfer_nearest on uniform random clouds (one core of a 2-core x86
+machine, numpy 2.4, one OpenBLAS thread) it took 0.20 ms against 0.27 to
+0.29 ms for scipy 1.17's KD-trees, one per direction, at 256 points;
+0.74 against 0.61 ms at 512, 3.1 to 3.6 against 1.4 ms at 1,024 and 17.6
+against 3.1 to 3.4 ms at 2,048. So above about 500 points the trees
+would be faster. Every desk run and benchmark workload uses 256. A cloud
+of exactly repeated points, such as a partseg target (its points encode
+part labels), leaves every row to the exact fallback: 2.3 ms against
+0.23 ms for 64 points four times over. No stage matches such clouds by
+Chamfer.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import FormatError
 
@@ -105,14 +105,11 @@ def chamfer_nearest(a, b):
     Returns:
         (d2_ab, idx_ab, d2_ba, idx_ba) where d2_ab[i] is the squared
         distance from a[i] to its nearest point in b and idx_ab[i] is that
-        point's index (on exact ties, an index attaining the minimum,
-        identical for identical inputs), and symmetrically for the b-to-a
-        direction.
+        point's index (the lowest one on exact ties), and symmetrically for
+        the b-to-a direction.
     """
     pa, pb = as_points(a), as_points(b)
-    d_ab, idx_ab = cKDTree(pb).query(pa)
-    d_ba, idx_ba = cKDTree(pa).query(pb)
-    return d_ab**2, idx_ab, d_ba**2, idx_ba
+    return (*_nearest(pa, pb), *_nearest(pb, pa))
 
 
 def _as_patch_stack(obj) -> np.ndarray:
@@ -140,7 +137,7 @@ def chamfer_nearest_patches(a, b):
     pa, pb = _as_patch_stack(a), _as_patch_stack(b)
     if pa.shape[0] != pb.shape[0]:
         raise ValueError(f"patch counts differ: {pa.shape[0]} vs {pb.shape[0]}")
-    d2 = np.sum((pa[:, :, None, :] - pb[:, None, :, :]) ** 2, axis=3)
+    d2 = _sq_dist(pa.transpose(2, 0, 1)[:, :, :, None], pb.transpose(2, 0, 1)[:, :, None, :])
     idx_ab = np.argmin(d2, axis=2)  # argmin returns the first (lowest) minimizer
     idx_ba = np.argmin(d2, axis=1)
     return d2.min(axis=2), idx_ab, d2.min(axis=1), idx_ba
@@ -162,58 +159,120 @@ def chamfer_distance_stack(stack, b) -> np.ndarray:
     """chamfer_distance of every set of a (D, S, 3) stack against one set b.
 
     Returns the D divergences; entry d equals chamfer_distance(stack[d], b)
-    bit for bit. The tree over b is built once. Several sets of b's size,
-    such as noisy copies of b, are matched through b's neighbour table;
-    one set, or sets of another size, through one more tree per set.
+    bit for bit. Several sets of b's size, such as noisy copies of b, are
+    matched through b's neighbour table; one set, or sets of another size,
+    by the exact kernel in both directions.
     """
     pa, pb = _as_patch_stack(stack), as_points(b)
-    tree = cKDTree(pb)
-    if len(pa) > 1 and pa.shape[1] == len(pb):
-        d2_ab, d2_ba = _matched_nearest(pa, pb, tree)
+    if len(pa) > 1 and pa.shape[1] == len(pb) > TABLE_NEIGHBOURS:
+        d2_ab, d2_ba = _matched_nearest(pa, pb)
     else:
-        d2_ab = (tree.query(pa.reshape(-1, 3))[0] ** 2).reshape(pa.shape[:2])
-        d2_ba = np.stack([cKDTree(pts).query(pb)[0] ** 2 for pts in pa])
+        d2_ab = _nearest(pa.reshape(-1, 3), pb)[0].reshape(pa.shape[:2])
+        d2_ba = np.stack([_nearest(pb, pts)[0] for pts in pa])
     return d2_ab.mean(axis=1) + d2_ba.mean(axis=1)
 
 
 TABLE_NEIGHBOURS = 8  # neighbours per point of b's table in _matched_nearest, besides the point itself
+BLOCK_ROWS = 1024  # rows of x screened at once by _nearest
 
 
 def _sq_dist(u, v) -> np.ndarray:
-    """Squared distances between broadcast (3, ...) coordinate arrays, summed as cKDTree sums them."""
-    diff = u - v
-    return (diff[0] ** 2 + diff[1] ** 2) + diff[2] ** 2
+    """Squared distances between broadcast (3, ...) coordinate arrays, coordinates first: (dx² + dy²) + dz²."""
+    return _sq_sum(u - v)
 
 
-def _matched_nearest(pa, pb, tree):
-    """Squared nearest distances of a (D, S, 3) stack against b, S = len(b): (D, S) arrays, set to b and b to set.
+def _sq_sum(diff) -> np.ndarray:
+    """(dx² + dy²) + dz² of a (3, ...) array of coordinate differences, summed in place in `diff`.
 
-    x = pa[d, i] is matched among the table's neighbours of b[i], and b[j]
-    among the points pa[d, i] whose i is a table neighbour of j. Every b[m]
-    outside the table of i lies at least i's reach R_i from b[i], so by the
-    triangle inequality the candidate minimum is the true one when it is
-    at most R_i - |x - b[i]| (set to b) or R_j - max_i |pa[d, i] - b[i]|
-    (b to set), less a margin of 1e-9 R for rounding. Points that fail
-    the test are matched by the tree (set to b) or against the whole set
-    (b to set). Distances are summed as cKDTree sums them, rooted and
-    squared as the trees' are, and returned C-contiguous, so each row's
-    mean sums in chamfer_distance's order.
+    A fresh array per term made the label pass's (3, 16, 9, 256) call about
+    four times slower (0.9 against 0.2 ms).
     """
-    reach, near = tree.query(pb, TABLE_NEIGHBOURS + 1)
-    # A b smaller than the table pads each row with index len(b) at infinite reach: every point is a
-    # candidate, and the infinite slack clears them all.
-    near = np.where(near < len(pb), near, near[:, :1]).T  # (k + 1, S)
-    slack = reach[:, -1] * (1.0 - 1e-9)
+    diff *= diff
+    diff[0] += diff[1]
+    diff[0] += diff[2]
+    return diff[0]
+
+
+def _screen(x, y):
+    """Augmented coordinates xa (n, 5) and ya (m, 5), and a bound tol on the rounding of their product.
+
+    (xa @ ya.T)[i, j] = |x[i]|² - 2 x[i]·y[j] + |y[j]|² is the squared distance
+    from x[i] to y[j], expanded into one matrix product. Its terms add up to
+    at most 2 (max|x|² + max|y|²) in magnitude, so in any summation order it
+    differs from the distance _sq_dist computes by less than about 1e-14
+    times that scale, far inside tol = 1e-12 (1 + max|x|² + max|y|²).
+    """
+    sx, sy = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
+    xa = np.column_stack([-2.0 * x, sx, np.ones(len(x))])
+    ya = np.column_stack([y, np.ones(len(y)), sy])
+    return xa, ya, 1e-12 * (1.0 + sx.max(initial=0.0) + sy.max(initial=0.0))  # x may have no rows
+
+
+def _nearest(x, y):
+    """For each row of x, the squared distance to its nearest row of y and that row's index: ((n,), (n,)).
+
+    Exact brute force, ties to the lowest index. Blocks of BLOCK_ROWS rows
+    are screened by _screen's product, so scratch memory is linear in
+    len(y). A row's argmin is certain when every other entry of its row is
+    more than 2 tol above it, since no entry is off by more than tol; the
+    other rows are redone over all of y with _sq_dist, vectorised over
+    those rows. The distance to the pick is _sq_dist's, rooted and squared:
+    the stored labels and reports were computed in that form, and the
+    square of a root can differ from the raw sum in the last bit.
+    """
+    xa, ya, tol = _screen(x, y)
+    xt, yt = x.T, y.T
+    idx = np.empty(len(x), dtype=np.intp)
+    for start in range(0, len(x), BLOCK_ROWS):
+        screen = xa[start : start + BLOCK_ROWS] @ ya.T
+        rows = np.arange(len(screen))
+        pick = screen.argmin(axis=1)  # argmin returns the first (lowest) minimizer
+        low = screen[rows, pick]
+        screen[rows, pick] = np.inf  # leaves each row's second smallest entry as its minimum
+        unsure = np.flatnonzero(screen[rows, screen.argmin(axis=1)] <= low + 2.0 * tol)
+        if len(unsure):
+            pick[unsure] = _sq_dist(xt[:, start + unsure, None], yt[:, None, :]).argmin(axis=1)
+        idx[start : start + len(pick)] = pick
+    return np.sqrt(_sq_dist(xt, yt[:, idx])) ** 2, idx
+
+
+def _matched_nearest(pa, pb):
+    """Squared nearest distances of a (D, S, 3) stack against b, S = len(b) > TABLE_NEIGHBOURS: (D, S) arrays, set to
+    b and b to set.
+
+    b's table holds, per point, the TABLE_NEIGHBOURS + 1 smallest entries of
+    its _screen row against b. Every b[m] outside the table of i screens at
+    least the largest kept entry, so it lies at least i's reach R_i = sqrt(
+    max(largest kept - tol, 0)) from b[i], a bound that holds also for a
+    point left out of its own table by duplicates. x = pa[d, i] is matched
+    among the table's neighbours of b[i], and b[j] among the points pa[d, i]
+    whose i is a table neighbour of j. By the triangle inequality the
+    candidate minimum is the true one when it is at most R_i - |x - b[i]|
+    (set to b) or R_j - max_i |pa[d, i] - b[i]| (b to set), less a margin of
+    1e-9 R for rounding. Points that fail the test are matched by _nearest
+    (set to b) or against the whole set (b to set). Distances are _sq_dist's,
+    rooted and squared as _nearest's are, and returned C-contiguous, so each
+    row's mean sums in chamfer_distance's order.
+    """
+    xa, ya, tol = _screen(pb, pb)
+    screen = xa @ ya.T
+    near = np.argpartition(screen, TABLE_NEIGHBOURS, axis=1)[:, : TABLE_NEIGHBOURS + 1]
+    largest = np.take_along_axis(screen, near[:, -1:], axis=1)[:, 0]  # the partition's pivot, position k
+    slack = np.sqrt(np.maximum(largest - tol, 0.0)) * (1.0 - 1e-9)
+    near = near.T  # (k + 1, S)
     xt, bt = np.ascontiguousarray(pa.transpose(2, 0, 1)), pb.T  # coordinates first: (3, D, S) and (3, S)
     offset = np.sqrt(_sq_dist(xt, bt[:, None, :]))  # |pa[d, i] - b[i]|
     d_ab = np.sqrt(_sq_dist(xt[:, :, None, :], bt[:, None, near]).min(axis=1))
     uncleared = d_ab > slack - offset
-    d_ab[uncleared] = tree.query(pa[uncleared])[0]
-    d_ba = np.sqrt(_sq_dist(bt[:, None, None, :], np.take(xt, near, axis=2)).min(axis=1))
+    d2_ab = d_ab**2
+    d2_ab[uncleared] = _nearest(pa[uncleared], pb)[0]
+    candidates = np.take(xt, near, axis=2)  # (3, D, k + 1, S): the points pa[d, i] whose i is a neighbour of j
+    candidates -= bt[:, None, None, :]
+    d_ba = np.sqrt(_sq_sum(candidates).min(axis=1))
     uncleared = d_ba > slack - offset.max(axis=1, keepdims=True)
     for d in np.flatnonzero(uncleared.any(axis=1)):
         d_ba[d, uncleared[d]] = np.sqrt(_sq_dist(bt[:, uncleared[d], None], xt[:, d, None, :]).min(axis=1))
-    return np.ascontiguousarray(d_ab**2), np.ascontiguousarray(d_ba**2)
+    return d2_ab, np.ascontiguousarray(d_ba**2)
 
 
 def fps_select(cloud, n: int) -> np.ndarray:
@@ -227,11 +286,12 @@ def fps_select(cloud, n: int) -> np.ndarray:
     if not 1 <= n <= s:
         raise ValueError(f"n must be in [1, {s}], got {n}")
     chosen = np.zeros(n, dtype=np.int64)
-    min_d2 = np.sum((pts - pts[0]) ** 2, axis=1)
+    pt = np.ascontiguousarray(pts.T)
+    min_d2 = _sq_dist(pt, pt[:, :1])
     for k in range(1, n):
         nxt = int(np.argmax(min_d2))  # argmax returns the first (lowest) maximizer
         chosen[k] = nxt
-        np.minimum(min_d2, np.sum((pts - pts[nxt]) ** 2, axis=1), out=min_d2)
+        np.minimum(min_d2, _sq_dist(pt, pt[:, nxt, None]), out=min_d2)
     return chosen
 
 
@@ -246,7 +306,7 @@ def knn_patches(cloud, centers, m: int) -> np.ndarray:
     ctr = as_points(centers)
     if not 1 <= m <= len(pts):
         raise ValueError(f"m must be in [1, {len(pts)}], got {m}")
-    d2 = np.sum((ctr[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    d2 = _sq_dist(ctr.T[:, :, None], pts.T[:, None, :])
     order = np.argsort(d2, axis=1, kind="stable")[:, :m]
     return pts[order]
 

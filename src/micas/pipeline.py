@@ -288,8 +288,8 @@ def pseudo_label_raw(oracle: OracleModel, query: TaskPair, prompt: TaskPair, rng
     the draw, so both are computed once per label: one oracle_predict call
     returns all LABEL_DRAWS noisy predictions as one stack, and one
     raw_performance call scores it. Every draw is a noisy copy of the same
-    query target, so a Chamfer task matches all of them through one tree
-    and neighbour table of that target. Through `adaptive_centers_fn`, a
+    query target, so a Chamfer task matches all of them through one
+    neighbour table of that target. Through `adaptive_centers_fn`, a
     query's points are encoded once for all of its candidates, which
     train_ranker labels in a row.
     """

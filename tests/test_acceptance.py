@@ -118,7 +118,7 @@ def test_criterion_1_chamfer_matches_brute_force():
         worst = max(worst, abs(chamfer_distance(a, b) - brute))
     elapsed = time.time() - started
     ok = worst <= 1e-9 and elapsed < 10.0
-    announce("1", ok, f"max |kd-tree - brute| = {worst:.2e} (tol 1e-9), {elapsed:.1f}s")
+    announce("1", ok, f"max |kernel - brute| = {worst:.2e} (tol 1e-9), {elapsed:.1f}s")
     assert worst <= 1e-9
     assert elapsed < 10.0
 

@@ -29,6 +29,14 @@ def chamfer_brute(a, b):
     return d2.min(axis=1).mean() + d2.min(axis=0).mean()
 
 
+def brute_nearest(a, b):
+    """For each row of a, the squared distance to its nearest row of b, rooted and squared, and the lowest index
+    attaining it: one (|a|, |b|) matrix summed over coordinates in order."""
+    d2 = sum((a[:, None, k] - b[None, :, k]) ** 2 for k in range(3))
+    idx = d2.argmin(axis=1)  # argmin returns the first (lowest) minimizer
+    return np.sqrt(d2[np.arange(len(a)), idx]) ** 2, idx
+
+
 def random_cloud(rng, max_s=128):
     s = int(rng.integers(1, max_s + 1))
     return rng.uniform(-2.0, 2.0, size=(s, 3))
@@ -56,18 +64,55 @@ def test_chamfer_scales_quadratically():
 
 
 def test_chamfer_nearest_tie_index_attains_the_minimum_and_repeats():
-    # every point three times over, shuffled: most queries tie among three indices
+    # every point three times over, shuffled: most queries tie among three indices, and the lowest one wins
     rng = np.random.default_rng(4)
     base = rng.uniform(size=(40, 3))
     cloud = np.tile(base, (3, 1))[rng.permutation(120)]
     queries = np.vstack([base, rng.uniform(size=(160, 3))])
     d2_ab, idx_ab, d2_ba, idx_ba = chamfer_nearest(queries, cloud)
     brute = ((queries[:, None, :] - cloud[None, :, :]) ** 2).sum(axis=2)
-    assert np.array_equal(brute[np.arange(200), idx_ab], brute.min(axis=1))
+    assert np.array_equal(idx_ab, brute.argmin(axis=1))
     assert np.allclose(d2_ab, brute.min(axis=1), rtol=0.0, atol=1e-12)
-    assert np.array_equal(brute[idx_ba, np.arange(120)], brute.min(axis=0))
+    assert np.array_equal(idx_ba, brute.argmin(axis=0))
+    assert (brute[:40] == 0.0).sum() == 120  # the first 40 queries do tie three ways
     again = chamfer_nearest(queries, cloud)
     assert np.array_equal(again[1], idx_ab) and np.array_equal(again[3], idx_ba)
+
+
+def test_chamfer_nearest_equals_brute_force_bit_for_bit():
+    rng = np.random.default_rng(8)
+    grid = lambda n: rng.integers(0, 4, size=(n, 3)) / 3.0  # 4 levels per coordinate: many exact ties
+    base = rng.uniform(size=(50, 3))
+    tripled = np.tile(base, (3, 1))[rng.permutation(150)]
+    pairs = [(random_cloud(rng), random_cloud(rng)) for _ in range(20)]
+    pairs += [(grid(int(rng.integers(1, 100))), grid(int(rng.integers(1, 100)))) for _ in range(20)]
+    pairs += [(tripled, tripled), (base, tripled), (rng.uniform(size=(60, 3)), tripled)]
+    pairs += [(1e3 + rng.uniform(size=(200, 3)), 1e3 + rng.uniform(size=(256, 3))),
+              (1e3 + base, 1e3 + base + rng.normal(0.0, 1e-3, size=base.shape))]
+    pairs += [(rng.uniform(size=(m, 3)), rng.uniform(size=(n, 3)))
+              for m, n in ((1, 1), (1, 40), (40, 1), (16, 256), (256, 256), (1500, 200))]  # 1500 > BLOCK_ROWS
+    pairs.append((grid(1500), grid(64)))  # ties decided exactly past the first block
+    for a, b in pairs:
+        d2_ab, idx_ab, d2_ba, idx_ba = chamfer_nearest(a, b)
+        ref_ab, ref_idx_ab = brute_nearest(a, b)
+        ref_ba, ref_idx_ba = brute_nearest(b, a)
+        assert d2_ab.tobytes() == ref_ab.tobytes() and d2_ba.tobytes() == ref_ba.tobytes()
+        assert np.array_equal(idx_ab, ref_idx_ab) and np.array_equal(idx_ba, ref_idx_ba)
+
+
+def test_chamfer_nearest_decides_candidates_the_expanded_form_cannot_tell_apart():
+    # Each query has two candidates 0.01 away, one of them farther by about 2e-14 in squared distance. Far from the
+    # origin, |x|^2 - 2 x.y + |y|^2 rounds by about 1e-9 and cannot order them; the exact distances can.
+    rng = np.random.default_rng(9)
+    x = 1e3 + rng.uniform(size=(200, 3))
+    step = 0.01 + rng.choice([-1e-12, 1e-12], size=200)
+    b = np.vstack([x + [0.01, 0.0, 0.0], x + np.outer(step, [0.0, 1.0, 0.0])])
+    expanded = (x * x).sum(axis=1)[:, None] - 2.0 * x @ b.T + (b * b).sum(axis=1)
+    d2, idx, _, _ = chamfer_nearest(x, b)
+    ref, ref_idx = brute_nearest(x, b)
+    assert (expanded.argmin(axis=1) != ref_idx).any()
+    assert d2.tobytes() == ref.tobytes() and np.array_equal(idx, ref_idx)
+    assert set(ref_idx % 200) == set(range(200)) and (ref_idx >= 200).any() and (ref_idx < 200).any()
 
 
 def test_chamfer_rejects_bad_shapes():
@@ -79,10 +124,13 @@ def test_chamfer_rejects_bad_shapes():
         chamfer_distance(np.array([[np.nan, 0.0, 0.0]]), np.zeros((3, 3)))
 
 
-def test_chamfer_nearest_patches_matches_per_patch_trees():
+def test_chamfer_nearest_patches_matches_chamfer_nearest_per_patch():
     rng = np.random.default_rng(5)
-    for p, m, l in ((1, 1, 1), (10, 16, 16), (3, 5, 9), (4, 16, 2)):
-        a, b = rng.uniform(-0.2, 1.2, size=(p, m, 3)), rng.uniform(-0.2, 1.2, size=(p, l, 3))
+    cases = [(rng.uniform(-0.2, 1.2, size=(p, m, 3)), rng.uniform(-0.2, 1.2, size=(p, l, 3)))
+             for p, m, l in ((1, 1, 1), (10, 16, 16), (3, 5, 9), (4, 16, 2))]
+    cases.append((rng.integers(0, 3, size=(5, 12, 3)) / 2.0, rng.integers(0, 3, size=(5, 20, 3)) / 2.0))  # ties
+    for a, b in cases:
+        p, m, l = a.shape[0], a.shape[1], b.shape[1]
         d2_ab, idx_ab, d2_ba, idx_ba = chamfer_nearest_patches(a, b)
         assert d2_ab.shape == idx_ab.shape == (p, m) and d2_ba.shape == idx_ba.shape == (p, l)
         for i in range(p):
@@ -136,18 +184,19 @@ def test_chamfer_distance_stack_equals_chamfer_distance_per_set():
     ]
     # Noisy copies of b go through b's neighbour table when there are several: all ties at sigma 0, points
     # the triangle bound leaves to the fallback (mostly, at sigma 2), more than TABLE_NEIGHBOURS copies of
-    # one point, and sets with fewer points than the table.
+    # one point, coordinates far from the origin, the smallest b that has a table and sets too small for one.
     cloud = rng.uniform(size=(200, 3))
     piled = cloud.copy()
     piled[1 : 3 * TABLE_NEIGHBOURS] = piled[0]
     stacks += [(b + rng.normal(0.0, sigma, size=(draws, *b.shape)), b)
-               for b in (cloud, piled, cloud[:TABLE_NEIGHBOURS], cloud[:3])
+               for b in (cloud, piled, 1e3 + cloud, cloud[: TABLE_NEIGHBOURS + 1], cloud[:TABLE_NEIGHBOURS], cloud[:3])
                for sigma in (0.0, 1e-4, 0.01, 0.03, 0.05, 0.3, 2.0) for draws in (1, 16)]
     for stack, b in stacks:
         values = chamfer_distance_stack(stack, b)
         assert values.shape == (len(stack),)
         for d, pts in enumerate(stack):
             assert values[d] == chamfer_distance(pts, b)
+            assert values[d] == brute_nearest(pts, b)[0].mean() + brute_nearest(b, pts)[0].mean()
 
 
 def test_chamfer_distance_stack_rejects_bad_shapes():

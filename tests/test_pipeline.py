@@ -1006,6 +1006,13 @@ def test_package_pins_blas_threads_unless_set():
         assert lines == [f"{expect} False", f"[{expect!r}]"]
 
 
+def test_cli_imports_no_spatial_trees():
+    # scipy.spatial drags in scipy.linalg and scipy.sparse, about 12 MB of every run's peak memory
+    loaded = run_python("import sys, micas.cli; print('\\n'.join(sys.modules))").splitlines()
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.linalg", "scipy.sparse"))]
+
+
 # Trains a sampler and a ranker into argv[2] under the config text argv[1].
 TRAIN_PROBE = """\
 import sys
@@ -1034,7 +1041,8 @@ def test_cli_rejects_bad_config_value(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     for content, reason in (
             (b"n_centers = 4096\n", "n_centers and m_neighbors cannot exceed s_points"),
-            (b"s_points = many\n", "bad value for 's_points': 'many'"),
+            (b"s_points = many\n", "line 1: bad value for 's_points': 'many'"),
+            (b"seed = 3\ntau_start = hot\n", "line 2: bad value for 'tau_start': 'hot'"),
             (b"seed = 3\nbogus = 1\n", "line 2: unknown setting 'bogus'"),
             (b"profile = desk\n", "line 1: unknown setting 'profile'"),
             (b"\xffseed = 3\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")):

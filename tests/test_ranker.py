@@ -513,16 +513,16 @@ def test_raw_performance_of_a_stack_equals_its_per_draw_values():
                 assert values[d] == chamfer_distance(stack[d], query.target.points), task
 
 
-def test_raw_performance_builds_one_tree_for_a_label_stack_and_two_for_one_draw(monkeypatch):
-    # a label's draws share the target's tree and neighbour table; evaluate's single draw keeps a tree per direction
+def test_raw_performance_builds_one_neighbour_table_for_a_label_stack_and_none_for_one_draw(monkeypatch):
+    # a label's draws share the target's neighbour table; evaluate's single draw goes through _nearest both ways
     built = []
-    real = geometry.cKDTree
+    real = geometry._matched_nearest
 
-    def spy(pts, *args, **kwargs):
-        built.append(len(pts))
-        return real(pts, *args, **kwargs)
+    def spy(pa, pb):
+        built.append(len(pb))
+        return real(pa, pb)
 
-    monkeypatch.setattr(geometry, "cKDTree", spy)
+    monkeypatch.setattr(geometry, "_matched_nearest", spy)
     rng = np.random.default_rng(19)
     for i, task in enumerate(("reconstruction", "denoising", "registration")):
         query = gen_pair(task, 1 + i, 64, 420 + i)
@@ -532,7 +532,7 @@ def test_raw_performance_builds_one_tree_for_a_label_stack_and_two_for_one_draw(
         assert built == [64], task
         built.clear()
         raw_performance(task, stack[:1], query)
-        assert built == [64, 64], task
+        assert built == [], task
 
 
 def test_normalizer_orientation_and_clamping():
