@@ -15,7 +15,6 @@ import math
 import struct
 
 import numpy as np
-from scipy.special import expit
 
 from . import geometry
 from .errors import FormatError, TrainingDiverged
@@ -205,7 +204,7 @@ class Tape:
         return self._push(np.sin(a.value), (a,), (lambda g: g * np.cos(a.value),))
 
     def softplus(self, a: Node) -> Node:
-        return self._push(np.logaddexp(0.0, a.value), (a,), (lambda g: g * expit(a.value),))
+        return self._push(np.logaddexp(0.0, a.value), (a,), (lambda g: g * _logistic(a.value),))
 
     def log(self, a: Node) -> Node:
         if (a.value <= 0.0).any():
@@ -346,6 +345,12 @@ def _by_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     for i in range(x.shape[0]):
         out[i : i + 1] = x[i : i + 1] @ m
     return out
+
+
+def _logistic(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)), the softplus derivative, without overflow: exp only ever sees -|a|."""
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0.0, 1.0, e) / (1.0 + e)
 
 
 # ---- layers ----

@@ -5,9 +5,9 @@ first; ranker training refuses to start without the sampler checkpoint,
 reads it, and proves on exit that the file bytes never changed. Every
 random decision derives from the run seed and stable identifiers, never
 from global or wall-clock state, so equal seeds reproduce equal bytes on
-one BLAS build. That holds under the package's one-thread BLAS pin (see
-`micas/__init__.py`): a threaded BLAS can round a reduction differently
-on another core count.
+one numpy build and CPU. That holds under the package's one-thread BLAS
+pin (see `micas/__init__.py`): a threaded BLAS can round a reduction
+differently on another core count.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; loaded here, the import does not land inside a stage's timed span
 
 from . import autodiff, geometry, surrogate
 from .config import RunConfig, config_hash

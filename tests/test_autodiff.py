@@ -1,9 +1,11 @@
 """Tape gradients against finite differences, plus stores and checkpoints."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from micas.autodiff import (
     ParamStore,
@@ -145,6 +147,27 @@ def test_grad_nonlinearities():
     check(loss_of(lambda t, x: t.sin(x)), store)
     check(loss_of(lambda t, x: t.softplus(x)), store)
     check(loss_of(lambda t, x: t.log(t.add_const(t.softplus(x), 1e-6))), store)
+
+
+def test_softplus_gradient_is_the_logistic_without_overflow():
+    # exp(709.8) overflows float64, so the naive 1 / (1 + exp(-a)) warns at -709.8
+    a = np.unique(np.concatenate([np.linspace(-1000.0, 1000.0, 200_001), [0.0, -709.8, 709.8]]))
+    store = ParamStore()
+    store.add("a", a)
+    t = Tape()
+    t.weighted_sum(t.softplus(t.param(store, "a")), np.ones_like(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t.backward()
+    grad = store["a"].grad
+    assert grad[a == 0.0].tolist() == [0.5]
+    assert ((grad >= 0.0) & (grad <= 1.0)).all()
+    assert (np.diff(grad) >= 0.0).all()
+    assert grad[a == -709.8][0] > 0.0
+    # scipy's expit, a test-only reference, uses libm's exp, which numpy's SIMD exp may round differently
+    near = a > -700.0
+    ref = expit(a[near])
+    assert (np.abs(grad[near] - ref) <= 4 * np.spacing(ref)).all()
 
 
 def test_grad_softmax_and_maxpool():

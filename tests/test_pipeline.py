@@ -1006,24 +1006,34 @@ def test_package_pins_blas_threads_unless_set():
         assert lines == [f"{expect} False", f"[{expect!r}]"]
 
 
-def test_cli_imports_no_spatial_trees():
-    # scipy.spatial drags in scipy.linalg and scipy.sparse, about 12 MB of every run's peak memory
+def test_cli_imports_no_scipy():
+    # importing scipy.special alone adds about 20 MB to every run's peak memory
     loaded = run_python("import sys, micas.cli; print('\\n'.join(sys.modules))").splitlines()
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.linalg", "scipy.sparse"))]
+    assert "micas.cli" in loaded
+    assert not [m for m in loaded if m.startswith("scipy")]
 
 
-# Trains a sampler and a ranker into argv[2] under the config text argv[1].
+# Trains a sampler and a ranker into argv[2] under the config text argv[1],
+# then evaluates the adaptive, ranked cell and prints its task names.
 TRAIN_PROBE = """\
 import sys
 from micas import pipeline
 from micas.config import parse_config_text
 
 cfg = parse_config_text(sys.argv[1])
-train, _ = pipeline.generate_pairs(cfg)
+train, test = pipeline.generate_pairs(cfg)
 trained = pipeline.train_sampler(cfg, train, sys.argv[2])
-pipeline.train_ranker(cfg, train, trained.sampler_path, sys.argv[2])
+ranked = pipeline.train_ranker(cfg, train, trained.sampler_path, sys.argv[2])
+report = pipeline.evaluate(cfg, test, train, pipeline.load_sampler(trained.sampler_path),
+                           pipeline.load_ranker(ranked.ranker_path))
+print(*sorted(report["tasks"]))
 """
+
+
+def test_pipeline_runs_with_scipy_unimportable(tmp_path):
+    # scipy is a test-only dependency: with None in sys.modules every scipy import raises
+    out = run_python("import sys\nsys.modules['scipy'] = None\n" + TRAIN_PROBE, config_text(TINY), str(tmp_path))
+    assert out.split() == ["denoising", "partseg", "reconstruction", "registration"]
 
 
 def test_checkpoints_independent_of_blas_threads(tmp_path):
